@@ -9,6 +9,7 @@ arithmetic with independent brute-force oracles.
 from ._backend import backend_name
 from .arith import (
     FactoredRational,
+    FracLattice,
     IntMatrix,
     TorsionSubgroup,
     count_subgroups,
@@ -42,7 +43,6 @@ from .expr import eval_expression, parse_expression, print_expression
 from .k0 import (
     Derivation,
     DerivationCheck,
-    FracLattice,
     K0Element,
     QuotientRelation,
     derive_same_degree,

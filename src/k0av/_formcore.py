@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
+from .arith import xgcd
+
 
 def kronecker(a: int, n: int) -> int:
     if n == 0:
@@ -52,26 +54,14 @@ def reduce_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
     return a, b, c
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
 def compose_triples(
     a1: int, b1: int, c1: int, a2: int, b2: int, c2: int
 ) -> tuple[int, int, int]:
     """Dirichlet composition of two forms of the same discriminant, reduced."""
     d = b1 * b1 - 4 * a1 * c1
     beta = (b1 + b2) // 2
-    g1, _, y1 = _xgcd(a1, a2)
-    e, x2, t = _xgcd(g1, beta)
+    g1, _, y1 = xgcd(a1, a2)
+    e, x2, t = xgcd(g1, beta)
     # e = r*a1 + s*a2 + t*beta; only s (the a2 coefficient) and t are needed.
     s = x2 * y1
     a3 = (a1 // e) * (a2 // e)

@@ -1,11 +1,16 @@
-"""Exact integer arithmetic: factorization, factored rationals, Smith and
-Hermite normal forms, and finite subgroups of (Z/n)^2 as lattices.
+"""Exact integer arithmetic: factorization, factored rationals, the Smith
+normal form, and rank-2 lattices.
 
 Conventions:
   * all arithmetic is arbitrary-precision; exactness is preferred over speed
   * matrices act on row vectors; lattices are row spans
   * the Hermite form of a full-rank rank-2 row lattice is [[a, b], [0, d]]
     with a, d > 0 and 0 <= b < d, which is a unique representative
+
+FracLattice holds all rank-2 lattice arithmetic in closed form: Hermite
+reduction folds in one generator row at a time with an extended gcd, and
+intersection is the dual of the sum of the duals.  TorsionSubgroup, a finite
+subgroup of (Q/Z)^2, delegates its lattice operations to it.
 """
 
 from __future__ import annotations
@@ -13,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
-from typing import Iterable, Iterator, Mapping, Sequence
+from math import gcd, isqrt, lcm
+from typing import Iterable, Mapping, Sequence
 
-from .errors import K0Error, KernelInputError, LevelMismatchError, SingularMatrixError
+from .errors import DerivationError, KernelInputError, LevelMismatchError, SingularMatrixError
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -370,100 +375,110 @@ def matrix_isogeny_degree(m: IntMatrix, g: int) -> FactoredRational:
     return factor(abs(d)) ** (2 * g)
 
 
-def row_hnf(rows: Sequence[Sequence[int]], transform: bool = False):
-    """Row Hermite form: pivots positive with increasing column index, entries
-    above each pivot reduced into [0, pivot), zero rows last.
+@dataclass(frozen=True)
+class FracLattice:
+    """The lattice span(basis)/den in Q^2, kept canonical: `basis` is the
+    Hermite basis [[a, b], [0, d]] and gcd(den, a, b, d) == 1.
 
-    With transform=True also returns unimodular u with u @ rows == hnf.
+    This is the package's one implementation of rank-2 lattice arithmetic:
+    Hermite reduction (`make`), sum, intersection, membership and containment.
     """
-    a = [list(map(int, r)) for r in rows]
-    k = len(a)
-    m = len(a[0]) if k else 0
-    u = [[1 if i == j else 0 for j in range(k)] for i in range(k)] if transform else None
-    r = 0
-    for col in range(m):
-        while True:
-            nz = [i for i in range(r, k) if a[i][col] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(a[i][col]))
-            if i0 != r:
-                _swap_rows(a, r, i0)
-                if u is not None:
-                    _swap_rows(u, r, i0)
-            done = True
-            for i in range(r + 1, k):
-                if a[i][col] != 0:
-                    q = a[i][col] // a[r][col]
-                    _add_row(a, r, i, -q)
-                    if u is not None:
-                        _add_row(u, r, i, -q)
-                    done = done and a[i][col] == 0
-            if done:
-                break
-        if r < k and a[r][col] != 0:
-            if a[r][col] < 0:
-                a[r] = [-x for x in a[r]]
-                if u is not None:
-                    u[r] = [-x for x in u[r]]
-            for i in range(r):
-                q = a[i][col] // a[r][col]
-                if q:
-                    _add_row(a, r, i, -q)
-                    if u is not None:
-                        _add_row(u, r, i, -q)
-            r += 1
-        if r == k:
-            break
-    if u is not None:
-        return a, u
-    return a
 
+    den: int
+    basis: tuple[tuple[int, int], tuple[int, int]]
 
-def left_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis of { x : x @ rows == 0 }, in row Hermite form."""
-    h, u = row_hnf(rows, transform=True)
-    rank = sum(1 for row in h if any(row))
-    kernel = u[rank:]
-    if not kernel:
-        return []
-    return [row for row in row_hnf(kernel) if any(row)]
+    @staticmethod
+    def make(den: int, rows: Iterable[Sequence[int]]) -> FracLattice:
+        """Lattice spanned by the integer rows (x, y), divided by den; rows
+        that do not span a full-rank lattice raise SingularMatrixError."""
+        if den < 1:
+            raise DerivationError("lattice denominator must be positive")
+        # Fold the rows into (a, b), (0, d) one at a time.  With
+        # g = u*a + v*x = gcd(a, x), the unimodular [[u, v], [-x/g, a/g]]
+        # sends (a, b), (x, y) to (g, u*b + v*y), (0, (a*y - x*b)/g).
+        a = b = d = 0
+        for x, y in rows:
+            g, u, v = xgcd(a, x)
+            if g:
+                a, b, d = g, u * b + v * y, gcd(d, (x * b - a * y) // g)
+            else:
+                d = gcd(d, y)
+            if d:
+                b %= d
+        if a == 0 or d == 0:
+            raise SingularMatrixError("lattice is not full rank")
+        g = gcd(den, a, b, d)
+        return FracLattice(den // g, ((a // g, b // g), (0, d // g)))
 
+    @staticmethod
+    def unit() -> FracLattice:
+        return FracLattice(1, ((1, 0), (0, 1)))
 
-def _hnf2(rows: Iterable[Sequence[int]]) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Hermite basis of a full-rank rank-2 row lattice in Z^2."""
-    h = row_hnf(list(rows))
-    top = [row for row in h if any(row)]
-    if len(top) != 2 or top[0][0] == 0 or top[1][1] == 0:
-        raise SingularMatrixError("lattice is not full rank")
-    return (top[0][0], top[0][1]), (top[1][0], top[1][1])
+    @staticmethod
+    def from_subgroup(c: TorsionSubgroup) -> FracLattice:
+        return FracLattice.make(c.level, c.basis)
 
+    @property
+    def vol(self) -> Fraction:
+        return Fraction(self.basis[0][0] * self.basis[1][1], self.den * self.den)
 
-def _lattice_intersect_2x2(
-    b1: Sequence[Sequence[int]], b2: Sequence[Sequence[int]]
-) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Intersection of two full-rank row lattices in Z^2."""
-    det2 = b2[0][0] * b2[1][1] - b2[0][1] * b2[1][0]
-    if det2 == 0:
-        raise SingularMatrixError("lattice is not full rank")
-    # adj(b2): b2 @ adj(b2) == det2 * I
-    adj = ((b2[1][1], -b2[0][1]), (-b2[1][0], b2[0][0]))
-    t = [
-        [
-            b1[i][0] * adj[0][j] + b1[i][1] * adj[1][j]
-            for j in range(2)
-        ]
-        for i in range(2)
-    ]
-    m = abs(det2)
-    stacked = [t[0], t[1], [m, 0], [0, m]]
-    kern = left_kernel(stacked)
-    combos = [row[:2] for row in kern]
-    points = [
-        [c[0] * b1[0][0] + c[1] * b1[1][0], c[0] * b1[0][1] + c[1] * b1[1][1]]
-        for c in combos
-    ]
-    return _hnf2(points)
+    def _scaled_rows(self, new_den: int) -> list[list[int]]:
+        k, r = divmod(new_den, self.den)
+        assert r == 0
+        return [[x * k for x in row] for row in self.basis]
+
+    def dual(self) -> FracLattice:
+        """{w : w.v in Z for every v in self}.  The dual basis of the Hermite
+        basis [[a, b], [0, d]] is (1/ad) [[d, 0], [-b, a]]."""
+        (a, b), (_, d) = self.basis
+        k = self.den
+        return FracLattice.make(a * d, ((k * d, 0), (-k * b, k * a)))
+
+    def member(self, vec: Sequence[int], vec_den: int) -> bool:
+        """Whether vec/vec_den lies in self."""
+        # den*vec/vec_den = u @ basis has the solution
+        # u = den*vec @ adj(basis) / (vec_den*a*d), adj(basis) = [[d, -b], [0, a]].
+        (a, b), (_, d) = self.basis
+        v0, v1 = vec[0] * self.den, vec[1] * self.den
+        det = vec_den * a * d
+        return (v0 * d) % det == 0 and (v1 * a - v0 * b) % det == 0
+
+    def contains(self, other: FracLattice) -> bool:
+        r0, r1 = other.basis
+        return self.member(r0, other.den) and self.member(r1, other.den)
+
+    def index_over(self, base: FracLattice) -> int:
+        """[self : base] for base <= self."""
+        q = base.vol / self.vol
+        if q.denominator != 1 or not self.contains(base):
+            raise DerivationError("index requested over a non-sublattice")
+        return int(q)
+
+    def __add__(self, other: FracLattice) -> FracLattice:
+        d = lcm(self.den, other.den)
+        return FracLattice.make(d, self._scaled_rows(d) + other._scaled_rows(d))
+
+    def __and__(self, other: FracLattice) -> FracLattice:
+        # L1 & L2 = (L1* + L2*)*  (Cohen, GTM 138, ch. 2)
+        return (self.dual() + other.dual()).dual()
+
+    def extended_by(self, vec: Sequence[int], vec_den: int) -> FracLattice:
+        """Lattice generated by self and vec/vec_den."""
+        d = lcm(self.den, vec_den)
+        k = d // vec_den
+        return FracLattice.make(d, self._scaled_rows(d) + [[vec[0] * k, vec[1] * k]])
+
+    def to_json(self) -> dict:
+        return {"den": self.den, "basis": [list(r) for r in self.basis]}
+
+    @staticmethod
+    def from_json(data: Mapping) -> FracLattice:
+        try:
+            den = int(data["den"])
+            rows = [(int(x), int(y)) for x, y in data["basis"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DerivationError(f"malformed lattice: {exc}") from exc
+        return FracLattice.make(den, rows)
 
 
 @dataclass(frozen=True)
@@ -473,7 +488,7 @@ class TorsionSubgroup:
     C corresponds to a lattice L with Z^2 <= L <= (1/level) Z^2 via
     C = L / Z^2.  Since L itself is not integral, `basis` stores the Hermite
     basis of level*L, so level*Z^2 <= span(basis) <= Z^2 and
-    |C| = level^2 / det(basis).
+    |C| = level^2 / det(basis).  Lattice operations go through FracLattice.
     """
 
     level: int
@@ -491,8 +506,18 @@ class TorsionSubgroup:
             raise KernelInputError("basis does not contain level * Z^2")
 
     @staticmethod
-    def from_rows(level: int, rows: Sequence[Sequence[int]]) -> TorsionSubgroup:
-        return TorsionSubgroup(level, _hnf2(rows))
+    def from_lattice(level: int, lat: FracLattice) -> TorsionSubgroup:
+        """The subgroup lat/Z^2; scaling the Hermite basis of lat by
+        level/den keeps it in Hermite form."""
+        k, r = divmod(level, lat.den)
+        if r:
+            raise KernelInputError(f"lattice is not killed by level {level}")
+        (a, b), (_, d) = lat.basis
+        return TorsionSubgroup(level, ((a * k, b * k), (0, d * k)))
+
+    @staticmethod
+    def from_rows(level: int, rows: Iterable[Sequence[int]]) -> TorsionSubgroup:
+        return TorsionSubgroup.from_lattice(level, FracLattice.make(level, rows))
 
     @staticmethod
     def from_generators(level: int, gens: Iterable[Sequence[int]]) -> TorsionSubgroup:
@@ -511,28 +536,26 @@ class TorsionSubgroup:
 
     @property
     def order(self) -> int:
-        (a, _), (_, d) = self.basis
-        q, r = divmod(self.level * self.level, a * d)
-        assert r == 0
-        return q
+        return FracLattice.from_subgroup(self).index_over(FracLattice.unit())
 
-    def _check_level(self, other: TorsionSubgroup) -> None:
+    def _lattices(self, other: TorsionSubgroup) -> tuple[FracLattice, FracLattice]:
         if self.level != other.level:
             raise LevelMismatchError(
                 f"subgroup levels differ: {self.level} != {other.level}"
             )
+        return FracLattice.from_subgroup(self), FracLattice.from_subgroup(other)
 
     def __add__(self, other: TorsionSubgroup) -> TorsionSubgroup:
-        self._check_level(other)
-        return TorsionSubgroup.from_rows(self.level, list(self.basis) + list(other.basis))
+        mine, theirs = self._lattices(other)
+        return TorsionSubgroup.from_lattice(self.level, mine + theirs)
 
     def __and__(self, other: TorsionSubgroup) -> TorsionSubgroup:
-        self._check_level(other)
-        return TorsionSubgroup(self.level, _lattice_intersect_2x2(self.basis, other.basis))
+        mine, theirs = self._lattices(other)
+        return TorsionSubgroup.from_lattice(self.level, mine & theirs)
 
     def contains(self, other: TorsionSubgroup) -> bool:
-        self._check_level(other)
-        return (self + other) == self
+        mine, theirs = self._lattices(other)
+        return mine.contains(theirs)
 
     @property
     def is_trivial(self) -> bool:
@@ -543,7 +566,9 @@ class TorsionSubgroup:
 
     @staticmethod
     def from_json(data: Mapping) -> TorsionSubgroup:
-        return TorsionSubgroup.from_rows(int(data["level"]), data["basis"])
+        return TorsionSubgroup.from_rows(
+            int(data["level"]), [[int(x) for x in row] for row in data["basis"]]
+        )
 
 
 def count_subgroups(n: int) -> int:

@@ -125,9 +125,12 @@ def _cmd_derive(args) -> int:
     derivation = derive_same_degree(args.n, c1, c2)
     cert = derivation.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(cert, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(cert, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise K0Error(f"cannot write certificate: {exc}") from exc
         _emit(
             args,
             {"ok": True, "steps": len(derivation.steps), "degree": derivation.degree, "out": args.out},

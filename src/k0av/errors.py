@@ -30,7 +30,8 @@ class ContextMismatchError(K0Error):
 
 
 class KernelInputError(K0Error):
-    """Invalid kernel data, or a degree that needs kernel (not rational) input."""
+    """Invalid kernel data, a non-positive degree, or a degree that needs
+    kernel (not rational) input."""
 
 
 class DerivationError(K0Error):

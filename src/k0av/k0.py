@@ -13,7 +13,8 @@ intersection,
 Everything is modelled on a rank-2 lattice: the base object is Z^2, a
 quotient is a lattice L with Z^2 <= L and [L : Z^2] finite, and a subgroup of
 the quotient at L is a finite-index overlattice.  A derivation is a signed
-list of quotient relations whose formal sum telescopes to [L1] - [L2].
+list of quotient relations whose formal sum telescopes to [L1] - [L2].  The
+lattices are `arith.FracLattice`s.
 
 Certificate format (JSON, stable, tag "k0-derivation/1"):
 
@@ -32,17 +33,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
-from .arith import (
-    FactoredRational,
-    TorsionSubgroup,
-    _hnf2,
-    _lattice_intersect_2x2,
-    divisors,
-    is_prime,
-)
+from .arith import FactoredRational, FracLattice, TorsionSubgroup, divisors, is_prime
 from .contexts import CharPEndZ, DegreeClass, IsogenyContext, Supersingular
 from .errors import ContextMismatchError, DerivationError, LevelMismatchError
 from .kernels import KernelMultiset, kernel_class
@@ -94,95 +87,6 @@ def k0_class(
             return K0Element(n, kernel_class(ctx, degree))
         raise ContextMismatchError("kernel input requires a characteristic-p context")
     return K0Element(n, ctx.degree_class(degree))
-
-
-@dataclass(frozen=True)
-class FracLattice:
-    """Lattice span(basis)/den with Z^2 <= L; canonical (gcd-reduced Hermite)."""
-
-    den: int
-    basis: tuple[tuple[int, int], tuple[int, int]]
-
-    @staticmethod
-    def make(den: int, rows: Sequence[Sequence[int]]) -> FracLattice:
-        if den < 1:
-            raise DerivationError("lattice denominator must be positive")
-        h = _hnf2(rows)
-        g = gcd(den, gcd(gcd(h[0][0], h[0][1]), h[1][1]))
-        return FracLattice(den // g, ((h[0][0] // g, h[0][1] // g), (0, h[1][1] // g)))
-
-    @staticmethod
-    def unit() -> FracLattice:
-        return FracLattice(1, ((1, 0), (0, 1)))
-
-    @staticmethod
-    def from_subgroup(c: TorsionSubgroup) -> FracLattice:
-        return FracLattice.make(c.level, c.basis)
-
-    @property
-    def vol(self) -> Fraction:
-        return Fraction(self.basis[0][0] * self.basis[1][1], self.den * self.den)
-
-    def _scaled_rows(self, new_den: int) -> list[list[int]]:
-        k, r = divmod(new_den, self.den)
-        assert r == 0
-        return [[x * k for x in row] for row in self.basis]
-
-    def contains(self, other: FracLattice) -> bool:
-        d = lcm(self.den, other.den)
-        mine = self._scaled_rows(d)
-        det = mine[0][0] * mine[1][1]
-        for vec in other._scaled_rows(d):
-            # vec = u @ mine requires adj-divisibility
-            u0 = vec[0] * mine[1][1]
-            u1 = -vec[0] * mine[0][1] + vec[1] * mine[0][0]
-            if u0 % det or u1 % det:
-                return False
-        return True
-
-    def index_over(self, base: FracLattice) -> int:
-        """[self : base] for base <= self."""
-        q = base.vol / self.vol
-        if q.denominator != 1 or not self.contains(base):
-            raise DerivationError("index requested over a non-sublattice")
-        return int(q)
-
-    def __add__(self, other: FracLattice) -> FracLattice:
-        d = lcm(self.den, other.den)
-        return FracLattice.make(d, self._scaled_rows(d) + other._scaled_rows(d))
-
-    def __and__(self, other: FracLattice) -> FracLattice:
-        d = lcm(self.den, other.den)
-        rows = _lattice_intersect_2x2(self._scaled_rows(d), other._scaled_rows(d))
-        return FracLattice.make(d, rows)
-
-    def extended_by(self, vec: Sequence[int], vec_den: int) -> FracLattice:
-        """Lattice generated by self and vec/vec_den."""
-        d = lcm(self.den, vec_den)
-        k = d // vec_den
-        return FracLattice.make(d, self._scaled_rows(d) + [[vec[0] * k, vec[1] * k]])
-
-    def member(self, vec: Sequence[int], vec_den: int) -> bool:
-        d = lcm(self.den, vec_den)
-        mine = self._scaled_rows(d)
-        det = mine[0][0] * mine[1][1]
-        k = d // vec_den
-        v0, v1 = vec[0] * k, vec[1] * k
-        u0 = v0 * mine[1][1]
-        u1 = -v0 * mine[0][1] + v1 * mine[0][0]
-        return u0 % det == 0 and u1 % det == 0
-
-    def to_json(self) -> dict:
-        return {"den": self.den, "basis": [list(r) for r in self.basis]}
-
-    @staticmethod
-    def from_json(data: Mapping) -> FracLattice:
-        try:
-            den = int(data["den"])
-            rows = [[int(x) for x in row] for row in data["basis"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DerivationError(f"malformed lattice: {exc}") from exc
-        return FracLattice.make(den, rows)
 
 
 @dataclass(frozen=True)

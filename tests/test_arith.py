@@ -11,16 +11,15 @@ from hypothesis import strategies as st
 from k0av import oracle
 from k0av.arith import (
     FactoredRational,
+    FracLattice,
     IntMatrix,
     TorsionSubgroup,
     count_subgroups,
     divisors,
     factor,
     is_prime,
-    left_kernel,
     matrix_isogeny_degree,
     perfect_square,
-    row_hnf,
     smith_normal_form,
     squarefree_part,
     xgcd,
@@ -142,23 +141,6 @@ def test_matrix_isogeny_degree_singular():
         matrix_isogeny_degree(IntMatrix.from_rows([[0]]), 1)
 
 
-def test_row_hnf_canonical():
-    h = row_hnf([[2, 4], [0, 3]])
-    assert h == [[2, 1], [0, 3]]
-    h, t = row_hnf([[2, 4], [0, 3]], transform=True)
-    assert h == [[2, 1], [0, 3]]
-    assert t[0][0] * 3 - 0 != 0  # transform is square and unimodular over these rows
-
-
-def test_left_kernel_annihilates():
-    rows = [[2, 4, 6], [1, 2, 3]]
-    k = left_kernel(rows)
-    assert k
-    for coeffs in k:
-        combo = [sum(c * rows[i][j] for i, c in enumerate(coeffs)) for j in range(3)]
-        assert combo == [0, 0, 0]
-
-
 def test_xgcd():
     for a, b in ((12, 18), (-5, 7), (0, 4), (13, 0), (0, 0)):
         g, x, y = xgcd(a, b)
@@ -209,6 +191,42 @@ def test_subgroup_lattice_axioms():
                 assert s.order * i.order == a.order * b.order
 
 
+def _elements(s):
+    """The points of s inside (Z/n)^2, enumerated from its Hermite basis."""
+    (a, b), (_, d) = s.basis
+    n = s.level
+    return frozenset(((i * a) % n, (i * b + j * d) % n) for i in range(n) for j in range(n))
+
+
+def test_subgroup_sum_and_intersection_brute_force():
+    for n in range(1, 13):
+        subs = oracle.exhaustive_subgroups(n)
+        points = {s: _elements(s) for s in subs}
+        for a in subs:
+            for b in subs:
+                pa, pb = points[a], points[b]
+                generated = {((x + u) % n, (y + v) % n) for x, y in pa for u, v in pb}
+                assert _elements(a + b) == generated, (n, a, b)
+                assert _elements(a & b) == pa & pb, (n, a, b)
+                assert a.contains(b) == (pb <= pa)
+
+
+def test_singular_generators_rejected():
+    singular = (
+        [[1, 2], [2, 4]],
+        [[0, 0], [0, 0]],
+        [[0, 5], [0, 7], [0, 1]],
+        [[3, 1], [6, 2], [-9, -3]],
+        [[1, 0], [2, 0], [-3, 0], [0, 0]],
+        [[4, 6], [0, 0], [-2, -3], [6, 9]],
+    )
+    for rows in singular:
+        with pytest.raises(SingularMatrixError):
+            FracLattice.make(1, rows)
+        with pytest.raises(SingularMatrixError):
+            TorsionSubgroup.from_rows(12, rows)
+
+
 def test_subgroup_validation():
     with pytest.raises(KernelInputError):
         TorsionSubgroup(2, ((1, 0), (1, 2)))  # not upper triangular
@@ -216,6 +234,8 @@ def test_subgroup_validation():
         TorsionSubgroup(2, ((3, 0), (0, 2)))  # does not contain 2*Z^2
     with pytest.raises(KernelInputError):
         TorsionSubgroup(4, ((2, 1), (0, 4)))  # (n/a)*b not divisible by d
+    with pytest.raises(KernelInputError):
+        TorsionSubgroup.from_lattice(2, FracLattice.make(3, [[1, 0], [0, 1]]))  # not 2-torsion
 
 
 def test_subgroup_json_round_trip():

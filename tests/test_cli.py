@@ -98,6 +98,14 @@ def test_dist_bad_degree(capsys, ctx_file):
     assert "bad degree" in err
 
 
+def test_dist_nonpositive_degree(capsys, ctx_file):
+    path = ctx_file({"case": "end_z", "g": 1})
+    for degree in ("0", "-3"):
+        code, _, err = run(capsys, ["dist", "--ctx", path, "--degree", degree])
+        assert code == 2
+        assert err.startswith("error:") and "positive" in err
+
+
 def test_eval_equal_and_unequal(capsys, ctx_file):
     path = ctx_file({"case": "end_z", "g": 2})
     code, out, _ = run(
@@ -202,6 +210,16 @@ def test_derive_input_errors(capsys):
     code, _, err = run(capsys, ["derive", "--n", "4", "--c1", "1,0,0,4", "--c2", "4,0,0,4"])
     assert code == 2
     assert "orders differ" in err
+
+
+def test_derive_unwritable_out(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    code, stdout, err = run(
+        capsys, ["derive", "--n", "2", "--c1", "1,0,0,2", "--c2", "2,0,0,1", "--out", str(out)]
+    )
+    assert code == 2
+    assert err.startswith("error: cannot write certificate")
+    assert stdout == ""
 
 
 def test_check_malformed_certificate(capsys, tmp_path):

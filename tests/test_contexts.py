@@ -246,3 +246,10 @@ def test_degree_class_accepts_factored_rational():
     ctx = EndZ(2)
     q = FactoredRational.from_fraction(Fraction(8, 3))
     assert ctx.degree_class(q) == ctx.degree_class(Fraction(8, 3))
+
+
+def test_degree_class_rejects_nonpositive():
+    for ctx in (EndZ(2), CM(-20), Supersingular(7), OrdinaryCM(-20, 3), CharPEndZ(5)):
+        for q in (0, -3, Fraction(-1, 2)):
+            with pytest.raises(KernelInputError, match="positive"):
+                ctx.degree_class(q)

@@ -1,11 +1,13 @@
 """Grothendieck-group classes, quotient relations, and derivation certificates."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from k0av import oracle
 from k0av.arith import TorsionSubgroup
 from k0av.contexts import CM, CharPEndZ, EndZ, Supersingular
 from k0av.errors import ContextMismatchError, DerivationError, LevelMismatchError
@@ -141,6 +143,8 @@ def test_lattice_json_round_trip():
     assert FracLattice.from_json(json.loads(json.dumps(lat.to_json()))) == lat
     with pytest.raises(DerivationError, match="malformed lattice"):
         FracLattice.from_json({"den": 2})
+    with pytest.raises(DerivationError, match="malformed lattice"):
+        FracLattice.from_json({"den": 2, "basis": [[1, 2, 3], [0, 1]]})
     with pytest.raises(DerivationError, match="denominator"):
         FracLattice.make(0, [[1, 0], [0, 1]])
 
@@ -242,6 +246,30 @@ def test_derive_exhaustive_small_orders():
             for c2 in groups:
                 d = derive_same_degree(n, c1, c2)
                 assert validate_derivation(d), (n, c1, c2)
+
+
+# SHA-256 of the compact JSON of every certificate for the same-order pairs
+# at levels 1..8, one per line, in oracle enumeration order; certificate
+# bytes are part of the k0-derivation/1 contract.
+CERTS_LEVEL_8_SHA256 = "935b2a029e6e696b7a2f22dbc6385b86f15be324b708fdfd644780455fd9e610"
+
+
+def test_certificate_bytes_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 9):
+        by_order = {}
+        for s in oracle.exhaustive_subgroups(n):
+            by_order.setdefault(s.order, []).append(s)
+        for order, group in by_order.items():
+            for c1 in group:
+                for c2 in group:
+                    cert = derive_same_degree(order, c1, c2).to_json()
+                    digest.update(json.dumps(cert, separators=(",", ":")).encode())
+                    digest.update(b"\n")
+                    count += 1
+    assert count == 744
+    assert digest.hexdigest() == CERTS_LEVEL_8_SHA256
 
 
 def test_derive_rejects_mismatches():
