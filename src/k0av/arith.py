@@ -7,10 +7,12 @@ Conventions:
   * the Hermite form of a full-rank rank-2 row lattice is [[a, b], [0, d]]
     with a, d > 0 and 0 <= b < d, which is a unique representative
 
-FracLattice holds all rank-2 lattice arithmetic in closed form: Hermite
-reduction folds in one generator row at a time with an extended gcd, and
-intersection is the dual of the sum of the duals.  TorsionSubgroup, a finite
-subgroup of (Q/Z)^2, delegates its lattice operations to it.
+Rank-2 lattice arithmetic is closed-form and lives in one place: `row_hnf`
+folds in one generator row at a time with an extended gcd, `left_kernel`
+reduces two columns the same way while keeping the row operations, and
+FracLattice builds sum, intersection, membership and containment on them.
+TorsionSubgroup, a finite subgroup of (Q/Z)^2, delegates its lattice
+operations to FracLattice.
 """
 
 from __future__ import annotations
@@ -375,13 +377,63 @@ def matrix_isogeny_degree(m: IntMatrix, g: int) -> FactoredRational:
     return factor(abs(d)) ** (2 * g)
 
 
+def row_hnf(rows: Iterable[Sequence[int]]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Hermite basis [[a, b], [0, d]] of the lattice spanned by the integer
+    rows (x, y); rows that do not span a full-rank lattice raise
+    SingularMatrixError."""
+    # Fold the rows into (a, b), (0, d) one at a time.  With
+    # g = u*a + v*x = gcd(a, x), the unimodular [[u, v], [-x/g, a/g]]
+    # sends (a, b), (x, y) to (g, u*b + v*y), (0, (a*y - x*b)/g).
+    a = b = d = 0
+    for x, y in rows:
+        g, u, v = xgcd(a, x)
+        if g:
+            a, b, d = g, u * b + v * y, gcd(d, (x * b - a * y) // g)
+        else:
+            d = gcd(d, y)
+        if d:
+            b %= d
+    if a == 0 or d == 0:
+        raise SingularMatrixError("lattice is not full rank")
+    return (a, b), (0, d)
+
+
+def left_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Basis of {c : c @ rows == 0} for integer rows (x, y)."""
+    # Reduce [rows | I] column by column with the unimodular step of
+    # row_hnf; the identity part of each row that reaches (0, 0) is a
+    # kernel vector, and together they are a basis since the pivot rows
+    # left behind are independent.
+    m = len(rows)
+    aug = [[x, y] + [int(i == j) for j in range(m)] for i, (x, y) in enumerate(rows)]
+    for col in (0, 1):
+        pivot, rest = None, []
+        for r in aug:
+            if r[col] and pivot is None:
+                pivot = r
+            elif r[col]:
+                g, u, v = xgcd(pivot[col], r[col])
+                p, q = pivot[col] // g, r[col] // g
+                pivot, r = (
+                    [u * s + v * t for s, t in zip(pivot, r)],
+                    [p * t - q * s for s, t in zip(pivot, r)],
+                )
+                rest.append(r)
+            else:
+                rest.append(r)
+        aug = rest
+    return [r[2:] for r in aug]
+
+
 @dataclass(frozen=True)
 class FracLattice:
     """The lattice span(basis)/den in Q^2, kept canonical: `basis` is the
     Hermite basis [[a, b], [0, d]] and gcd(den, a, b, d) == 1.
 
-    This is the package's one implementation of rank-2 lattice arithmetic:
-    Hermite reduction (`make`), sum, intersection, membership and containment.
+    With `row_hnf` and `left_kernel` this is the package's one
+    implementation of rank-2 lattice arithmetic: Hermite reduction (`make`),
+    sum, intersection (through the kernel of the stacked bases), membership
+    and containment.
     """
 
     den: int
@@ -393,20 +445,7 @@ class FracLattice:
         that do not span a full-rank lattice raise SingularMatrixError."""
         if den < 1:
             raise DerivationError("lattice denominator must be positive")
-        # Fold the rows into (a, b), (0, d) one at a time.  With
-        # g = u*a + v*x = gcd(a, x), the unimodular [[u, v], [-x/g, a/g]]
-        # sends (a, b), (x, y) to (g, u*b + v*y), (0, (a*y - x*b)/g).
-        a = b = d = 0
-        for x, y in rows:
-            g, u, v = xgcd(a, x)
-            if g:
-                a, b, d = g, u * b + v * y, gcd(d, (x * b - a * y) // g)
-            else:
-                d = gcd(d, y)
-            if d:
-                b %= d
-        if a == 0 or d == 0:
-            raise SingularMatrixError("lattice is not full rank")
+        (a, b), (_, d) = row_hnf(rows)
         g = gcd(den, a, b, d)
         return FracLattice(den // g, ((a // g, b // g), (0, d // g)))
 
@@ -426,13 +465,6 @@ class FracLattice:
         k, r = divmod(new_den, self.den)
         assert r == 0
         return [[x * k for x in row] for row in self.basis]
-
-    def dual(self) -> FracLattice:
-        """{w : w.v in Z for every v in self}.  The dual basis of the Hermite
-        basis [[a, b], [0, d]] is (1/ad) [[d, 0], [-b, a]]."""
-        (a, b), (_, d) = self.basis
-        k = self.den
-        return FracLattice.make(a * d, ((k * d, 0), (-k * b, k * a)))
 
     def member(self, vec: Sequence[int], vec_den: int) -> bool:
         """Whether vec/vec_den lies in self."""
@@ -459,8 +491,13 @@ class FracLattice:
         return FracLattice.make(d, self._scaled_rows(d) + other._scaled_rows(d))
 
     def __and__(self, other: FracLattice) -> FracLattice:
-        # L1 & L2 = (L1* + L2*)*  (Cohen, GTM 138, ch. 2)
-        return (self.dual() + other.dual()).dual()
+        # c @ [mine; theirs] == 0 exactly when c[:2] @ mine == -c[2:] @ theirs
+        # is a point of both, and c -> c[:2] @ mine is one-to-one.
+        d = lcm(self.den, other.den)
+        mine = self._scaled_rows(d)
+        (a, b), (_, e) = mine
+        kernel = left_kernel(mine + other._scaled_rows(d))
+        return FracLattice.make(d, [(c0 * a, c0 * b + c1 * e) for c0, c1, _, _ in kernel])
 
     def extended_by(self, vec: Sequence[int], vec_den: int) -> FracLattice:
         """Lattice generated by self and vec/vec_den."""
@@ -536,7 +573,8 @@ class TorsionSubgroup:
 
     @property
     def order(self) -> int:
-        return FracLattice.from_subgroup(self).index_over(FracLattice.unit())
+        (a, _), (_, d) = self.basis
+        return self.level * self.level // (a * d)
 
     def _lattices(self, other: TorsionSubgroup) -> tuple[FracLattice, FracLattice]:
         if self.level != other.level:

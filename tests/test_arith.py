@@ -3,6 +3,7 @@ torsion-subgroup lattices."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,10 @@ from k0av.arith import (
     divisors,
     factor,
     is_prime,
+    left_kernel,
     matrix_isogeny_degree,
     perfect_square,
+    row_hnf,
     smith_normal_form,
     squarefree_part,
     xgcd,
@@ -139,6 +142,43 @@ def test_matrix_isogeny_degree_vs_oracle():
 def test_matrix_isogeny_degree_singular():
     with pytest.raises(SingularMatrixError):
         matrix_isogeny_degree(IntMatrix.from_rows([[0]]), 1)
+
+
+def test_row_hnf_canonical():
+    assert row_hnf([[2, 4], [0, 3]]) == ((2, 1), (0, 3))
+    assert row_hnf([[0, 3], [2, 4], [2, 7], [-4, -8]]) == ((2, 1), (0, 3))
+    rng = random.Random(3)
+    for _ in range(500):
+        rows = [[rng.randint(-30, 30) for _ in range(2)] for _ in range(rng.randint(2, 5))]
+        minors = [x0 * y1 - y0 * x1 for i, (x0, y0) in enumerate(rows) for x1, y1 in rows[i + 1:]]
+        if not any(minors):
+            continue
+        (a, b), (z, d) = row_hnf(rows)
+        assert z == 0 and a > 0 and d > 0 and 0 <= b < d
+        # every row lies in span(hnf), and both lattices have the same index in Z^2
+        for x, y in rows:
+            assert x % a == 0 and (y - (x // a) * b) % d == 0
+        assert a * d == gcd(*minors)
+
+
+def test_left_kernel_annihilates():
+    assert left_kernel([[2, 4], [1, 2], [3, 5]]) in ([[1, -2, 0]], [[-1, 2, 0]])
+    rng = random.Random(4)
+    for _ in range(500):
+        rows = [[rng.randint(-20, 20) for _ in range(2)] for _ in range(rng.choice((3, 4)))]
+        if rows[0][0] * rows[1][1] == rows[0][1] * rows[1][0]:
+            continue
+        k = left_kernel(rows)
+        assert len(k) == len(rows) - 2
+        for coeffs in k:
+            assert [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(2)] == [0, 0]
+        # the basis is saturated (its maximal minors are coprime), so it
+        # spans the whole kernel and not a sublattice of it
+        if len(k) == 1:
+            assert gcd(*k[0]) == 1
+        else:
+            (p, q) = k
+            assert gcd(*(p[i] * q[j] - p[j] * q[i] for i in range(4) for j in range(i + 1, 4))) == 1
 
 
 def test_xgcd():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -123,17 +124,41 @@ def test_lattice_sum_intersect_extend():
     assert a.extended_by([1, 0], 6) == a
 
 
+def _span(n, gens):
+    """The subgroup of (Z/n)^2 generated by gens, enumerated."""
+    pts = {(0, 0)}
+    for gx, gy in gens:
+        pts = {((x + t * gx) % n, (y + t * gy) % n) for x, y in pts for t in range(n)}
+    return frozenset(pts)
+
+
+def _points(lat, n):
+    """lat/Z^2 as a subset of (Z/n)^2, for lat.den dividing n."""
+    k = n // lat.den
+    (a, b), (_, d) = lat.basis
+    return frozenset(
+        ((i * a * k) % n, (i * b * k + j * d * k) % n) for i in range(n) for j in range(n)
+    )
+
+
 def test_lattice_matches_torsion_subgroup_ops():
     rng = random.Random(7)
     for _ in range(200):
-        n = rng.choice((2, 3, 4, 6, 12))
-        c1 = sub(n, (rng.randrange(n), rng.randrange(n)), (rng.randrange(n), rng.randrange(n)))
-        c2 = sub(n, (rng.randrange(n), rng.randrange(n)))
-        l1, l2 = FracLattice.from_subgroup(c1), FracLattice.from_subgroup(c2)
-        assert l1.index_over(FracLattice.unit()) == c1.order
-        assert l1 + l2 == FracLattice.from_subgroup(c1 + c2)
-        assert (l1 & l2) == FracLattice.from_subgroup(c1 & c2)
-        assert l1.contains(l2) == ((c1 + c2) == c1)
+        n1, n2 = rng.choice((2, 3, 4, 6, 12)), rng.choice((2, 3, 4, 6, 12))
+        n = n1 * n2 // math.gcd(n1, n2)
+        g1 = [(rng.randrange(n1), rng.randrange(n1)) for _ in range(2)]
+        g2 = [(rng.randrange(n2), rng.randrange(n2))]
+        l1 = FracLattice.from_subgroup(sub(n1, *g1))
+        l2 = FracLattice.from_subgroup(sub(n2, *g2))
+        # the same generators as points of (Z/n)^2
+        h1 = [(x * (n // n1), y * (n // n1)) for x, y in g1]
+        h2 = [(x * (n // n2), y * (n // n2)) for x, y in g2]
+        p1, p2 = _span(n, h1), _span(n, h2)
+        assert _points(l1, n) == p1 and _points(l2, n) == p2
+        assert l1.index_over(FracLattice.unit()) == len(p1)
+        assert _points(l1 + l2, n) == _span(n, h1 + h2)
+        assert _points(l1 & l2, n) == p1 & p2
+        assert l1.contains(l2) == (p2 <= p1)
         assert (l1 + l2).vol * (l1 & l2).vol == l1.vol * l2.vol
 
 
