@@ -14,13 +14,12 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .arith import TorsionSubgroup, IntMatrix, matrix_isogeny_degree, count_subgroups
 from .contexts import CM, IsogenyContext, make_context
-from .errors import K0Error
-from .expr import eval_expression, parse_expression
+from .errors import K0Error, ParseError
+from .expr import eval_expression, parse_expression, parse_rational
 from .k0 import Derivation, derive_same_degree, k0_class, validate_derivation
 from .kernels import kernel_from_counts, parse_kernel_literal
 from .quadforms import class_group, square_classes
@@ -81,8 +80,8 @@ def _cmd_dist(args) -> int:
         cls = k0_class(ctx, 1, kernel_from_counts(p, counts)).deg
     else:
         try:
-            q = Fraction(args.degree)
-        except (ValueError, ZeroDivisionError) as exc:
+            q = parse_rational(args.degree)
+        except ParseError as exc:
             raise K0Error(f"bad degree {args.degree!r}: {exc}") from exc
         cls = ctx.degree_class(q)
     payload = {"context": ctx.to_json(), "class": cls.to_json()}

@@ -38,7 +38,6 @@ from .quadforms import (
     SquareClasses,
     class_group,
     compose,
-    form_power,
     kronecker,
     prime_class,
     principal_form,
@@ -259,12 +258,13 @@ class _WithClassGroup(IsogenyContext):
         rep = principal_form(self.disc)
         inert: set[int] = set()
         for p, e in q.exps:
+            if e % 2 == 0:  # p^e is a norm: its class is a square, its inert parity even
+                continue
             pc = prime_class(p, self.disc)
             if pc.is_inert:
-                if e % 2:
-                    inert ^= {p}
+                inert ^= {p}
             else:
-                rep = compose(rep, form_power(pc.form, e))
+                rep = compose(rep, pc.form)
         return (self.square_classes.rep(rep), tuple(sorted(inert)))
 
     def _mul(self, x: tuple, y: tuple) -> tuple:
@@ -273,7 +273,7 @@ class _WithClassGroup(IsogenyContext):
         return (rep, inert)
 
     def _inv(self, x: tuple) -> tuple:
-        return (self.square_classes.rep(x[0].inverse()), x[1])
+        return x  # C/C^2 and the inert parities have exponent 2
 
     def _class_order(self, x: tuple) -> int:
         return 1 if x == self._identity_data() else 2

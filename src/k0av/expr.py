@@ -59,7 +59,7 @@ class Sum:
 
 Node = Union[Sum, Dual, ClassAtom]
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]+)|(.))", re.DOTALL)
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]+)|(\S))")
 _SYMBOLS = set("[];*+-/(){}:,")
 
 
@@ -167,17 +167,20 @@ class _Parser:
         self.expect("]", "']'")
         return ClassAtom(n, spec)
 
+    def rational(self) -> Fraction:
+        t = self.expect("int", "positive rational")
+        num, den = int(t.text), 1
+        if self.peek().kind == "/":
+            self.take()
+            den = int(self.expect("int", "denominator").text)
+        if num == 0 or den == 0:
+            raise ParseError("degree must be a positive rational", t.pos, "positive rational")
+        return Fraction(num, den)
+
     def degspec(self) -> Union[Fraction, KernelSpec]:
         t = self.peek()
         if t.kind == "int":
-            num = int(self.take().text)
-            den = 1
-            if self.peek().kind == "/":
-                self.take()
-                den = int(self.expect("int", "denominator").text)
-            if num == 0 or den == 0:
-                raise ParseError("degree must be a positive rational", t.pos, "positive rational")
-            return Fraction(num, den)
+            return self.rational()
         if t.kind == "{":
             start = t.pos
             end = self.text.find("}", start)
@@ -197,6 +200,16 @@ class _Parser:
 
 def parse_expression(text: str) -> Sum:
     return _Parser(text).parse()
+
+
+def parse_rational(text: str) -> Fraction:
+    """A positive degree by the `rational` rule alone, e.g. "15" or "3/4"."""
+    parser = _Parser(text)
+    q = parser.rational()
+    t = parser.peek()
+    if t.kind != "end":
+        raise ParseError(f"trailing input {t.text!r}", t.pos, "end of input")
+    return q
 
 
 def _print_spec(spec: Union[Fraction, KernelSpec]) -> str:

@@ -10,7 +10,7 @@ non-fundamental discriminants are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import _backend
 from .arith import _factor_int, is_prime
@@ -62,19 +62,6 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     if not g.is_reduced:
         g = reduce_form(g)
     return QuadForm(*_backend.compose_triples(f.a, f.b, f.c, g.a, g.b, g.c))
-
-
-def form_power(f: QuadForm, k: int) -> QuadForm:
-    if k < 0:
-        return form_power(f.inverse(), -k)
-    out = principal_form(f.disc)
-    base = reduce_form(f)
-    while k:
-        if k & 1:
-            out = compose(out, base)
-        base = compose(base, base)
-        k >>= 1
-    return out
 
 
 def principal_form(d: int) -> QuadForm:
@@ -135,7 +122,9 @@ class SquareClasses:
     """The subgroup of squares and canonical coset representatives of C/C^2.
 
     Each coset representative is the (a, b)-least reduced form in its coset;
-    the identity coset is always represented by the principal form.
+    the identity coset is always represented by the principal form.  `rep`
+    looks forms up in a table built on its first call, not at construction,
+    so a cached instance that never answers `rep` never holds the table.
     """
 
     disc: int
@@ -146,11 +135,19 @@ class SquareClasses:
     def index(self) -> int:
         return len(self.coset_reps)
 
+    @cached_property
+    def _rep_of(self) -> dict[QuadForm, QuadForm]:
+        """Every reduced form mapped to its coset's representative: h compositions."""
+        return {compose(r, s): r for r in self.coset_reps for s in self.squares}
+
     def rep(self, f: QuadForm) -> QuadForm:
         """Canonical representative of f * C^2."""
         if not f.is_reduced:
             f = reduce_form(f)
-        return min(compose(f, s) for s in self.squares)
+        try:
+            return self._rep_of[f]
+        except KeyError:
+            raise DiscriminantError(f"form {f} is not of discriminant {self.disc}") from None
 
 
 @lru_cache(maxsize=None)

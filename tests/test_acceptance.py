@@ -17,6 +17,9 @@ from k0av.k0 import Derivation, derive_same_degree, k0_class, validate_derivatio
 from k0av.kernels import KernelMultiset, class_in_image, kernel_class, kernel_of_matrix_endo
 from k0av.quadforms import class_group, compose, prime_class, principal_form, reduce_form
 
+from conftest import fundamental_discs
+
+
 def primes_below(n):
     sieve = bytearray([1]) * n
     sieve[:2] = b"\0\0"
@@ -24,24 +27,6 @@ def primes_below(n):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return [p for p in range(n) if sieve[p]]
-
-
-def fundamental_discs(limit):
-    def squarefree(x):
-        f = 2
-        while f * f <= -x:
-            if x % (f * f) == 0:
-                return False
-            f += 1
-        return True
-
-    out = []
-    for d in range(-3, -limit - 1, -1):
-        if d % 4 == 1 and squarefree(d):
-            out.append(d)
-        elif d % 4 == 0 and (d // 4) % 4 in (2, 3) and squarefree(d // 4):
-            out.append(d)
-    return out
 
 
 def finish(num, label, started, budget):

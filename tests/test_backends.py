@@ -9,36 +9,9 @@ import pytest
 from k0av import _backend, _formcore
 from k0av.quadforms import principal_form
 
+from conftest import fundamental_discs
+
 compiled = pytest.importorskip("k0av._speedups", reason="compiled backend not built")
-
-
-def fundamental_discs(limit):
-    out = []
-    for d in range(-3, -limit - 1, -1):
-        r = d % 4
-        if r == 1:
-            x = d
-            sf = True
-            f = 2
-            while f * f <= -x:
-                if x % (f * f) == 0:
-                    sf = False
-                    break
-                f += 1
-            if sf:
-                out.append(d)
-        elif r == 0 and (d // 4) % 4 in (2, 3):
-            x = d // 4
-            sf = True
-            f = 2
-            while f * f <= -x:
-                if x % (f * f) == 0:
-                    sf = False
-                    break
-                f += 1
-            if sf:
-                out.append(d)
-    return out
 
 
 def test_backend_name():

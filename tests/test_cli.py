@@ -98,6 +98,16 @@ def test_dist_bad_degree(capsys, ctx_file):
     assert "bad degree" in err
 
 
+def test_dist_degree_follows_rational_rule(capsys, ctx_file):
+    path = ctx_file({"case": "end_z", "g": 1})
+    for degree in ("1.5", "1e3", "3/", "/4", "3/4/5", "+3", "0x10"):
+        code, _, err = run(capsys, ["dist", "--ctx", path, "--degree", degree])
+        assert code == 2, degree
+        assert err.startswith("error:") and "bad degree" in err, degree
+    code, out, _ = run(capsys, ["dist", "--ctx", path, "--degree", " 6 / 4 "])
+    assert code == 0 and out.strip() == "exponents mod 2: 2^1 * 3^1"
+
+
 def test_dist_nonpositive_degree(capsys, ctx_file):
     path = ctx_file({"case": "end_z", "g": 1})
     for degree in ("0", "-3"):

@@ -16,7 +16,7 @@ from k0av.contexts import (
     make_context,
 )
 from k0av.errors import ContextError, ContextMismatchError, KernelInputError
-from k0av.quadforms import QuadForm
+from k0av.quadforms import QuadForm, prime_class
 
 
 def test_make_context_cases():
@@ -146,6 +146,29 @@ def test_cm_multiplicativity_random():
             q1 = Fraction(rng.randint(1, 400), rng.randint(1, 400))
             q2 = Fraction(rng.randint(1, 400), rng.randint(1, 400))
             assert ctx.degree_class(q1 * q2) == ctx.degree_class(q1) * ctx.degree_class(q2)
+
+
+def test_cm_prime_powers_follow_parity():
+    # -84 ramifies 2, 3 and 7; -5291 = -11 * 13 * 37 has class number 36
+    for ctx in (CM(-84), OrdinaryCM(-84, 5), CM(-5291), OrdinaryCM(-5291, 3)):
+        kinds = set()
+        for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
+            kinds.add(prime_class(ell, ctx.disc).kind)
+            cls = ctx.degree_class(ell)
+            for e in range(8):
+                assert ctx.degree_class(ell**e) == cls**e, (ctx, ell, e)
+                assert ctx.degree_class(Fraction(1, ell**e)) == cls**e, (ctx, ell, e)
+                assert ctx.degree_class(ell**e).is_identity == (e % 2 == 0 or cls.is_identity)
+        assert kinds == {"split", "inert", "ramified"}, ctx
+
+
+def test_cm_inverse_is_self():
+    rng = random.Random(4)
+    for ctx in (CM(-20), CM(-1671), CM(-5291), OrdinaryCM(-84, 5), OrdinaryCM(-5291, 3)):
+        for _ in range(100):
+            cls = ctx.degree_class(Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4)))
+            assert cls.inverse() == cls
+            assert (cls * cls).is_identity
 
 
 def test_common_factor_cancellation():

@@ -14,6 +14,7 @@ from k0av.expr import (
     Sum,
     eval_expression,
     parse_expression,
+    parse_rational,
     print_expression,
 )
 from k0av.k0 import k0_class
@@ -103,6 +104,19 @@ def test_parse_errors_frozen():
             parse_expression(text)
         assert exc.value.pos == pos, text
         assert exc.value.expected == expected, text
+
+
+def test_trailing_whitespace_is_free():
+    assert parse_expression("[1; 3] \n") == parse_expression("[1; 3]")
+
+
+def test_parse_rational():
+    assert parse_rational("15") == 15
+    assert parse_rational(" 6 / 4 ") == Fraction(3, 2)
+    for text, pos in (("1.5", 1), ("1e3", 1), ("-3", 0), ("0", 0), ("3/0", 0), ("", 0), ("{zp:1}", 0)):
+        with pytest.raises(ParseError) as exc:
+            parse_rational(text)
+        assert exc.value.pos == pos, text
 
 
 def test_kernel_literal_error_position_is_global():

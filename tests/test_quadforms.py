@@ -10,9 +10,9 @@ from k0av.errors import DiscriminantError
 from k0av.quadforms import (
     ClassGroup,
     QuadForm,
+    SquareClasses,
     class_group,
     compose,
-    form_power,
     is_fundamental_discriminant,
     prime_class,
     principal_form,
@@ -20,13 +20,10 @@ from k0av.quadforms import (
     square_classes,
 )
 
+from conftest import fundamental_discs
+
 FUNDAMENTAL_SAMPLE = (-3, -4, -7, -8, -11, -15, -19, -20, -23, -24, -31, -35,
                       -39, -40, -43, -47, -52, -56, -71, -84, -120, -163)
-
-
-def fundamental_discs(limit):
-    return [d for d in range(-3, -limit - 1, -1)
-            if d % 4 in (0, 1) and is_fundamental_discriminant(d)]
 
 
 def test_reduce_frozen():
@@ -119,15 +116,6 @@ def test_fundamental_discriminant_classifier():
         assert not is_fundamental_discriminant(d)
 
 
-def test_form_power():
-    g = QuadForm(2, 1, 3)  # order 3 at disc -23
-    e = principal_form(-23)
-    assert form_power(g, 0) == e
-    assert form_power(g, 3) == e
-    assert form_power(g, -1) == g.inverse()
-    assert form_power(g, 2) == compose(g, g)
-
-
 def test_square_classes_frozen():
     assert square_classes(-4).index == 1
     assert square_classes(-23).index == 1
@@ -159,6 +147,42 @@ def test_square_classes_match_ideal_oracle():
     for d in FUNDAMENTAL_SAMPLE:
         main = {f.triple() for f in square_classes(d).squares}
         assert main == oracle.square_class_triples(d), d
+
+
+# every fundamental |d| <= 2000, plus the two CM discriminants the benchmark
+# queries most: h = 38 with index 2, and h = 36 with index 4
+REP_DISCS = fundamental_discs(2000) + [-1671, -5291]
+
+
+def test_square_rep_is_least_form_of_coset():
+    assert (class_group(-1671).h, square_classes(-1671).index) == (38, 2)
+    assert (class_group(-5291).h, square_classes(-5291).index) == (36, 4)
+    for d in REP_DISCS:
+        sq = square_classes(d)
+        assert {f.triple() for f in sq.squares} == oracle.square_class_triples(d), d
+        for f in class_group(d).elements:
+            want = min(compose(f, s) for s in sq.squares)
+            a, b, c = f.triple()
+            b2 = b + 6 * a  # the same class, unreduced
+            shifted = QuadForm(a, b2, (b2 * b2 - d) // (4 * a))
+            assert not shifted.is_reduced
+            assert sq.rep(f) == want and sq.rep(shifted) == want, (d, f)
+
+
+def test_square_rep_rejects_other_discriminant():
+    with pytest.raises(DiscriminantError):
+        square_classes(-20).rep(QuadForm(2, 1, 3))  # disc -23
+
+
+def test_square_classes_hashable_after_rep():
+    sq = square_classes(-5291)
+    copy = SquareClasses(sq.disc, sq.squares, sq.coset_reps)
+    before = hash(sq)
+    for f in class_group(-5291).elements:
+        sq.rep(f)
+    assert hash(sq) == before == hash(copy)
+    assert sq == sq and sq == copy and copy == sq
+    assert {copy: 1}[sq] == 1
 
 
 def test_prime_class_frozen():
