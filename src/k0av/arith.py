@@ -116,6 +116,8 @@ class FactoredRational:
             return q
         if isinstance(q, int):
             return FactoredRational.from_int(q)
+        if q.denominator == 1:
+            return FactoredRational.from_int(q.numerator)
         return FactoredRational.from_int(q.numerator) * FactoredRational.from_int(q.denominator).inverse()
 
     @staticmethod

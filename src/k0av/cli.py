@@ -21,19 +21,40 @@ from .contexts import CM, IsogenyContext, make_context
 from .errors import K0Error, ParseError
 from .expr import eval_expression, parse_expression, parse_rational
 from .k0 import Derivation, derive_same_degree, k0_class, validate_derivation
-from .kernels import kernel_from_counts, parse_kernel_literal
+from .kernels import int_literal, kernel_from_counts, parse_kernel_literal
 from .quadforms import class_group, square_classes
 from . import oracle
 
 
-def _load_context(path: str) -> IsogenyContext:
+def _json_int(text: str) -> int:
+    """`parse_int` hook: JSON integers obey the literal digit limit."""
+    try:
+        value = int_literal(text.lstrip("-"), 0)
+    except ParseError as exc:
+        raise K0Error(exc.message) from None
+    return -value if text.startswith("-") else value
+
+
+def _load_json(path: str, what: str):
+    """A JSON file's value.  Every way the file can fail to be JSON within
+    the interpreter's limits becomes a K0Error naming the file kind."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except OSError as exc:
-        raise K0Error(f"cannot read context file: {exc}") from exc
+        raise K0Error(f"cannot read {what}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise K0Error(f"{what} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise K0Error(f"context file is not valid JSON: {exc}") from exc
+        raise K0Error(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise K0Error(f"{what} nests JSON arrays or objects too deeply") from None
+    except K0Error as exc:
+        raise K0Error(f"{what}: {exc}") from None
+
+
+def _load_context(path: str) -> IsogenyContext:
+    data = _load_json(path, "context file")
     if not isinstance(data, dict):
         raise K0Error("context file must hold a JSON object")
     return make_context(data)
@@ -141,14 +162,7 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    try:
-        with open(args.cert, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise K0Error(f"cannot read certificate: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise K0Error(f"certificate is not valid JSON: {exc}") from exc
-    derivation = Derivation.from_json(data)
+    derivation = Derivation.from_json(_load_json(args.cert, "certificate"))
     result = validate_derivation(derivation)
     payload = {
         "valid": result.ok,

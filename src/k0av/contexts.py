@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Mapping
 
@@ -34,6 +34,7 @@ from .arith import FactoredRational, is_prime
 from .errors import ContextError, ContextMismatchError, KernelInputError
 from .quadforms import (
     ClassGroup,
+    PrimeClass,
     QuadForm,
     SquareClasses,
     class_group,
@@ -102,13 +103,19 @@ class DegreeClass:
         return DegreeClass(self.ctx, self.ctx._inv(self.data))
 
     def __pow__(self, k: int) -> DegreeClass:
-        out = self.ctx.identity()
+        if k == 0:
+            return self.ctx.identity()
         base = self.inverse() if k < 0 else self
         e = abs(k)
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        out = base
+        e >>= 1
         while e:
+            base = base * base
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
         return out
 
@@ -234,6 +241,13 @@ class EndZ(IsogenyContext):
         return {"case": self.case, "g": self.g}
 
 
+@lru_cache(maxsize=512)
+def _prime_class_memo(p: int, disc: int) -> PrimeClass:
+    """Bounded memo of `prime_class` for degree classes: small primes recur
+    across degrees.  A miss runs the full validation; a raise is not cached."""
+    return prime_class(p, disc)
+
+
 class _WithClassGroup(IsogenyContext):
     """Mixin for contexts whose value group involves a class group."""
 
@@ -247,25 +261,31 @@ class _WithClassGroup(IsogenyContext):
     def square_classes(self) -> SquareClasses:
         return square_classes(self.disc)
 
+    @cached_property
+    def _principal(self) -> QuadForm:
+        return principal_form(self.disc)
+
     def is_norm(self, q: DegreeLike) -> bool:
         """Whether q is a norm from the CM field (i.e. a trivial degree class)."""
         return self.degree_class(q).is_identity
 
     def _identity_data(self) -> tuple:
-        return (principal_form(self.disc), ())
+        return (self._principal, ())
 
     def _degree_data(self, q: FactoredRational) -> tuple:
-        rep = principal_form(self.disc)
-        inert: set[int] = set()
+        rep = None
+        inert = []
         for p, e in q.exps:
             if e % 2 == 0:  # p^e is a norm: its class is a square, its inert parity even
                 continue
-            pc = prime_class(p, self.disc)
+            pc = _prime_class_memo(p, self.disc)
             if pc.is_inert:
-                inert ^= {p}
+                inert.append(p)
             else:
-                rep = compose(rep, pc.form)
-        return (self.square_classes.rep(rep), tuple(sorted(inert)))
+                rep = pc.form if rep is None else compose(rep, pc.form)
+        if rep is None:
+            return (self._principal, tuple(inert))
+        return (self.square_classes.rep(rep), tuple(inert))
 
     def _mul(self, x: tuple, y: tuple) -> tuple:
         rep = self.square_classes.rep(compose(x[0], y[0]))

@@ -20,12 +20,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .contexts import IsogenyContext
 from .errors import ContextMismatchError, ParseError
 from .k0 import K0Element, k0_class
-from .kernels import kernel_from_counts, parse_kernel_literal
+from .kernels import int_literal, kernel_from_counts, parse_kernel_literal
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,16 @@ class Sum:
 
 Node = Union[Sum, Dual, ClassAtom]
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]+)|(\S))")
+_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]+)|(?P<sym>\S))")
 _SYMBOLS = set("[];*+-/(){}:,")
 
+# Deepest dual(...) nesting accepted.  The parser and the evaluator recurse
+# once per level, so a fixed bound keeps both far below the interpreter's
+# recursion limit.
+MAX_NESTING = 200
 
-@dataclass(frozen=True)
-class _Tok:
+
+class _Tok(NamedTuple):
     kind: str  # "int" | "name" | symbol | "end"
     text: str
     pos: int
@@ -72,21 +76,14 @@ class _Tok:
 
 def _tokenize(text: str) -> list[_Tok]:
     toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
-        if m.group(1) is not None:
-            toks.append(_Tok("int", m.group(1), m.start(1)))
-        elif m.group(2) is not None:
-            toks.append(_Tok("name", m.group(2), m.start(2)))
-        else:
-            ch = m.group(3)
-            if ch not in _SYMBOLS:
-                raise ParseError(f"unexpected character {ch!r}", m.start(3), "expression syntax")
-            toks.append(_Tok(ch, ch, m.start(3)))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        tok, pos = m[kind], m.start(kind)
+        if kind == "sym":
+            if tok not in _SYMBOLS:
+                raise ParseError(f"unexpected character {tok!r}", pos, "expression syntax")
+            kind = tok
+        toks.append(_Tok(kind, tok, pos))
     toks.append(_Tok("end", "", len(text)))
     return toks
 
@@ -96,6 +93,7 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -134,7 +132,9 @@ class _Parser:
                 self.take()
                 neg = True
             lit = self.expect("int", "integer coefficient")
-            coef = -int(lit.text) if neg else int(lit.text)
+            coef = int_literal(lit.text, lit.pos)
+            if neg:
+                coef = -coef
             if coef == 0:
                 raise ParseError("zero coefficient", lit.pos, "nonzero integer")
             self.expect("*", "'*' after coefficient")
@@ -147,7 +147,11 @@ class _Parser:
                 raise ParseError(f"unknown name {t.text!r}", t.pos, "'dual'")
             self.take()
             self.expect("(", "'(' after dual")
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"dual(...) nested deeper than {MAX_NESTING}", t.pos, "shallower nesting")
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect(")", "')'")
             return Dual(inner)
         if t.kind == "[":
@@ -159,7 +163,7 @@ class _Parser:
     def class_atom(self) -> ClassAtom:
         self.expect("[", "'['")
         lit = self.expect("int", "positive multiplicity")
-        n = int(lit.text)
+        n = int_literal(lit.text, lit.pos)
         if n < 1:
             raise ParseError("multiplicity must be positive", lit.pos, "positive integer")
         self.expect(";", "';' between multiplicity and degree")
@@ -169,10 +173,11 @@ class _Parser:
 
     def rational(self) -> Fraction:
         t = self.expect("int", "positive rational")
-        num, den = int(t.text), 1
+        num, den = int_literal(t.text, t.pos), 1
         if self.peek().kind == "/":
             self.take()
-            den = int(self.expect("int", "denominator").text)
+            d = self.expect("int", "denominator")
+            den = int_literal(d.text, d.pos)
         if num == 0 or den == 0:
             raise ParseError("degree must be a positive rational", t.pos, "positive rational")
         return Fraction(num, den)
@@ -250,8 +255,11 @@ def print_expression(node: Node) -> str:
 def eval_expression(ctx: IsogenyContext, node: Node) -> K0Element:
     """Evaluate to canonical form; dual distributes over sums."""
     if isinstance(node, Sum):
-        acc = K0Element(0, ctx.identity())
-        for coef, atom in node.terms:
+        if not node.terms:
+            return K0Element(0, ctx.identity())
+        (coef, atom), *rest = node.terms
+        acc = eval_expression(ctx, atom).scale(coef)
+        for coef, atom in rest:
             acc = acc + eval_expression(ctx, atom).scale(coef)
         return acc
     if isinstance(node, Dual):

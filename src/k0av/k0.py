@@ -58,6 +58,8 @@ class K0Element:
         return self + (-other)
 
     def scale(self, k: int) -> K0Element:
+        if k == 1:
+            return self
         return K0Element(self.n * k, self.deg**k)
 
     def dual(self) -> K0Element:

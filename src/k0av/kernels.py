@@ -9,6 +9,7 @@ alpha_p; it only occurs supersingularly, where degree classes vanish anyway.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 
 from .arith import FactoredRational, IntMatrix, smith_normal_form
@@ -107,6 +108,24 @@ def class_in_image(p: int, a: int, q: FactoredRational | int) -> bool:
 
 _KERNEL_KEYS = ("zp", "mup", "alphap", "coprime")
 
+# Python 3.10 before 3.10.7 has no int-conversion limit.
+_int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def int_literal(digits: str, pos: int) -> int:
+    """Value of a decimal literal at `pos`.  A literal longer than the
+    interpreter's int-conversion limit (`sys.get_int_max_str_digits()`, 0 for
+    none) is refused with a ParseError that names the limit."""
+    limit = _int_digit_limit()
+    if limit and len(digits) > limit:
+        raise ParseError(
+            f"integer literal has {len(digits)} digits, more than the limit of {limit}",
+            pos,
+            f"at most {limit} digits",
+        )
+    return int(digits)
+
+
 _TOKEN = re.compile(r"\s*([a-z]+|\d+|[{}:,])")
 
 
@@ -146,7 +165,7 @@ def parse_kernel_literal(text: str) -> dict[str, int]:
             raise fail(i, f"duplicate kernel field {key!r}")
         if i + 2 >= len(tokens) or tokens[i + 1][0] != ":" or not tokens[i + 2][0].isdigit():
             raise fail(i + 1, f"field {key!r} needs ': <integer>'", "':' and an integer")
-        out[key] = int(tokens[i + 2][0])
+        out[key] = int_literal(*tokens[i + 2])
         i += 3
         if i < len(tokens) and tokens[i][0] == ",":
             i += 1

@@ -1,9 +1,17 @@
 """End-to-end CLI behaviour: output shapes and exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import k0av
 from k0av.cli import main
 
 
@@ -264,3 +272,141 @@ def test_selftest_json(capsys):
     data = json.loads(out)
     assert data["ok"] is True
     assert len(data["suites"]) == 6
+
+
+def _cli(argv):
+    """Run `k0` in a fresh interpreter, as a user would."""
+    src = os.path.dirname(os.path.dirname(k0av.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "k0av.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+_LIMIT = sys.get_int_max_str_digits()
+_BIG = "7" * (_LIMIT + 1)  # one digit over the int-conversion limit
+_DEEP_DUAL = "dual(" * 330 + "[1; 2]" + ")" * 330
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+_CHAR_P = '{"case": "char_p_end_z", "p": 5}'
+
+# argv with {ctx} and {file} placeholders, contents of {file}, stderr fragment
+_REFUSED = [
+    pytest.param(["eval", "--ctx", "{ctx}", _DEEP_DUAL], None, "nested deeper than", id="deep-dual"),
+    pytest.param(["structure", "--ctx", "{file}"], _DEEP_JSON, "too deeply", id="deep-context"),
+    pytest.param(["check", "--cert", "{file}"], _DEEP_JSON, "too deeply", id="deep-certificate"),
+    pytest.param(["eval", "--ctx", "{ctx}", f"[{_BIG}; 2]"], None, "limit of", id="big-multiplicity"),
+    pytest.param(["eval", "--ctx", "{ctx}", f"{_BIG}*[1; 2]"], None, "limit of", id="big-coefficient"),
+    pytest.param(["eval", "--ctx", "{ctx}", f"[1; {_BIG}]"], None, "limit of", id="big-degree"),
+    pytest.param(
+        ["eval", "--ctx", "{ctx}", "[1; 2]", "--equals", f"[1; 3/{_BIG}]"],
+        None,
+        "limit of",
+        id="big-denominator",
+    ),
+    pytest.param(["dist", "--ctx", "{ctx}", "--degree", _BIG], None, "limit of", id="big-dist-degree"),
+    pytest.param(
+        ["dist", "--ctx", "{file}", "--kernel", f"{{coprime:{_BIG}}}"],
+        _CHAR_P,
+        "limit of",
+        id="big-dist-kernel",
+    ),
+    pytest.param(
+        ["structure", "--ctx", "{file}"], f'{{"case": "end_z", "g": {_BIG}}}', "limit of", id="big-context"
+    ),
+    pytest.param(
+        ["check", "--cert", "{file}"],
+        f'{{"format": "k0-derivation/1", "level": -{_BIG}}}',
+        "limit of",
+        id="big-certificate",
+    ),
+    pytest.param(["structure", "--ctx", "{file}"], b"\xff\xfe{}", "not UTF-8", id="non-utf8-context"),
+]
+
+
+@pytest.mark.parametrize("argv, contents, fragment", _REFUSED)
+def test_refused_inputs_exit_2_without_traceback(tmp_path, argv, contents, fragment):
+    if fragment == "limit of" and not _LIMIT:
+        pytest.skip("the interpreter sets no int-conversion limit")
+    ctx = tmp_path / "ctx.json"
+    ctx.write_text(json.dumps({"case": "cm", "disc": -20}))
+    file = tmp_path / "input.json"
+    if isinstance(contents, bytes):
+        file.write_bytes(contents)
+    elif contents is not None:
+        file.write_text(contents)
+    argv = [a.replace("{ctx}", str(ctx)).replace("{file}", str(file)) for a in argv]
+    code, _, err = _cli(argv)
+    assert code == 2, err[-300:]
+    assert err.startswith("error:") and fragment in err, err[-300:]
+    assert "Traceback" not in err
+
+
+def _main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusals
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# Literals stay at most 10^9, so factoring never dominates.  Zeros and
+# broken syntax come from the cut and junk strings.
+_NAT = st.integers(1, 10**9).map(str)
+_KERNEL = st.lists(
+    st.tuples(st.sampled_from(["zp", "mup", "alphap", "coprime"]), _NAT),
+    max_size=3,
+    unique_by=lambda kv: kv[0],
+).map(lambda kv: "{" + ", ".join(f"{k}:{v}" for k, v in kv) + "}")
+_DEGREE = st.one_of(_NAT, st.builds(lambda a, b: f"{a}/{b}", _NAT, _NAT), _KERNEL)
+_EXPR = st.recursive(
+    st.builds(lambda n, d: f"[{n}; {d}]", _NAT, _DEGREE),
+    lambda inner: st.one_of(
+        st.builds(lambda e: f"dual({e})", inner),
+        st.builds(lambda a, op, b: f"{a} {op} {b}", inner, st.sampled_from("+-"), inner),
+        st.builds(lambda c, e: f"{c}*{e}", st.integers(-(10**9), 10**9).map(str), inner),
+    ),
+    max_leaves=6,
+)
+_JUNK = st.text(alphabet="[];*+-/(){}:, 0123456789dualzpmcoprimefrob\n.x", max_size=40)
+
+
+def _cut(text, i):
+    i %= len(text) + 1
+    return text[:i] + text[i + 1 :]
+
+
+_FUZZ = st.one_of(_EXPR, _EXPR, st.builds(_cut, _EXPR, st.integers(0, 200)), _JUNK)
+_FUZZ_CONTEXTS = (
+    {"case": "end_z", "g": 2},
+    {"case": "cm", "disc": -84},
+    {"case": "supersingular", "p": 7},
+    {"case": "ordinary_cm", "disc": -84, "p": 5},
+    {"case": "char_p_end_z", "p": 5},
+)
+
+
+def test_eval_fuzz_exit_contract(tmp_path):
+    paths = []
+    for i, spec in enumerate(_FUZZ_CONTEXTS):
+        path = tmp_path / f"ctx{i}.json"
+        path.write_text(json.dumps(spec))
+        paths.append(str(path))
+
+    @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+    @given(st.sampled_from(paths), _FUZZ, st.one_of(st.none(), _FUZZ))
+    def check(path, left, right):
+        argv = ["eval", "--ctx", path, "--", left]
+        if right is not None:
+            argv.insert(3, f"--equals={right}")
+        code, _, err = _main_captured(argv)
+        assert code in (0, 1, 2), (argv, code)
+        assert ("error:" in err) == (code == 2), (argv, err)
+
+    check()

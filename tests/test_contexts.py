@@ -171,6 +171,54 @@ def test_cm_inverse_is_self():
             assert (cls * cls).is_identity
 
 
+def _naive_power(cls, k):
+    out = cls.ctx.identity()
+    step = cls if k >= 0 else cls.inverse()
+    for _ in range(abs(k)):
+        out = out * step
+    return out
+
+
+def test_power_matches_repeated_product():
+    from k0av.kernels import KernelMultiset, kernel_class
+
+    cases = {
+        EndZ(3): [2, 12, Fraction(5, 9), 2**5 * 7],
+        CM(-84): [2, 5, 11, 5 * 11, Fraction(13, 3)],
+        Supersingular(7): [2, Fraction(3, 5)],
+        OrdinaryCM(-84, 5): [5, 11, Fraction(5, 13)],
+        CharPEndZ(7): [3, Fraction(2, 15)],
+    }
+    for ctx, degrees in cases.items():
+        classes = [ctx.degree_class(q) for q in degrees]
+        if isinstance(ctx, CharPEndZ):
+            kernel = KernelMultiset(7, et_p=3, mu_p=1, coprime=FactoredRational.from_int(6))
+            classes.append(kernel_class(ctx, kernel))
+        for cls in classes:
+            for k in range(-6, 7):
+                got = cls**k
+                assert got == _naive_power(cls, k), (ctx, cls, k)
+                assert got.to_json() == _naive_power(cls, k).to_json(), (ctx, cls, k)
+
+
+def test_prime_class_memo_is_bounded_and_caches_no_raise():
+    from k0av.contexts import _prime_class_memo
+    from k0av.errors import DiscriminantError
+
+    ctx = CM(-84)
+    for q in range(2, 200):
+        ctx.degree_class(q)
+    assert _prime_class_memo.cache_info().maxsize is not None
+    size = _prime_class_memo.cache_info().currsize
+    assert size > 0
+    for fn in (prime_class, _prime_class_memo):
+        with pytest.raises(ValueError, match="not prime"):
+            fn(4, -84)
+        with pytest.raises(DiscriminantError):
+            fn(5, -12)
+    assert _prime_class_memo.cache_info().currsize == size
+
+
 def test_common_factor_cancellation():
     # the class of q1/q2 is unchanged by multiplying both by a common degree
     ctx = EndZ(2)

@@ -1,6 +1,7 @@
 """Expression parsing, canonical printing, and evaluation."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from k0av.contexts import CM, CharPEndZ, EndZ, Supersingular
 from k0av.errors import ContextMismatchError, ParseError
 from k0av.expr import (
+    MAX_NESTING,
     ClassAtom,
     Dual,
     KernelSpec,
@@ -17,7 +19,7 @@ from k0av.expr import (
     parse_rational,
     print_expression,
 )
-from k0av.k0 import k0_class
+from k0av.k0 import K0Element, k0_class
 
 
 def test_parse_frozen():
@@ -179,6 +181,44 @@ def test_eval_commutes_with_dual():
 
         ast = fraction_only(ast)
         assert eval_expression(ctx, Dual(ast)) == eval_expression(ctx, ast).dual()
+
+
+def test_eval_one_term_and_empty_sum():
+    for ctx in (EndZ(2), CM(-20), CharPEndZ(5)):
+        assert eval_expression(ctx, Sum(())) == K0Element(0, ctx.identity())
+        for coef in (1, -1, 3):
+            node = Sum(((coef, ClassAtom(2, Fraction(6, 7))),))
+            assert eval_expression(ctx, node) == k0_class(ctx, 2, Fraction(6, 7)).scale(coef)
+        one = parse_expression("[2; 3]")
+        assert eval_expression(ctx, one) == k0_class(ctx, 2, 3)
+
+
+def test_dual_nesting_limit():
+    deep = "dual(" * MAX_NESTING + "[1; 2]" + ")" * MAX_NESTING
+    assert eval_expression(EndZ(1), parse_expression(deep)) == k0_class(EndZ(1), 1, 2)
+    too_deep = "dual(" + deep + ")"
+    with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING}") as exc:
+        parse_expression(too_deep)
+    assert exc.value.pos == 5 * MAX_NESTING
+
+
+def test_integer_literal_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter sets no int-conversion limit")
+    big = "7" * (limit + 1)
+    for text, pos in (
+        (f"[{big}; 2]", 1),
+        (f"{big}*[1; 2]", 0),
+        (f"-{big}*[1; 2]", 1),
+        (f"[1; {big}]", 4),
+        (f"[1; 2/{big}]", 6),
+        (f"[1; {{coprime:{big}}}]", 13),
+    ):
+        with pytest.raises(ParseError, match=f"limit of {limit}") as exc:
+            parse_expression(text)
+        assert exc.value.pos == pos, text
+    assert parse_expression(f"[1; {'7' * limit}]").terms[0][1].spec == int("7" * limit)
 
 
 def test_eval_matches_direct_classes():

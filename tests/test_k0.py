@@ -47,6 +47,20 @@ def test_element_algebra_frozen():
     }
 
 
+def test_scale_matches_repeated_sum():
+    cases = ((EndZ(2), Fraction(3, 10)), (CM(-20), 33), (CharPEndZ(5), KernelMultiset(5, et_p=2)))
+    for ctx, degree in cases:
+        x = k0_class(ctx, 3, degree)
+        assert x.scale(1) is x
+        assert x.scale(0) == K0Element(0, ctx.identity())
+        for k in (-2, -1, 1, 2, 3):
+            step = x if k > 0 else -x
+            total = step
+            for _ in range(abs(k) - 1):
+                total = total + step
+            assert x.scale(k) == total, (ctx, k)
+
+
 def test_element_self_dual_in_two_torsion_contexts():
     x = k0_class(CM(-20), 1, 3)
     assert x.dual() == x
