@@ -17,13 +17,38 @@ operations to FracLattice.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DerivationError, KernelInputError, LevelMismatchError, SingularMatrixError
+from .errors import DerivationError, K0Error, KernelInputError, LevelMismatchError, SingularMatrixError
+
+# Python 3.10 before 3.10.7 has no int-conversion limit.
+int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def printable_int(value: int, what: str) -> int:
+    """`value`, when its decimal form fits the interpreter's int-conversion
+    limit (`sys.get_int_max_str_digits()`, 0 for none); past it, a K0Error
+    that names the limit instead of a ValueError while printing."""
+    limit = int_digit_limit()
+    # 10**limit has more than 3*limit bits, so shorter values always fit.
+    if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
+        raise K0Error(f"{what} has more digits than the limit of {limit} (sys.get_int_max_str_digits())")
+    return value
+
+
+def strict_int(value) -> int:
+    """An integer read from certificate JSON.  A float, bool or string
+    raises TypeError: `int()` would truncate or parse it, so a stated 3.99
+    would pass for 3."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    return value
+
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -461,7 +486,13 @@ class FracLattice:
 
     @property
     def vol(self) -> Fraction:
-        return Fraction(self.basis[0][0] * self.basis[1][1], self.den * self.den)
+        return Fraction(*self.covolume)
+
+    @property
+    def covolume(self) -> tuple[int, int]:
+        """`vol` = a*d/den**2 as the integer pair (a*d, den**2), for exact
+        comparisons by cross-multiplication."""
+        return self.basis[0][0] * self.basis[1][1], self.den * self.den
 
     def _scaled_rows(self, new_den: int) -> list[list[int]]:
         k, r = divmod(new_den, self.den)
@@ -482,11 +513,12 @@ class FracLattice:
         return self.member(r0, other.den) and self.member(r1, other.den)
 
     def index_over(self, base: FracLattice) -> int:
-        """[self : base] for base <= self."""
-        q = base.vol / self.vol
-        if q.denominator != 1 or not self.contains(base):
+        """[self : base] for base <= self: the ratio of the covolumes."""
+        if not self.contains(base):
             raise DerivationError("index requested over a non-sublattice")
-        return int(q)
+        num, den = base.covolume
+        my_num, my_den = self.covolume
+        return num * my_den // (den * my_num)
 
     def __add__(self, other: FracLattice) -> FracLattice:
         d = lcm(self.den, other.den)
@@ -513,8 +545,8 @@ class FracLattice:
     @staticmethod
     def from_json(data: Mapping) -> FracLattice:
         try:
-            den = int(data["den"])
-            rows = [(int(x), int(y)) for x, y in data["basis"]]
+            den = strict_int(data["den"])
+            rows = [(strict_int(x), strict_int(y)) for x, y in data["basis"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise DerivationError(f"malformed lattice: {exc}") from exc
         return FracLattice.make(den, rows)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .arith import TorsionSubgroup, IntMatrix, matrix_isogeny_degree, count_subgroups
 from .contexts import CM, IsogenyContext, make_context
-from .errors import K0Error, ParseError
+from .errors import K0Error, ParseError, excerpt
 from .expr import eval_expression, parse_expression, parse_rational
 from .k0 import Derivation, derive_same_degree, k0_class, validate_derivation
 from .kernels import int_literal, kernel_from_counts, parse_kernel_literal
@@ -103,7 +103,7 @@ def _cmd_dist(args) -> int:
         try:
             q = parse_rational(args.degree)
         except ParseError as exc:
-            raise K0Error(f"bad degree {args.degree!r}: {exc}") from exc
+            raise K0Error(f"bad degree {excerpt(args.degree)}: {exc}") from exc
         cls = ctx.degree_class(q)
     payload = {"context": ctx.to_json(), "class": cls.to_json()}
     _emit(args, payload, cls.describe())
@@ -131,11 +131,11 @@ def _cmd_eval(args) -> int:
 def _parse_hnf(text: str, level: int) -> TorsionSubgroup:
     parts = text.replace(",", " ").split()
     if len(parts) != 4:
-        raise K0Error(f"subgroup basis needs 4 integers (row-major), got {text!r}")
+        raise K0Error(f"subgroup basis needs 4 integers (row-major), got {excerpt(text)}")
     try:
         x = [int(v) for v in parts]
     except ValueError as exc:
-        raise K0Error(f"bad subgroup basis {text!r}: {exc}") from exc
+        raise K0Error(f"bad subgroup basis {excerpt(text)}: {exc}") from exc
     return TorsionSubgroup(level, ((x[0], x[1]), (x[2], x[3])))
 
 

@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 from typing import Mapping
 
-from .arith import FactoredRational, is_prime
+from .arith import FactoredRational, is_prime, printable_int
 from .errors import ContextError, ContextMismatchError, KernelInputError
 from .quadforms import (
     ClassGroup,
@@ -458,7 +458,7 @@ class CharPEndZ(IsogenyContext):
         a, primes = x
         if x == self._identity_data():
             return "identity"
-        parts = [f"p-degree {a}"]
+        parts = [f"p-degree {printable_int(a, 'p-degree')}"]
         if primes:
             parts.append("odd exponents at " + ", ".join(map(str, primes)))
         return "; ".join(parts)
@@ -467,7 +467,7 @@ class CharPEndZ(IsogenyContext):
         return {
             "case": self.case,
             "p": self.p,
-            "p_degree": x[0],
+            "p_degree": printable_int(x[0], "p-degree"),
             "odd_primes": list(x[1]),
         }
 

@@ -9,6 +9,14 @@ class K0Error(Exception):
     """Base class for all library errors."""
 
 
+def excerpt(text: str, limit: int = 40) -> str:
+    """`text` quoted for an error message: whole up to `limit` characters,
+    past that its first `limit` characters and its length."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
+
+
 class SingularMatrixError(K0Error):
     """Matrix operation that requires a nonzero determinant got a singular input."""
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple, Union
 
 from .contexts import IsogenyContext
-from .errors import ContextMismatchError, ParseError
+from .errors import ContextMismatchError, ParseError, excerpt
 from .k0 import K0Element, k0_class
 from .kernels import int_literal, kernel_from_counts, parse_kernel_literal
 
@@ -106,14 +106,14 @@ class _Parser:
     def expect(self, kind: str, expected: str) -> _Tok:
         t = self.peek()
         if t.kind != kind:
-            raise ParseError(f"found {t.text!r}" if t.text else "input ended", t.pos, expected)
+            raise ParseError(f"found {excerpt(t.text)}" if t.text else "input ended", t.pos, expected)
         return self.take()
 
     def parse(self) -> Sum:
         node = self.expr()
         t = self.peek()
         if t.kind != "end":
-            raise ParseError(f"trailing input {t.text!r}", t.pos, "'+', '-', or end of input")
+            raise ParseError(f"trailing input {excerpt(t.text)}", t.pos, "'+', '-', or end of input")
         return node
 
     def expr(self) -> Sum:
@@ -144,7 +144,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "name":
             if t.text != "dual":
-                raise ParseError(f"unknown name {t.text!r}", t.pos, "'dual'")
+                raise ParseError(f"unknown name {excerpt(t.text)}", t.pos, "'dual'")
             self.take()
             self.expect("(", "'(' after dual")
             if self.depth == MAX_NESTING:
@@ -157,7 +157,7 @@ class _Parser:
         if t.kind == "[":
             return self.class_atom()
         raise ParseError(
-            f"found {t.text!r}" if t.text else "input ended", t.pos, "'[' or 'dual'"
+            f"found {excerpt(t.text)}" if t.text else "input ended", t.pos, "'[' or 'dual'"
         )
 
     def class_atom(self) -> ClassAtom:
@@ -199,7 +199,7 @@ class _Parser:
                 self.take()
             return KernelSpec(**counts)
         raise ParseError(
-            f"found {t.text!r}" if t.text else "input ended", t.pos, "rational or kernel literal"
+            f"found {excerpt(t.text)}" if t.text else "input ended", t.pos, "rational or kernel literal"
         )
 
 
@@ -213,7 +213,7 @@ def parse_rational(text: str) -> Fraction:
     q = parser.rational()
     t = parser.peek()
     if t.kind != "end":
-        raise ParseError(f"trailing input {t.text!r}", t.pos, "end of input")
+        raise ParseError(f"trailing input {excerpt(t.text)}", t.pos, "end of input")
     return q
 
 

@@ -25,17 +25,36 @@ Certificate format (JSON, stable, tag "k0-derivation/1"):
 
 where LAT = {"den": d, "basis": [[a, b], [0, c]]} encodes the lattice spanned
 by the basis rows divided by d.  Validation recomputes every containment,
-intersection, join, order, and the telescoping sum.
+intersection, join, order, and the telescoping sum; a stated step `orders`
+or top-level `degree` must match the recomputed one.
+
+Trivial intersection is decided by the index identity, not by
+intersecting.  For D1, D2 >= B the second isomorphism theorem gives
+[D1+D2 : B] * [D1 & D2 : B] = [D1 : B] * [D2 : B], so D1 & D2 = B exactly
+when [D1+D2 : B] = [D1 : B] * [D2 : B].  Each index is a ratio of
+covolumes (a*c/d^2 for [[a, b], [0, c]]/d), and D1+D2 is needed for the
+relation anyway.  `arith.left_kernel` still serves `&`: for the point
+lattices of the construction, for the public API, and for a step whose
+containment check already failed, so its failure lines stay the same.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Mapping
 
-from .arith import FactoredRational, FracLattice, TorsionSubgroup, divisors, is_prime
+from .arith import (
+    FactoredRational,
+    FracLattice,
+    TorsionSubgroup,
+    divisors,
+    is_prime,
+    printable_int,
+    strict_int,
+)
 from .contexts import CharPEndZ, DegreeClass, IsogenyContext, Supersingular
 from .errors import ContextMismatchError, DerivationError, LevelMismatchError
 from .kernels import KernelMultiset, kernel_class
@@ -71,10 +90,10 @@ class K0Element:
         return self.n == 0 and self.deg.is_identity
 
     def describe(self) -> str:
-        return f"({self.n}, {self.deg.describe()})"
+        return f"({printable_int(self.n, 'multiplicity')}, {self.deg.describe()})"
 
     def to_json(self) -> dict:
-        return {"n": self.n, "degree_class": self.deg.to_json()}
+        return {"n": printable_int(self.n, "multiplicity"), "degree_class": self.deg.to_json()}
 
 
 def k0_class(
@@ -91,22 +110,36 @@ def k0_class(
     return K0Element(n, ctx.degree_class(degree))
 
 
+def _index(lat: FracLattice, base: FracLattice) -> int:
+    """[lat : base] for base <= lat, the ratio of the covolumes; unlike
+    `FracLattice.index_over`, containment is the caller's to check."""
+    num, den = base.covolume
+    lat_num, lat_den = lat.covolume
+    return num * lat_den // (den * lat_num)
+
+
 @dataclass(frozen=True)
 class QuotientRelation:
-    """[base] + [sum] = [sub1] + [sub2] for subgroups with trivial intersection."""
+    """[base] + [sum] = [sub1] + [sub2] for subgroups with trivial intersection.
+
+    `stated_orders` holds the orders a certificate stated for the step, if
+    any; validation compares them with the recomputed ones.
+    """
 
     base: FracLattice
     sub1: FracLattice
     sub2: FracLattice
     joint: FracLattice
+    stated_orders: tuple[int, int] | None = field(default=None, compare=False)
 
     @staticmethod
     def build(base: FracLattice, sub1: FracLattice, sub2: FracLattice) -> QuotientRelation:
         if not (sub1.contains(base) and sub2.contains(base)):
             raise DerivationError("relation subgroups must contain the base lattice")
-        if (sub1 & sub2) != base:
+        joint = sub1 + sub2
+        if _index(joint, base) != _index(sub1, base) * _index(sub2, base):
             raise DerivationError("subgroups intersect nontrivially")
-        return QuotientRelation(base, sub1, sub2, sub1 + sub2)
+        return QuotientRelation(base, sub1, sub2, joint)
 
     def vector(self) -> Counter:
         v: Counter = Counter()
@@ -137,12 +170,16 @@ def quotient_relation(level: int, c1: TorsionSubgroup, c2: TorsionSubgroup) -> Q
 
 @dataclass(frozen=True)
 class Derivation:
-    """Signed quotient relations telescoping to [L1] - [L2] = 0."""
+    """Signed quotient relations telescoping to [L1] - [L2] = 0.
+
+    `stated_degree` holds the degree a certificate stated, if any.
+    """
 
     level: int
     c1: FracLattice
     c2: FracLattice
     steps: tuple[tuple[int, QuotientRelation], ...]
+    stated_degree: int | None = field(default=None, compare=False)
 
     @property
     def degree(self) -> int:
@@ -163,23 +200,32 @@ class Derivation:
         if not isinstance(data, Mapping) or data.get("format") != "k0-derivation/1":
             raise DerivationError("not a k0-derivation/1 certificate")
         try:
-            level = int(data["level"])
+            level = strict_int(data["level"])
+            degree = data.get("degree")
+            if degree is not None:
+                degree = strict_int(degree)
             c1 = FracLattice.from_json(data["c1"])
             c2 = FracLattice.from_json(data["c2"])
             raw_steps = data["steps"]
             steps = []
             for entry in raw_steps:
-                sign = int(entry["sign"])
+                sign = strict_int(entry["sign"])
+                orders = entry.get("orders")
+                if orders is not None:
+                    if not isinstance(orders, (list, tuple)) or len(orders) != 2:
+                        raise ValueError("step orders must be a pair of integers")
+                    orders = (strict_int(orders[0]), strict_int(orders[1]))
                 rel = QuotientRelation(
                     FracLattice.from_json(entry["base"]),
                     FracLattice.from_json(entry["sub1"]),
                     FracLattice.from_json(entry["sub2"]),
                     FracLattice.from_json(entry["sum"]),
+                    orders,
                 )
                 steps.append((sign, rel))
         except (KeyError, TypeError, ValueError) as exc:
             raise DerivationError(f"malformed certificate: {exc}") from exc
-        return Derivation(level, c1, c2, tuple(steps))
+        return Derivation(level, c1, c2, tuple(steps), degree)
 
 
 @dataclass(frozen=True)
@@ -197,16 +243,32 @@ def validate_derivation(d: Derivation) -> DerivationCheck:
     for i, (sign, rel) in enumerate(d.steps):
         if sign not in (1, -1):
             failures.append(f"step {i}: sign {sign} is not +1/-1")
-        for name, sub in (("sub1", rel.sub1), ("sub2", rel.sub2)):
-            if not sub.contains(rel.base):
+        base, sub1, sub2 = rel.base, rel.sub1, rel.sub2
+        contained = True
+        for name, sub in (("sub1", sub1), ("sub2", sub2)):
+            if not sub.contains(base):
                 failures.append(f"step {i}: {name} does not contain the base lattice")
+                contained = False
+        orders = None
         try:
-            if (rel.sub1 & rel.sub2) != rel.base:
+            joint = sub1 + sub2
+            if contained:
+                # The index identity of the module docstring; never the stored sum.
+                orders = [_index(sub1, base), _index(sub2, base)]
+                trivial = _index(joint, base) == orders[0] * orders[1]
+            else:
+                trivial = (sub1 & sub2) == base
+            if not trivial:
                 failures.append(f"step {i}: subgroups intersect nontrivially")
-            if rel.sub1 + rel.sub2 != rel.joint:
+            if joint != rel.joint:
                 failures.append(f"step {i}: stored sum lattice is wrong")
         except DerivationError as exc:
             failures.append(f"step {i}: {exc}")
+        stated = rel.stated_orders
+        if orders is not None and stated is not None and list(stated) != orders:
+            failures.append(
+                f"step {i}: stated orders {list(stated)} are not the indices {orders} over the base"
+            )
     goal: Counter = Counter()
     if d.c1 != d.c2:
         goal[d.c1] += 1
@@ -218,25 +280,37 @@ def validate_derivation(d: Derivation) -> DerivationCheck:
     total = Counter({k: v for k, v in total.items() if v})
     if total != goal:
         failures.append("steps do not telescope to [c1] - [c2]")
-    try:
-        if d.c1.vol != d.c2.vol:
-            failures.append("goal subgroups have different orders")
-    except DerivationError as exc:
-        failures.append(str(exc))
+    num1, den1 = d.c1.covolume
+    num2, den2 = d.c2.covolume
+    if num1 * den2 != num2 * den1:
+        failures.append("goal subgroups have different orders")
+    elif d.stated_degree is not None and d.stated_degree * num1 != den1:
+        # The order of c1 over Z^2 is the inverse of its covolume.
+        failures.append(
+            f"stated degree {d.stated_degree} is not the order {Fraction(den1, num1)} of the goal subgroups"
+        )
     return DerivationCheck(not failures, tuple(failures))
 
 
 def _index_subgroups(base: FracLattice, m: int) -> Iterator[FracLattice]:
-    """All index-m overlattices of base, lexicographic in the HNF triple."""
-    r1, r2 = base.basis
+    """All index-m overlattices of base, lexicographic in the HNF triple.
+
+    For base = [[a, b], [0, d]]/den these are the spans of the rows
+    (x*a, x*b + t*d), (0, z*d) over den*m, for x*z = m and 0 <= t < z.
+    The rows are already triangular, so their Hermite form only reduces
+    x*b + t*d mod z*d; dividing out the gcd with den*m then gives what
+    `FracLattice.make` would return.
+    """
+    (a, b), (_, d) = base.basis
+    den = base.den * m
     for x in divisors(m):
         z = m // x
-        for b in range(z):
-            rows = [
-                [x * r1[0] + b * r2[0], x * r1[1] + b * r2[1]],
-                [z * r2[0], z * r2[1]],
-            ]
-            yield FracLattice.make(base.den * m, rows)
+        xa, xb, zd = x * a, x * b, z * d
+        g_outer = gcd(den, xa, zd)
+        for t in range(z):
+            y = (xb + t * d) % zd
+            g = gcd(g_outer, y)
+            yield FracLattice(den // g, ((xa // g, y // g), (0, zd // g)))
 
 
 def _point_lattice(base: FracLattice, sub: FracLattice, ell: int) -> FracLattice:

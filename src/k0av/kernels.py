@@ -9,12 +9,11 @@ alpha_p; it only occurs supersingularly, where degree classes vanish anyway.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass, field
 
-from .arith import FactoredRational, IntMatrix, smith_normal_form
+from .arith import FactoredRational, IntMatrix, int_digit_limit, smith_normal_form
 from .contexts import CharPEndZ, DegreeClass
-from .errors import KernelInputError, ParseError
+from .errors import KernelInputError, ParseError, excerpt
 
 _ONE = FactoredRational.one()
 
@@ -108,15 +107,12 @@ def class_in_image(p: int, a: int, q: FactoredRational | int) -> bool:
 
 _KERNEL_KEYS = ("zp", "mup", "alphap", "coprime")
 
-# Python 3.10 before 3.10.7 has no int-conversion limit.
-_int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
 
 def int_literal(digits: str, pos: int) -> int:
     """Value of a decimal literal at `pos`.  A literal longer than the
     interpreter's int-conversion limit (`sys.get_int_max_str_digits()`, 0 for
     none) is refused with a ParseError that names the limit."""
-    limit = _int_digit_limit()
+    limit = int_digit_limit()
     if limit and len(digits) > limit:
         raise ParseError(
             f"integer literal has {len(digits)} digits, more than the limit of {limit}",
@@ -160,7 +156,7 @@ def parse_kernel_literal(text: str) -> dict[str, int]:
             break
         key = tokens[i][0]
         if key not in _KERNEL_KEYS:
-            raise fail(i, f"unknown kernel field {key!r}", "zp, mup, alphap or coprime")
+            raise fail(i, f"unknown kernel field {excerpt(key)}", "zp, mup, alphap or coprime")
         if key in out:
             raise fail(i, f"duplicate kernel field {key!r}")
         if i + 2 >= len(tokens) or tokens[i + 1][0] != ":" or not tokens[i + 2][0].isdigit():

@@ -202,7 +202,7 @@ def test_criterion_6_derivation_engine():
     assert not corrupted(lambda data: data["steps"][0].__setitem__("sign", -data["steps"][0]["sign"]))
     assert not corrupted(lambda data: data["steps"].pop(0))
     assert not corrupted(lambda data: data["steps"][0]["sub1"]["basis"][0].__setitem__(0, 10**6))
-    finish(6, "derivations validate exhaustively and reject corruption", started, 30.0)
+    finish(6, "derivations validate exhaustively and reject corruption", started, 15.0)
 
 
 def test_criterion_7_property_suite():

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: output shapes and exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -122,6 +123,21 @@ def test_dist_nonpositive_degree(capsys, ctx_file):
         code, _, err = run(capsys, ["dist", "--ctx", path, "--degree", degree])
         assert code == 2
         assert err.startswith("error:") and "positive" in err
+
+
+def test_refusal_echo_is_capped(capsys, ctx_file):
+    path = ctx_file({"case": "end_z", "g": 1})
+    for degree in ("7" * 4400, "3 " + "7" * 4400, "3/" + "x" * 4400):
+        code, _, err = run(capsys, ["dist", "--ctx", path, "--degree", degree])
+        assert code == 2
+        assert err.startswith("error: bad degree '" + degree[:40] + "'...")
+        assert f"({len(degree)} characters)" in err and len(err) < 400, err[:400]
+    char_p = ctx_file({"case": "char_p_end_z", "p": 5}, "char_p.json")
+    name = "a" * 5000
+    for argv in (["dist", "--ctx", char_p, "--kernel", f"{{{name}:1}}"], ["eval", "--ctx", char_p, f"[1; {{{name}:1}}]"]):
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert "unknown kernel field 'aaaa" in err and "(5000 characters)" in err and len(err) < 400, err[:400]
 
 
 def test_eval_equal_and_unequal(capsys, ctx_file):
@@ -252,6 +268,90 @@ def test_check_malformed_certificate(capsys, tmp_path):
     assert code == 2
 
 
+def _corrupt(cert, kind):
+    """The three corruptions of the benchmark's certify workload, a wrong
+    stored sum, and a sub1 that no longer contains its base (its stated
+    orders dropped, so only the lattice checks can see it)."""
+    bad = json.loads(json.dumps(cert))
+    steps = bad["steps"]
+    if kind == "sign_flipped":
+        steps[0]["sign"] = -steps[0]["sign"]
+    elif kind == "step_dropped":
+        del steps[len(steps) // 2]
+    elif kind == "c1_doubled":
+        bad["c1"]["basis"][0][0] *= 2
+    elif kind == "sum_replaced":
+        steps[-1]["sum"] = steps[-1]["sub1"]
+    else:
+        steps[0]["sub1"]["basis"][0][0] *= 2
+        del steps[0]["orders"]
+    return bad
+
+
+# SHA-256 of the `failures` lists `k0 check --json` printed, one JSON line
+# per corrupted certificate, before trivial intersections were decided by
+# the index identity; the failure lists are part of the check contract.
+FAILURES_SHA256 = "08ae5ea75e8cb8cc42a2ba6886fc5262bb43258f752359f47807eba36a0b2a88"
+
+
+def test_check_failure_lists_pinned(capsys, tmp_path):
+    from k0av import oracle
+    from k0av.arith import TorsionSubgroup
+    from k0av.k0 import derive_same_degree
+
+    certs = []
+    for n in range(1, 6):
+        by_order = {}
+        for s in oracle.exhaustive_subgroups(n):
+            by_order.setdefault(s.order, []).append(s)
+        for order, group in by_order.items():
+            certs += [derive_same_degree(order, c1, c2).to_json() for c1 in group for c2 in group if c1 != c2]
+    for n in (12, 24, 30, 210):
+        cyclic = [TorsionSubgroup.from_generators(n, [g]) for g in ((1, 0), (0, 1), (1, 1))]
+        certs += [derive_same_degree(n, c1, c2).to_json() for c1, c2 in zip(cyclic, cyclic[1:])]
+    path = tmp_path / "bad.json"
+    digest = hashlib.sha256()
+    for cert in certs:
+        for kind in ("sign_flipped", "step_dropped", "c1_doubled", "sum_replaced", "sub1_doubled"):
+            path.write_text(json.dumps(_corrupt(cert, kind)))
+            code, out, _ = run(capsys, ["check", "--json", "--cert", str(path)])
+            assert code == 1, kind
+            digest.update(json.dumps(json.loads(out)["failures"]).encode() + b"\n")
+    assert len(certs) == 110
+    assert digest.hexdigest() == FAILURES_SHA256
+
+
+def test_check_rejects_stated_numbers(capsys, tmp_path):
+    cert = tmp_path / "cert.json"
+    run(capsys, ["derive", "--n", "6", "--c1", "1,0,0,6", "--c2", "6,0,0,1", "--out", str(cert)])
+    good = json.loads(cert.read_text())
+
+    def check(data):
+        cert.write_text(json.dumps(data))
+        return run(capsys, ["check", "--cert", str(cert)])
+
+    bad = json.loads(json.dumps(good))
+    bad["steps"][0]["orders"] = [999, 1]
+    code, out, _ = check(bad)
+    assert code == 1
+    assert "step 0: stated orders [999, 1]" in out
+
+    bad = json.loads(json.dumps(good))
+    for step in bad["steps"]:
+        del step["orders"]
+    assert check(bad)[0] == 0  # orders are optional
+    bad["degree"] = 12345
+    code, out, _ = check(bad)
+    assert code == 1
+    assert "stated degree 12345 is not the order 6" in out
+
+    for orders in ("12", [1], [1, 2, 3], ["x", 1]):
+        bad = json.loads(json.dumps(good))
+        bad["steps"][1]["orders"] = orders
+        code, _, err = check(bad)
+        assert code == 2 and "malformed certificate" in err, orders
+
+
 def test_selftest_small(capsys):
     code, out, _ = run(capsys, ["selftest", "--max-disc", "60", "--max-level", "4"])
     assert code == 0
@@ -290,6 +390,7 @@ def _cli(argv):
 
 _LIMIT = sys.get_int_max_str_digits()
 _BIG = "7" * (_LIMIT + 1)  # one digit over the int-conversion limit
+_NEAR = "9" * max(_LIMIT - 300, 1)  # a literal within the limit whose square is not
 _DEEP_DUAL = "dual(" * 330 + "[1; 2]" + ")" * 330
 _DEEP_JSON = "[" * 100_000 + "]" * 100_000
 _CHAR_P = '{"case": "char_p_end_z", "p": 5}'
@@ -325,6 +426,19 @@ _REFUSED = [
         id="big-certificate",
     ),
     pytest.param(["structure", "--ctx", "{file}"], b"\xff\xfe{}", "not UTF-8", id="non-utf8-context"),
+    pytest.param(["eval", "--ctx", "{ctx}", f"{_NEAR}*[{_NEAR}; 1]"], None, "limit of", id="big-result"),
+    pytest.param(
+        ["eval", "--json", "--ctx", "{ctx}", f"{_NEAR}*[{_NEAR}; 1]"], None, "limit of", id="big-result-json"
+    ),
+    pytest.param(
+        ["eval", "--ctx", "{file}", f"{_NEAR}*[1; {{zp:{_NEAR}}}]"], _CHAR_P, "limit of", id="big-p-degree"
+    ),
+    pytest.param(
+        ["eval", "--json", "--ctx", "{file}", f"{_NEAR}*[1; {{zp:{_NEAR}}}]"],
+        _CHAR_P,
+        "limit of",
+        id="big-p-degree-json",
+    ),
 ]
 
 

@@ -4,14 +4,16 @@ import hashlib
 import json
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from k0av import oracle
-from k0av.arith import TorsionSubgroup
+from k0av import k0, oracle
+from k0av.arith import TorsionSubgroup, divisors
 from k0av.contexts import CM, CharPEndZ, EndZ, Supersingular
-from k0av.errors import ContextMismatchError, DerivationError, LevelMismatchError
+from k0av.errors import ContextMismatchError, DerivationError, K0Error, LevelMismatchError
 from k0av.k0 import (
     Derivation,
     FracLattice,
@@ -59,6 +61,25 @@ def test_scale_matches_repeated_sum():
             for _ in range(abs(k) - 1):
                 total = total + step
             assert x.scale(k) == total, (ctx, k)
+
+
+def test_element_past_digit_limit_raises_k0error():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter sets no int-conversion limit")
+    near = 10 ** (limit - 1)
+    x = k0_class(CM(-20), near, 1).scale(near)
+    for show in (x.describe, x.to_json):
+        with pytest.raises(K0Error, match=f"multiplicity has more digits than the limit of {limit}"):
+            show()
+    y = k0_class(CharPEndZ(5), 1, KernelMultiset(5, et_p=near)).scale(near)
+    for show in (y.describe, y.to_json):
+        with pytest.raises(K0Error, match=f"p-degree has more digits than the limit of {limit}"):
+            show()
+    # the limit is exact: limit digits print, one more does not
+    assert len(str(K0Element(1 - 10**limit, CM(-20).identity()).to_json()["n"])) == limit + 1
+    with pytest.raises(K0Error, match="limit of"):
+        K0Element(-(10**limit), CM(-20).identity()).describe()
 
 
 def test_element_self_dual_in_two_torsion_contexts():
@@ -237,6 +258,94 @@ def test_quotient_relation_degree_balance():
         assert lhs == rhs
 
 
+def _builds(base, sub1, sub2):
+    try:
+        QuotientRelation.build(base, sub1, sub2)
+    except DerivationError as exc:
+        assert "intersect nontrivially" in str(exc)
+        return False
+    return True
+
+
+def _one_step(base, sub1, sub2):
+    return Derivation(1, sub1, sub1, ((1, QuotientRelation(base, sub1, sub2, sub1 + sub2)),))
+
+
+def test_index_identity_matches_intersection_exhaustive():
+    # Every base B of level <= 12 and every pair of level-n subgroups
+    # containing it: the relation builds exactly when sub1 & sub2 == B.
+    seen = Counter()
+    for n in range(1, 13):
+        lats = [FracLattice.from_subgroup(s) for s in oracle.exhaustive_subgroups(n)]
+        for base in lats:
+            over = [lat for lat in lats if lat.contains(base)]
+            for sub1 in over:
+                for sub2 in over:
+                    trivial = (sub1 & sub2) == base
+                    assert _builds(base, sub1, sub2) == trivial, (base, sub1, sub2)
+                    seen[trivial] += 1
+    assert seen == {True: 13145, False: 25634}
+
+
+def test_index_identity_matches_intersection_mixed_levels():
+    # Random bases and subgroups over them at mixed levels; the validator's
+    # verdict is checked too, for rejected and accepted steps.
+    rng = random.Random(11)
+    levels = (1, 2, 3, 4, 6, 8, 9, 12, 15, 16, 18, 20, 24, 30)
+
+    def random_lattice():
+        n = rng.choice(levels)
+        gens = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 2))]
+        return FracLattice.from_subgroup(sub(n, *gens))
+
+    seen = Counter()
+    for _ in range(1500):
+        base = random_lattice()
+        sub1, sub2 = base + random_lattice(), base + random_lattice()
+        trivial = (sub1 & sub2) == base
+        assert _builds(base, sub1, sub2) == trivial, (base, sub1, sub2)
+        failures = validate_derivation(_one_step(base, sub1, sub2)).failures
+        assert ("step 0: subgroups intersect nontrivially" in failures) == (not trivial)
+        seen[trivial] += 1
+    assert seen[True] > 100 and seen[False] > 100
+
+
+def _index_subgroups_by_make(base, m):
+    """The index-m overlattices through FracLattice.make, in the order the
+    closed form must reproduce."""
+    (a, b), (_, d) = base.basis
+    for x in divisors(m):
+        z = m // x
+        for t in range(z):
+            yield FracLattice.make(base.den * m, [[x * a, x * b + t * d], [0, z * d]])
+
+
+def test_index_subgroups_closed_form(monkeypatch):
+    bases = {}
+    closed_form = k0._index_subgroups
+
+    def recording(base, m):
+        bases[base] = None
+        return closed_form(base, m)
+
+    # The bases the exhaustive part of acceptance criterion 6 reaches.
+    monkeypatch.setattr(k0, "_index_subgroups", recording)
+    for n in range(1, 13):
+        by_order = {}
+        for s in oracle.exhaustive_subgroups(n):
+            by_order.setdefault(s.order, []).append(s)
+        for order, group in by_order.items():
+            for c1 in group:
+                for c2 in group:
+                    derive_same_degree(order, c1, c2)
+    assert len(bases) >= 80
+    for base in bases:
+        for m in range(1, 25):
+            got = list(closed_form(base, m))
+            assert got == list(_index_subgroups_by_make(base, m)), (base, m)
+            assert len(got) == sum(divisors(m))
+
+
 # ------------------------------------------------------------- derivations
 
 
@@ -350,6 +459,58 @@ def test_validate_rejects_corruption():
         check = reload(mutate)
         assert not check.ok
         assert check.failures
+
+
+def test_validate_rejects_stated_numbers():
+    payload = derive_same_degree(6, sub(6, (1, 0)), sub(6, (0, 1))).to_json()
+
+    def failures(mutate):
+        data = json.loads(json.dumps(payload))
+        mutate(data)
+        return validate_derivation(Derivation.from_json(data)).failures
+
+    assert failures(lambda data: None) == ()
+    assert failures(lambda data: data["steps"][0].__setitem__("orders", [999, 1])) == (
+        "step 0: stated orders [999, 1] are not the indices [3, 3] over the base",
+    )
+    assert failures(lambda data: data["steps"][2].__setitem__("orders", [2, 3])) == (
+        "step 2: stated orders [2, 3] are not the indices [2, 2] over the base",
+    )
+    assert failures(lambda data: data.__setitem__("degree", 12345)) == (
+        "stated degree 12345 is not the order 6 of the goal subgroups",
+    )
+
+    def unstated(data):
+        del data["degree"]
+        for step in data["steps"]:
+            del step["orders"]
+
+    assert failures(unstated) == ()
+    # A step whose sub1 misses the base reports that, not its orders.
+    assert not any("stated orders" in f for f in failures(
+        lambda data: data["steps"][0]["sub1"]["basis"][0].__setitem__(0, 10**6)
+    ))
+    # Stated numbers do not take part in equality.
+    assert Derivation.from_json(payload) == Derivation.from_json(dict(payload, degree=7))
+
+
+def test_certificate_numbers_must_be_integers():
+    # int() would truncate 3.99 to 3 or parse "6", so a stated number
+    # that is not an integer makes the certificate malformed.
+    good = derive_same_degree(6, sub(6, (1, 0)), sub(6, (0, 1))).to_json()
+
+    places = (["level"], ["degree"], ["steps", 0, "sign"], ["steps", 0, "orders", 1],
+              ["c1", "den"], ["steps", 1, "base", "basis", 0, 0])
+    assert validate_derivation(Derivation.from_json(good))
+    for path in places:
+        for value in (3.99, float("inf"), True, "6"):
+            broken = json.loads(json.dumps(good))
+            node = broken
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            with pytest.raises(DerivationError, match="malformed .*: expected an integer"):
+                Derivation.from_json(broken)
 
 
 def test_validate_empty_with_distinct_goals():
