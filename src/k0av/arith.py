@@ -1,4 +1,5 @@
-"""Exact integer arithmetic: factorization, factored rationals, the Smith
+"""Exact integer arithmetic: factorization (trial division, then
+Pollard-Brent rho within a step budget), factored rationals, the Smith
 normal form, and rank-2 lattices.
 
 Conventions:
@@ -18,12 +19,12 @@ operations to FracLattice.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Sequence
 
+from ._record import Record, set_field
 from .errors import DerivationError, K0Error, KernelInputError, LevelMismatchError, SingularMatrixError
 
 # Python 3.10 before 3.10.7 has no int-conversion limit.
@@ -81,9 +82,70 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Trial division stops at this bound; a cofactor that is still composite is
+# split by Pollard-Brent rho, whose cost grows with the square root of a
+# prime factor rather than with the factor itself.
+_TRIAL_BOUND = 1 << 10
+# Rho steps allowed for one integer.  Rho needs about sqrt(p) steps to find
+# a prime factor p, so factors up to 10^10, and so every integer below
+# 10^20, are found within it with overwhelming probability.
+_RHO_BUDGET = 2_000_000
+_RHO_BATCH = 128
+
+
+def _brent_split(n: int, steps: int) -> tuple[int, int]:
+    """A proper divisor of the odd composite `n`, found by Pollard-Brent rho
+    (Brent, BIT 20, 1980), and what is left of `steps`."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            steps -= 2 * r
+            if steps < 0:
+                raise K0Error(
+                    f"cannot factor a {n.bit_length()}-bit integer within the budget of "
+                    f"{_RHO_BUDGET} Pollard-rho steps"
+                )
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:  # the batch overshot: step through it one value at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g, steps
+    raise AssertionError("rho found no divisor of a composite")  # pragma: no cover
+
+
+def _rho_exponents(n: int) -> list[tuple[int, int]]:
+    """Prime exponents of the odd composite `n`, by rho splitting."""
+    primes: list[int] = []
+    stack = [n]
+    steps = _RHO_BUDGET
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            primes.append(m)
+        else:
+            d, steps = _brent_split(m, steps)
+            stack += (d, m // d)
+    return [(p, primes.count(p)) for p in sorted(set(primes))]
+
+
 @lru_cache(maxsize=None)
 def _factor_int(n: int) -> tuple[tuple[int, int], ...]:
-    # Trial division with a primality shortcut after each hit; fine at desk scale.
+    # Trial division with a primality shortcut after each hit, then rho past
+    # _TRIAL_BOUND.
     if n <= 0:
         raise ValueError("can only factor positive integers")
     exps: list[tuple[int, int]] = []
@@ -97,6 +159,10 @@ def _factor_int(n: int) -> tuple[tuple[int, int], ...]:
     if n > 1 and not is_prime(n):
         q = 5
         while q * q <= n:
+            if q > _TRIAL_BOUND:  # n is composite with no prime factor below q
+                exps += _rho_exponents(n)
+                n = 1
+                break
             hit = False
             for p in (q, q + 2):
                 if n % p == 0:
@@ -115,15 +181,24 @@ def _factor_int(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(exps)
 
 
-@dataclass(frozen=True)
-class FactoredRational:
+class FactoredRational(Record):
     """A positive rational stored as a sparse map prime -> nonzero exponent."""
 
+    __slots__ = _fields = ("exps",)
     exps: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if list(self.exps) != sorted(self.exps) or any(e == 0 for _, e in self.exps):
+    def __init__(self, exps: tuple[tuple[int, int], ...]) -> None:
+        if list(exps) != sorted(exps) or any(e == 0 for _, e in exps):
             raise ValueError("exponent table must be sorted with nonzero exponents")
+        _set_exps(self, exps)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.exps == other.exps
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.exps,))
 
     @staticmethod
     def one() -> FactoredRational:
@@ -195,20 +270,22 @@ class FactoredRational:
         return "*".join(f"{p}" if e == 1 else f"{p}^{e}" for p, e in self.exps)
 
 
+_set_exps = FactoredRational.exps.__set__
+
+
 def factor(n: int) -> FactoredRational:
     """Factor a positive integer."""
     return FactoredRational.from_int(n)
 
 
-def squarefree_part(q: FactoredRational) -> FactoredRational:
-    return FactoredRational(tuple((p, 1) for p, e in q.exps if e % 2))
-
-
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Immutable integer matrix (tuple of row tuples)."""
 
+    __slots__ = _fields = ("rows",)
     rows: tuple[tuple[int, ...], ...]
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        set_field(self, "rows", rows)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> IntMatrix:
@@ -452,8 +529,7 @@ def left_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return [r[2:] for r in aug]
 
 
-@dataclass(frozen=True)
-class FracLattice:
+class FracLattice(Record):
     """The lattice span(basis)/den in Q^2, kept canonical: `basis` is the
     Hermite basis [[a, b], [0, d]] and gcd(den, a, b, d) == 1.
 
@@ -461,10 +537,27 @@ class FracLattice:
     implementation of rank-2 lattice arithmetic: Hermite reduction (`make`),
     sum, intersection (through the kernel of the stacked bases), membership
     and containment.
+
+    The constructor stores its arguments unchecked, since the package's own
+    callers build canonical data; `make` and `from_json` reduce any rows,
+    and `is_canonical` tests a lattice built by hand.
     """
 
+    __slots__ = _fields = ("den", "basis")
     den: int
     basis: tuple[tuple[int, int], tuple[int, int]]
+
+    def __init__(self, den: int, basis: tuple[tuple[int, int], tuple[int, int]]) -> None:
+        _set_den(self, den)
+        _set_basis(self, basis)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.den == other.den and self.basis == other.basis
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.den, self.basis))
 
     @staticmethod
     def make(den: int, rows: Iterable[Sequence[int]]) -> FracLattice:
@@ -483,6 +576,17 @@ class FracLattice:
     @staticmethod
     def from_subgroup(c: TorsionSubgroup) -> FracLattice:
         return FracLattice.make(c.level, c.basis)
+
+    @property
+    def is_canonical(self) -> bool:
+        """Whether den >= 1 and basis is an integer Hermite basis
+        [[a, b], [0, d]] with gcd(den, a, b, d) == 1, as `make` returns."""
+        den = self.den
+        try:
+            (a, b), (z, d) = self.basis
+            return den >= 1 and z == 0 and a > 0 and 0 <= b < d and gcd(den, a, b, d) == 1
+        except (TypeError, ValueError):  # not a 2x2 integer basis: gcd refuses floats
+            return False
 
     @property
     def vol(self) -> Fraction:
@@ -552,8 +656,11 @@ class FracLattice:
         return FracLattice.make(den, rows)
 
 
-@dataclass(frozen=True)
-class TorsionSubgroup:
+_set_den = FracLattice.den.__set__
+_set_basis = FracLattice.basis.__set__
+
+
+class TorsionSubgroup(Record):
     """A finite subgroup C of (Q/Z)^2 killed by `level`.
 
     C corresponds to a lattice L with Z^2 <= L <= (1/level) Z^2 via
@@ -562,19 +669,29 @@ class TorsionSubgroup:
     |C| = level^2 / det(basis).  Lattice operations go through FracLattice.
     """
 
+    __slots__ = _fields = ("level", "basis")
     level: int
     basis: tuple[tuple[int, int], tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        n = self.level
-        if n < 1:
+    def __init__(self, level: int, basis: tuple[tuple[int, int], tuple[int, int]]) -> None:
+        if level < 1:
             raise KernelInputError("level must be a positive integer")
-        (a, b), (z, d) = self.basis
+        (a, b), (z, d) = basis
         if z != 0 or a <= 0 or d <= 0 or not 0 <= b < d:
             raise KernelInputError("basis is not in Hermite form")
-        # level*Z^2 <= span(basis): (n,0) and (0,n) must be integer combinations.
-        if n % a != 0 or n % d != 0 or (n // a) * b % d != 0:
+        # level*Z^2 <= span(basis): (level, 0) and (0, level) must be integer combinations.
+        if level % a != 0 or level % d != 0 or (level // a) * b % d != 0:
             raise KernelInputError("basis does not contain level * Z^2")
+        _set_level(self, level)
+        _set_sub_basis(self, basis)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.level == other.level and self.basis == other.basis
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.basis))
 
     @staticmethod
     def from_lattice(level: int, lat: FracLattice) -> TorsionSubgroup:
@@ -638,9 +755,16 @@ class TorsionSubgroup:
 
     @staticmethod
     def from_json(data: Mapping) -> TorsionSubgroup:
-        return TorsionSubgroup.from_rows(
-            int(data["level"]), [[int(x) for x in row] for row in data["basis"]]
-        )
+        try:
+            level = strict_int(data["level"])
+            rows = [(strict_int(x), strict_int(y)) for x, y in data["basis"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise KernelInputError(f"malformed subgroup: {exc}") from exc
+        return TorsionSubgroup.from_rows(level, rows)
+
+
+_set_level = TorsionSubgroup.level.__set__
+_set_sub_basis = TorsionSubgroup.basis.__set__
 
 
 def count_subgroups(n: int) -> int:
@@ -661,10 +785,3 @@ def divisors(n: int) -> list[int]:
                 out.append(n // i)
     out.sort()
     return out
-
-
-def perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from typing import Optional, Sequence
 
@@ -23,7 +22,6 @@ from .expr import eval_expression, parse_expression, parse_rational
 from .k0 import Derivation, derive_same_degree, k0_class, validate_derivation
 from .kernels import int_literal, kernel_from_counts, parse_kernel_literal
 from .quadforms import class_group, square_classes
-from . import oracle
 
 
 def _json_int(text: str) -> int:
@@ -178,8 +176,13 @@ def _cmd_check(args) -> int:
 
 
 def _selftest_suites(max_disc: int, max_level: int):
+    # Only selftest needs the oracle; other subcommands skip its import.
+    import random
+
+    from . import oracle
+    from .quadforms import is_fundamental_discriminant
+
     def fundamental(limit):
-        from .quadforms import is_fundamental_discriminant
 
         return [d for d in range(-3, -limit - 1, -1) if d % 4 in (0, 1) and is_fundamental_discriminant(d)]
 

@@ -24,12 +24,12 @@ cached on the instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 from typing import Mapping
 
+from ._record import Record, set_field
 from .arith import FactoredRational, is_prime, printable_int
 from .errors import ContextError, ContextMismatchError, KernelInputError
 from .quadforms import (
@@ -48,11 +48,16 @@ from .quadforms import (
 DegreeLike = FactoredRational | Fraction | int
 
 
-@dataclass(frozen=True)
-class StructureFactor:
+class StructureFactor(Record):
+    __slots__ = _fields = ("modulus", "count", "label")
     modulus: int
     count: int | None  # None: one factor per prime in an infinite family
     label: str
+
+    def __init__(self, modulus: int, count: int | None, label: str) -> None:
+        set_field(self, "modulus", modulus)
+        set_field(self, "count", count)
+        set_field(self, "label", label)
 
     def describe(self) -> str:
         if self.count is None:
@@ -62,11 +67,18 @@ class StructureFactor:
         return f"(Z/{self.modulus})^{self.count} ({self.label})"
 
 
-@dataclass(frozen=True)
-class GroupStructure:
+class GroupStructure(Record):
+    __slots__ = _fields = ("free_rank", "factors", "note")
     free_rank: int
     factors: tuple[StructureFactor, ...]
-    note: str | None = None
+    note: str | None
+
+    def __init__(
+        self, free_rank: int, factors: tuple[StructureFactor, ...], note: str | None = None
+    ) -> None:
+        set_field(self, "free_rank", free_rank)
+        set_field(self, "factors", factors)
+        set_field(self, "note", note)
 
     def describe(self) -> str:
         parts = ["Z"] * self.free_rank + [f.describe() for f in self.factors]
@@ -87,12 +99,24 @@ class GroupStructure:
         }
 
 
-@dataclass(frozen=True)
-class DegreeClass:
+class DegreeClass(Record):
     """Canonical representative of an isogeny degree in a context's group."""
 
+    __slots__ = _fields = ("ctx", "data")
     ctx: IsogenyContext
     data: tuple
+
+    def __init__(self, ctx: IsogenyContext, data: tuple) -> None:
+        _set_ctx(self, ctx)
+        _set_data(self, data)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.ctx == other.ctx and self.data == other.data
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ctx, self.data))
 
     def __mul__(self, other: DegreeClass) -> DegreeClass:
         if self.ctx != other.ctx:
@@ -134,8 +158,13 @@ class DegreeClass:
         return self.ctx._class_json(self.data)
 
 
-class IsogenyContext:
-    """Shared surface of the five context kinds."""
+_set_ctx = DegreeClass.ctx.__set__
+_set_data = DegreeClass.data.__set__
+
+
+class IsogenyContext(Record):
+    """Shared surface of the five context kinds.  Contexts keep a
+    `__dict__`, where `cached_property` stores class-group data."""
 
     case: str
 
@@ -180,17 +209,18 @@ class IsogenyContext:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class EndZ(IsogenyContext):
     """Dimension-g isotypic category with endomorphism ring Z."""
 
+    _fields = ("g",)
     g: int
 
     case = "end_z"
 
-    def __post_init__(self) -> None:
-        if self.g < 1:
+    def __init__(self, g: int) -> None:
+        if g < 1:
             raise ContextError("dimension must be a positive integer")
+        set_field(self, "g", g)
 
     @property
     def modulus(self) -> int:
@@ -324,16 +354,17 @@ class _WithClassGroup(IsogenyContext):
         return GroupStructure(0, tuple(factors))
 
 
-@dataclass(frozen=True)
 class CM(_WithClassGroup):
     """Elliptic curve with CM by the maximal order of disc < 0, char 0."""
 
+    _fields = ("disc",)
     disc: int
 
     case = "cm"
 
-    def __post_init__(self) -> None:
-        class_group(self.disc)  # validates fundamental disc, warms the cache
+    def __init__(self, disc: int) -> None:
+        class_group(disc)  # validates fundamental disc, warms the cache
+        set_field(self, "disc", disc)
 
     def describe(self) -> str:
         return f"elliptic, CM by the maximal order of discriminant {self.disc}, characteristic 0"
@@ -342,24 +373,26 @@ class CM(_WithClassGroup):
         return {"case": self.case, "disc": self.disc}
 
 
-@dataclass(frozen=True)
 class OrdinaryCM(_WithClassGroup):
     """Ordinary elliptic curve over F_p-bar with CM lift of disc; p splits."""
 
+    _fields = ("disc", "p")
     disc: int
     p: int
 
     case = "ordinary_cm"
 
-    def __post_init__(self) -> None:
-        class_group(self.disc)
-        if not is_prime(self.p):
-            raise ContextError(f"{self.p} is not prime")
-        if kronecker(self.disc, self.p) != 1:
+    def __init__(self, disc: int, p: int) -> None:
+        class_group(disc)
+        if not is_prime(p):
+            raise ContextError(f"{p} is not prime")
+        if kronecker(disc, p) != 1:
             raise ContextError(
-                f"prime {self.p} does not split in discriminant {self.disc}; "
+                f"prime {p} does not split in discriminant {disc}; "
                 "not an ordinary reduction"
             )
+        set_field(self, "disc", disc)
+        set_field(self, "p", p)
 
     def describe(self) -> str:
         return (
@@ -371,17 +404,18 @@ class OrdinaryCM(_WithClassGroup):
         return {"case": self.case, "disc": self.disc, "p": self.p}
 
 
-@dataclass(frozen=True)
 class Supersingular(IsogenyContext):
     """Supersingular elliptic curve over F_p-bar; the class group vanishes."""
 
+    _fields = ("p",)
     p: int
 
     case = "supersingular"
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ContextError(f"{self.p} is not prime")
+    def __init__(self, p: int) -> None:
+        if not is_prime(p):
+            raise ContextError(f"{p} is not prime")
+        set_field(self, "p", p)
 
     def _identity_data(self) -> tuple:
         return ()
@@ -414,19 +448,20 @@ class Supersingular(IsogenyContext):
         return {"case": self.case, "p": self.p}
 
 
-@dataclass(frozen=True)
 class CharPEndZ(IsogenyContext):
     """Ordinary elliptic curve over F_p-bar taken with only integer
     endomorphisms; classes track the etale-minus-multiplicative p-degree and
     odd square classes away from p."""
 
+    _fields = ("p",)
     p: int
 
     case = "char_p_end_z"
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ContextError(f"{self.p} is not prime")
+    def __init__(self, p: int) -> None:
+        if not is_prime(p):
+            raise ContextError(f"{p} is not prime")
+        set_field(self, "p", p)
 
     def _identity_data(self) -> tuple:
         return (0, ())

@@ -18,43 +18,59 @@ rendering; parse(print(parse(s))) = parse(s) for every valid s.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
+from ._record import Record, set_field
 from .contexts import IsogenyContext
 from .errors import ContextMismatchError, ParseError, excerpt
 from .k0 import K0Element, k0_class
 from .kernels import int_literal, kernel_from_counts, parse_kernel_literal
 
 
-@dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(Record):
     """Kernel literal before a context supplies the characteristic."""
 
-    zp: int = 0
-    mup: int = 0
-    alphap: int = 0
-    coprime: int = 1
+    __slots__ = _fields = ("zp", "mup", "alphap", "coprime")
+    zp: int
+    mup: int
+    alphap: int
+    coprime: int
+
+    def __init__(self, zp: int = 0, mup: int = 0, alphap: int = 0, coprime: int = 1) -> None:
+        set_field(self, "zp", zp)
+        set_field(self, "mup", mup)
+        set_field(self, "alphap", alphap)
+        set_field(self, "coprime", coprime)
 
     def counts(self) -> dict[str, int]:
         return {"zp": self.zp, "mup": self.mup, "alphap": self.alphap, "coprime": self.coprime}
 
 
-@dataclass(frozen=True)
-class ClassAtom:
+class ClassAtom(Record):
+    __slots__ = _fields = ("n", "spec")
     n: int
     spec: Union[Fraction, KernelSpec]
 
+    def __init__(self, n: int, spec: Union[Fraction, KernelSpec]) -> None:
+        set_field(self, "n", n)
+        set_field(self, "spec", spec)
 
-@dataclass(frozen=True)
-class Dual:
+
+class Dual(Record):
+    __slots__ = _fields = ("inner",)
     inner: "Sum"
 
+    def __init__(self, inner: "Sum") -> None:
+        set_field(self, "inner", inner)
 
-@dataclass(frozen=True)
-class Sum:
+
+class Sum(Record):
+    __slots__ = _fields = ("terms",)
     terms: tuple[tuple[int, Union[ClassAtom, Dual]], ...]
+
+    def __init__(self, terms: tuple[tuple[int, Union[ClassAtom, Dual]], ...]) -> None:
+        set_field(self, "terms", terms)
 
 
 Node = Union[Sum, Dual, ClassAtom]

@@ -41,11 +41,11 @@ containment check already failed, so its failure lines stay the same.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, Mapping
 
+from ._record import Record, set_field
 from .arith import (
     FactoredRational,
     FracLattice,
@@ -60,12 +60,24 @@ from .errors import ContextMismatchError, DerivationError, LevelMismatchError
 from .kernels import KernelMultiset, kernel_class
 
 
-@dataclass(frozen=True)
-class K0Element:
+class K0Element(Record):
     """Class in the Grothendieck group: multiplicity plus degree class."""
 
+    __slots__ = _fields = ("n", "deg")
     n: int
     deg: DegreeClass
+
+    def __init__(self, n: int, deg: DegreeClass) -> None:
+        _set_n(self, n)
+        _set_deg(self, deg)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.deg == other.deg
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.deg))
 
     def __add__(self, other: K0Element) -> K0Element:
         return K0Element(self.n + other.n, self.deg * other.deg)
@@ -96,6 +108,10 @@ class K0Element:
         return {"n": printable_int(self.n, "multiplicity"), "degree_class": self.deg.to_json()}
 
 
+_set_n = K0Element.n.__set__
+_set_deg = K0Element.deg.__set__
+
+
 def k0_class(
     ctx: IsogenyContext, n: int, degree: FactoredRational | Fraction | int | KernelMultiset
 ) -> K0Element:
@@ -118,19 +134,46 @@ def _index(lat: FracLattice, base: FracLattice) -> int:
     return num * lat_den // (den * lat_num)
 
 
-@dataclass(frozen=True)
-class QuotientRelation:
+class QuotientRelation(Record):
     """[base] + [sum] = [sub1] + [sub2] for subgroups with trivial intersection.
 
     `stated_orders` holds the orders a certificate stated for the step, if
-    any; validation compares them with the recomputed ones.
+    any; validation compares them with the recomputed ones.  It takes no
+    part in equality or hashing.
     """
 
+    __slots__ = ("base", "sub1", "sub2", "joint", "stated_orders")
+    _fields = ("base", "sub1", "sub2", "joint")
+    _uncompared = ("stated_orders",)
     base: FracLattice
     sub1: FracLattice
     sub2: FracLattice
     joint: FracLattice
-    stated_orders: tuple[int, int] | None = field(default=None, compare=False)
+    stated_orders: tuple[int, int] | None
+
+    def __init__(
+        self,
+        base: FracLattice,
+        sub1: FracLattice,
+        sub2: FracLattice,
+        joint: FracLattice,
+        stated_orders: tuple[int, int] | None = None,
+    ) -> None:
+        _set_base(self, base)
+        _set_sub1(self, sub1)
+        _set_sub2(self, sub2)
+        _set_joint(self, joint)
+        _set_stated_orders(self, stated_orders)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.sub1, self.sub2, self.joint) == (
+                other.base, other.sub1, other.sub2, other.joint
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.sub1, self.sub2, self.joint))
 
     @staticmethod
     def build(base: FracLattice, sub1: FracLattice, sub2: FracLattice) -> QuotientRelation:
@@ -159,6 +202,13 @@ class QuotientRelation:
         }
 
 
+_set_base = QuotientRelation.base.__set__
+_set_sub1 = QuotientRelation.sub1.__set__
+_set_sub2 = QuotientRelation.sub2.__set__
+_set_joint = QuotientRelation.joint.__set__
+_set_stated_orders = QuotientRelation.stated_orders.__set__
+
+
 def quotient_relation(level: int, c1: TorsionSubgroup, c2: TorsionSubgroup) -> QuotientRelation:
     """Relation for two level-`level` subgroups of the base object itself."""
     if c1.level != level or c2.level != level:
@@ -168,18 +218,35 @@ def quotient_relation(level: int, c1: TorsionSubgroup, c2: TorsionSubgroup) -> Q
     )
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Record):
     """Signed quotient relations telescoping to [L1] - [L2] = 0.
 
-    `stated_degree` holds the degree a certificate stated, if any.
+    `stated_degree` holds the degree a certificate stated, if any; it takes
+    no part in equality or hashing.
     """
 
+    __slots__ = ("level", "c1", "c2", "steps", "stated_degree")
+    _fields = ("level", "c1", "c2", "steps")
+    _uncompared = ("stated_degree",)
     level: int
     c1: FracLattice
     c2: FracLattice
     steps: tuple[tuple[int, QuotientRelation], ...]
-    stated_degree: int | None = field(default=None, compare=False)
+    stated_degree: int | None
+
+    def __init__(
+        self,
+        level: int,
+        c1: FracLattice,
+        c2: FracLattice,
+        steps: tuple[tuple[int, QuotientRelation], ...],
+        stated_degree: int | None = None,
+    ) -> None:
+        set_field(self, "level", level)
+        set_field(self, "c1", c1)
+        set_field(self, "c2", c2)
+        set_field(self, "steps", steps)
+        set_field(self, "stated_degree", stated_degree)
 
     @property
     def degree(self) -> int:
@@ -228,17 +295,37 @@ class Derivation:
         return Derivation(level, c1, c2, tuple(steps), degree)
 
 
-@dataclass(frozen=True)
-class DerivationCheck:
+class DerivationCheck(Record):
+    __slots__ = _fields = ("ok", "failures")
     ok: bool
     failures: tuple[str, ...]
+
+    def __init__(self, ok: bool, failures: tuple[str, ...]) -> None:
+        set_field(self, "ok", ok)
+        set_field(self, "failures", failures)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
+def _check_canonical(d: Derivation) -> None:
+    """Raise unless every lattice of d is canonical, as `FracLattice.make`
+    and `from_json` build them: the recomputation assumes Hermite bases and
+    a positive denominator, and only a hand-built lattice can lack them."""
+    lattices = [d.c1, d.c2]
+    for _, rel in d.steps:
+        lattices += (rel.base, rel.sub1, rel.sub2, rel.joint)
+    for k, lat in enumerate(lattices):
+        if not (isinstance(lat, FracLattice) and lat.is_canonical):
+            i, j = divmod(k - 2, 4)
+            name = ("c1", "c2")[k] if k < 2 else f"step {i}: " + ("base", "sub1", "sub2", "sum")[j]
+            raise DerivationError(f"{name} is not a canonical lattice")
+
+
 def validate_derivation(d: Derivation) -> DerivationCheck:
-    """Recompute every step and the telescoping sum; collect all failures."""
+    """Recompute every step and the telescoping sum; collect all failures.
+    A lattice that is not canonical raises DerivationError instead."""
+    _check_canonical(d)
     failures: list[str] = []
     for i, (sign, rel) in enumerate(d.steps):
         if sign not in (1, -1):

@@ -9,8 +9,8 @@ alpha_p; it only occurs supersingularly, where degree classes vanish anyway.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
+from ._record import Record, set_field
 from .arith import FactoredRational, IntMatrix, int_digit_limit, smith_normal_form
 from .contexts import CharPEndZ, DegreeClass
 from .errors import KernelInputError, ParseError, excerpt
@@ -18,24 +18,31 @@ from .errors import KernelInputError, ParseError, excerpt
 _ONE = FactoredRational.one()
 
 
-@dataclass(frozen=True)
-class KernelMultiset:
+class KernelMultiset(Record):
     """Multiset of simple constituents of a p-power-torsion kernel together
     with the order of its prime-to-p part."""
 
+    __slots__ = _fields = ("p", "et_p", "mu_p", "alpha_p", "coprime")
     p: int
-    et_p: int = 0
-    mu_p: int = 0
-    alpha_p: int = 0
-    coprime: FactoredRational = field(default=_ONE)
+    et_p: int
+    mu_p: int
+    alpha_p: int
+    coprime: FactoredRational
 
-    def __post_init__(self) -> None:
-        if min(self.et_p, self.mu_p, self.alpha_p) < 0:
+    def __init__(
+        self, p: int, et_p: int = 0, mu_p: int = 0, alpha_p: int = 0, coprime: FactoredRational = _ONE
+    ) -> None:
+        if min(et_p, mu_p, alpha_p) < 0:
             raise KernelInputError("constituent counts must be nonnegative")
-        if not self.coprime.is_integer:
+        if not coprime.is_integer:
             raise KernelInputError("coprime part must be a positive integer")
-        if self.coprime.exponent(self.p) != 0:
+        if coprime.exponent(p) != 0:
             raise KernelInputError("coprime part of a kernel cannot involve p")
+        set_field(self, "p", p)
+        set_field(self, "et_p", et_p)
+        set_field(self, "mu_p", mu_p)
+        set_field(self, "alpha_p", alpha_p)
+        set_field(self, "coprime", coprime)
 
     @property
     def deg_p(self) -> int:

@@ -9,25 +9,58 @@ non-fundamental discriminants are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import _backend
+from ._record import Record, set_field
 from .arith import _factor_int, is_prime
 from .errors import DiscriminantError
 
 kronecker = _backend.kronecker
 
 
-@dataclass(frozen=True, order=True)
-class QuadForm:
+class QuadForm(Record):
+    """The form a*x^2 + b*xy + c*y^2, ordered as the triple (a, b, c)."""
+
+    __slots__ = _fields = ("a", "b", "c")
     a: int
     b: int
     c: int
 
-    def __post_init__(self) -> None:
-        if self.a <= 0 or self.disc >= 0:
+    def __init__(self, a: int, b: int, c: int) -> None:
+        if a <= 0 or b * b - 4 * a * c >= 0:
             raise DiscriminantError("form is not positive definite")
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.a == other.a and self.b == other.b and self.c == other.c
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c) < (other.a, other.b, other.c)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c) <= (other.a, other.b, other.c)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c) > (other.a, other.b, other.c)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c) >= (other.a, other.b, other.c)
+        return NotImplemented
 
     @property
     def disc(self) -> int:
@@ -48,6 +81,11 @@ class QuadForm:
 
     def __str__(self) -> str:
         return f"({self.a}, {self.b}, {self.c})"
+
+
+_set_a = QuadForm.a.__set__
+_set_b = QuadForm.b.__set__
+_set_c = QuadForm.c.__set__
 
 
 def reduce_form(f: QuadForm) -> QuadForm:
@@ -91,12 +129,16 @@ def _check_discriminant(d: int) -> None:
         raise DiscriminantError(f"discriminant {d}: non-maximal order unsupported")
 
 
-@dataclass(frozen=True)
-class ClassGroup:
+class ClassGroup(Record):
     """Form class group of a fundamental discriminant, elements sorted by (a, b)."""
 
+    __slots__ = _fields = ("disc", "elements")
     disc: int
     elements: tuple[QuadForm, ...]
+
+    def __init__(self, disc: int, elements: tuple[QuadForm, ...]) -> None:
+        set_field(self, "disc", disc)
+        set_field(self, "elements", elements)
 
     @property
     def h(self) -> int:
@@ -117,8 +159,7 @@ def class_group(d: int) -> ClassGroup:
     return ClassGroup(d, forms)
 
 
-@dataclass(frozen=True)
-class SquareClasses:
+class SquareClasses(Record):
     """The subgroup of squares and canonical coset representatives of C/C^2.
 
     Each coset representative is the (a, b)-least reduced form in its coset;
@@ -127,9 +168,17 @@ class SquareClasses:
     so a cached instance that never answers `rep` never holds the table.
     """
 
+    _fields = ("disc", "squares", "coset_reps")
     disc: int
     squares: tuple[QuadForm, ...]
     coset_reps: tuple[QuadForm, ...]
+
+    def __init__(
+        self, disc: int, squares: tuple[QuadForm, ...], coset_reps: tuple[QuadForm, ...]
+    ) -> None:
+        set_field(self, "disc", disc)
+        set_field(self, "squares", squares)
+        set_field(self, "coset_reps", coset_reps)
 
     @property
     def index(self) -> int:
@@ -165,13 +214,17 @@ def square_classes(d: int) -> SquareClasses:
     return SquareClasses(d, tuple(squares), tuple(sorted(reps)))
 
 
-@dataclass(frozen=True)
-class PrimeClass:
+class PrimeClass(Record):
     """Splitting of a rational prime: inert, ramified, or split, with the
     reduced form of a prime ideal above it in the non-inert cases."""
 
+    __slots__ = _fields = ("kind", "form")
     kind: str
     form: QuadForm | None
+
+    def __init__(self, kind: str, form: QuadForm | None) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "form", form)
 
     @property
     def is_inert(self) -> bool:

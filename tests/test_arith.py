@@ -21,13 +21,11 @@ from k0av.arith import (
     is_prime,
     left_kernel,
     matrix_isogeny_degree,
-    perfect_square,
     row_hnf,
     smith_normal_form,
-    squarefree_part,
     xgcd,
 )
-from k0av.errors import KernelInputError, LevelMismatchError, SingularMatrixError
+from k0av.errors import K0Error, KernelInputError, LevelMismatchError, SingularMatrixError
 
 
 def test_factor_frozen():
@@ -39,6 +37,28 @@ def test_factor_frozen():
 def test_factor_matches_trial_division_oracle():
     for n in list(range(1, 500)) + [2**31 - 1, 600851475143, 97 * 89 * 83]:
         assert dict(factor(n).exps) == oracle.prime_exponents(n)
+
+
+def test_factor_splits_large_cofactors():
+    # Trial division alone ran for minutes on two 10-digit prime factors.
+    cases = {
+        1000000007 * 1000000009: {1000000007: 1, 1000000009: 1},
+        1031**3 * 1033: {1031: 3, 1033: 1},
+        2**4 * 1000003**2 * 1000033: {2: 4, 1000003: 2, 1000033: 1},
+        (2**31 - 1) * (2**61 - 1): {2**31 - 1: 1, 2**61 - 1: 1},
+    }
+    for n, exps in cases.items():
+        assert dict(factor(n).exps) == exps
+        assert list(factor(n).exps) == sorted(exps.items())
+    for n in [1031 * 1033 * k for k in range(1, 400)]:
+        assert dict(factor(n).exps) == oracle.prime_exponents(n)
+
+
+def test_factor_refuses_past_its_budget():
+    p, q = 10**19 + 51, 10**19 + 169  # primes: a 40-digit balanced semiprime
+    assert is_prime(p) and is_prime(q)
+    with pytest.raises(K0Error, match="budget of .* Pollard-rho steps"):
+        factor(p * q)
 
 
 def test_is_prime_includes_all_witness_bases():
@@ -80,12 +100,6 @@ def test_factored_rational_homomorphism(q1, q2):
     assert (a * b).as_fraction() == q1 * q2
     assert (a / b).as_fraction() == q1 / q2
     assert (a**3).as_fraction() == q1**3
-
-
-def test_squarefree_part():
-    assert squarefree_part(FactoredRational.from_int(12)).as_fraction() == 3
-    assert squarefree_part(FactoredRational.from_fraction(Fraction(9, 2))).as_fraction() == 2
-    assert squarefree_part(FactoredRational.one()).is_one
 
 
 def test_smith_normal_form_frozen():
@@ -190,7 +204,6 @@ def test_xgcd():
 
 def test_divisors_and_squares():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert perfect_square(144) and not perfect_square(145)
 
 
 def test_subgroup_identities():
@@ -281,6 +294,26 @@ def test_subgroup_validation():
 def test_subgroup_json_round_trip():
     for s in oracle.exhaustive_subgroups(6):
         assert TorsionSubgroup.from_json(s.to_json()) == s
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"level": 6.9, "basis": [[1, 0.5], [0, 6.7]]},  # int() read this as level 6
+        {"level": 6, "basis": [[1, 0], [0, 6.0]]},
+        {"level": "6", "basis": [[1, 0], [0, 6]]},
+        {"level": True, "basis": [[1, 0], [0, 1]]},
+        {"level": 6},
+        {"basis": [[1, 0], [0, 6]]},
+        {"level": 6, "basis": [[1, 0, 0], [0, 6]]},
+        {"level": 6, "basis": 6},
+        [6, [[1, 0], [0, 6]]],
+        None,
+    ],
+)
+def test_subgroup_from_json_is_strict(data):
+    with pytest.raises(KernelInputError, match="malformed subgroup"):
+        TorsionSubgroup.from_json(data)
 
 
 def test_count_subgroups_vs_enumeration():

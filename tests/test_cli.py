@@ -170,6 +170,19 @@ def test_eval_parse_error(capsys, ctx_file):
     assert "position" in err
 
 
+def test_eval_degrees_with_large_prime_factors(capsys, ctx_file):
+    # A cut "a/b" literal joins two 10-digit numbers; trial division never
+    # finished on 1000000007 * 1000000009.
+    path = ctx_file({"case": "end_z", "g": 2})
+    code, out, _ = run(capsys, ["eval", "--ctx", path, "[1; 1000000016000000063]"])
+    assert code == 0
+    assert "1000000007" in out and "1000000009" in out
+    semiprime = (10**19 + 51) * (10**19 + 169)
+    code, _, err = run(capsys, ["eval", "--ctx", path, f"[1; {semiprime}]"])
+    assert code == 2
+    assert "error:" in err and "Pollard-rho steps" in err
+
+
 def test_context_file_errors(capsys, tmp_path):
     code, _, err = run(capsys, ["structure", "--ctx", str(tmp_path / "missing.json")])
     assert code == 2

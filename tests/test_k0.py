@@ -197,6 +197,30 @@ def test_lattice_matches_torsion_subgroup_ops():
         assert (l1 + l2).vol * (l1 & l2).vol == l1.vol * l2.vol
 
 
+def test_validate_refuses_non_canonical_lattice():
+    u = FracLattice.unit()
+    bad = [
+        FracLattice(0, ((1, 0), (0, 1))),  # zero denominator: member() divided by it
+        FracLattice(1, ((0, 0), (0, 1))),
+        FracLattice(1, ((1, 0), (1, 1))),
+        FracLattice(1, ((1, 3), (0, 2))),
+        FracLattice(2, ((2, 0), (0, 2))),  # gcd(den, a, b, d) = 2
+        FracLattice(1, ((1.0, 0), (0, 1))),
+        FracLattice(1, ((1, 0),)),
+    ]
+    for lat in bad:
+        assert not lat.is_canonical
+        step = QuotientRelation(lat, u, u, u)
+        with pytest.raises(DerivationError, match="step 0: base is not a canonical lattice"):
+            validate_derivation(Derivation(1, u, u, ((1, step),)))
+        with pytest.raises(DerivationError, match="c2 is not a canonical lattice"):
+            validate_derivation(Derivation(1, u, lat, ()))
+        steps = ((1, QuotientRelation(u, u, u, u)), (-1, QuotientRelation(u, u, u, lat)))
+        with pytest.raises(DerivationError, match="step 1: sum is not a canonical lattice"):
+            validate_derivation(Derivation(1, u, u, steps))
+    assert u.is_canonical and FracLattice.make(12, [[2, 1], [0, 3]]).is_canonical
+
+
 def test_lattice_json_round_trip():
     lat = FracLattice.make(12, [[2, 1], [0, 3]])
     assert FracLattice.from_json(lat.to_json()) == lat

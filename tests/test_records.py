@@ -1,0 +1,252 @@
+"""Value-type semantics: every record type keeps what it had as a frozen
+dataclass (equality and hashing over the field tuple, fields left out of
+comparison, refused assignment, the repr), and importing the CLI loads
+neither `dataclasses` nor the oracle."""
+
+import copy
+import json
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+import k0av
+from k0av.arith import FactoredRational, FracLattice, IntMatrix, TorsionSubgroup, factor
+from k0av.contexts import (
+    CM,
+    CharPEndZ,
+    DegreeClass,
+    EndZ,
+    GroupStructure,
+    OrdinaryCM,
+    StructureFactor,
+    Supersingular,
+)
+from k0av.errors import ContextError, DiscriminantError, KernelInputError
+from k0av.expr import ClassAtom, Dual, KernelSpec, Sum
+from k0av.k0 import Derivation, DerivationCheck, K0Element, QuotientRelation, derive_same_degree
+from k0av.kernels import KernelMultiset
+from k0av.quadforms import ClassGroup, PrimeClass, QuadForm, SquareClasses, class_group, square_classes
+
+_B = ((1, 0), (0, 6))
+_LINE1 = TorsionSubgroup(2, ((1, 0), (0, 2)))
+_LINE2 = TorsionSubgroup(2, ((2, 0), (0, 1)))
+
+
+def _relation(stated=None):
+    rel = QuotientRelation.build(
+        FracLattice.unit(), FracLattice.from_subgroup(_LINE1), FracLattice.from_subgroup(_LINE2)
+    )
+    return QuotientRelation(rel.base, rel.sub1, rel.sub2, rel.joint, stated)
+
+
+def _derivation(stated=None):
+    d = derive_same_degree(2, _LINE1, _LINE2)
+    return Derivation(d.level, d.c1, d.c2, d.steps, stated)
+
+
+def _square_classes():
+    sq = square_classes(-20)
+    return SquareClasses(sq.disc, sq.squares, sq.coset_reps)
+
+
+# (factory, compared fields, fields outside comparison): one row per type
+# that used to be a frozen dataclass.  Each factory builds a new instance.
+RECORDS = [
+    (lambda: factor(360), ("exps",), ()),
+    (lambda: IntMatrix.from_rows([[1, 2], [3, 4]]), ("rows",), ()),
+    (lambda: FracLattice(6, _B), ("den", "basis"), ()),
+    (lambda: TorsionSubgroup(6, _B), ("level", "basis"), ()),
+    (lambda: QuadForm(2, 1, 3), ("a", "b", "c"), ()),
+    (lambda: ClassGroup(-20, class_group(-20).elements), ("disc", "elements"), ()),
+    (_square_classes, ("disc", "squares", "coset_reps"), ()),
+    (lambda: PrimeClass("split", QuadForm(2, 2, 3)), ("kind", "form"), ()),
+    (lambda: StructureFactor(2, None, "per prime"), ("modulus", "count", "label"), ()),
+    (lambda: GroupStructure(1, (StructureFactor(2, 1, "x"),), "note"), ("free_rank", "factors", "note"), ()),
+    (lambda: CM(-20).degree_class(3), ("ctx", "data"), ()),
+    (lambda: EndZ(2), ("g",), ()),
+    (lambda: CM(-20), ("disc",), ()),
+    (lambda: OrdinaryCM(-20, 29), ("disc", "p"), ()),
+    (lambda: Supersingular(5), ("p",), ()),
+    (lambda: CharPEndZ(5), ("p",), ()),
+    (lambda: KernelMultiset(5, 1, 2, 0, factor(12)), ("p", "et_p", "mu_p", "alpha_p", "coprime"), ()),
+    (lambda: K0Element(3, EndZ(1).degree_class(2)), ("n", "deg"), ()),
+    (lambda: _relation((2, 2)), ("base", "sub1", "sub2", "joint"), ("stated_orders",)),
+    (lambda: _derivation(2), ("level", "c1", "c2", "steps"), ("stated_degree",)),
+    (lambda: DerivationCheck(False, ("step 0: bad",)), ("ok", "failures"), ()),
+    (lambda: KernelSpec(1, 0, 0, 12), ("zp", "mup", "alphap", "coprime"), ()),
+    (lambda: ClassAtom(2, Fraction(3, 4)), ("n", "spec"), ()),
+    (lambda: Dual(Sum(((1, ClassAtom(1, Fraction(5))),))), ("inner",), ()),
+    (lambda: Sum(((1, ClassAtom(1, Fraction(5))), (-2, ClassAtom(1, Fraction(7))))), ("terms",), ()),
+]
+IDS = [type(make()).__name__ for make, _, _ in RECORDS]
+
+
+def test_every_former_dataclass_is_listed():
+    assert len(set(IDS)) == len(RECORDS) == 25
+
+
+@pytest.mark.parametrize("make,fields,extra", RECORDS, ids=IDS)
+def test_equality_and_hash_follow_the_field_tuple(make, fields, extra):
+    x, y = make(), make()
+    assert x is not y
+    assert x == y and not (x != y)
+    key = tuple(getattr(x, f) for f in fields)
+    assert hash(x) == hash(y) == hash(key)
+    assert x != key and len({x, y}) == 1
+    assert {x: 1}[y] == 1
+
+
+@pytest.mark.parametrize("make,fields,extra", RECORDS, ids=IDS)
+def test_assignment_is_refused(make, fields, extra):
+    x = make()
+    for name in fields + extra + ("not_a_field",):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+    for name in fields + extra:
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert tuple(getattr(x, f) for f in fields) == tuple(getattr(make(), f) for f in fields)
+
+
+@pytest.mark.parametrize("make,fields,extra", RECORDS, ids=IDS)
+def test_repr_names_every_field(make, fields, extra):
+    x = make()
+    body = ", ".join(f"{f}={getattr(x, f)!r}" for f in fields + extra)
+    assert repr(x) == f"{type(x).__qualname__}({body})"
+
+
+@pytest.mark.parametrize("make,fields,extra", RECORDS, ids=IDS)
+def test_copy_and_pickle_round_trip(make, fields, extra):
+    x = make()
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert y == x and type(y) is type(x)
+        assert all(getattr(y, f) == getattr(x, f) for f in extra)
+
+
+def test_repr_literals():
+    assert repr(QuadForm(1, 1, 6)) == "QuadForm(a=1, b=1, c=6)"
+    assert repr(FracLattice.unit()) == "FracLattice(den=1, basis=((1, 0), (0, 1)))"
+    assert repr(CM(-4)) == "CM(disc=-4)"
+    assert repr(KernelSpec()) == "KernelSpec(zp=0, mup=0, alphap=0, coprime=1)"
+    assert repr(factor(12)) == "FactoredRational(exps=((2, 2), (3, 1)))"
+
+
+def test_uncompared_fields_are_ignored():
+    assert _relation((2, 2)) == _relation(None) == _relation((7, 9))
+    assert hash(_relation((2, 2))) == hash(_relation(None))
+    assert _relation((7, 9)).stated_orders == (7, 9)
+    assert _derivation(2) == _derivation(None) == _derivation(99)
+    assert hash(_derivation(2)) == hash(_derivation(None))
+    assert _derivation(99).stated_degree == 99
+
+
+def test_equal_numbers_of_different_types_are_unequal():
+    lat, sub = FracLattice(6, _B), TorsionSubgroup(6, _B)
+    assert hash(lat) == hash(sub)
+    assert lat != sub and sub != lat and len({lat, sub}) == 2
+    cm = CM(-4)
+    for other in (OrdinaryCM(-4, 5), EndZ(1), Supersingular(5), CharPEndZ(5)):
+        assert cm != other and other != cm
+    assert Supersingular(5) != CharPEndZ(5)
+    assert Supersingular(5).identity() != EndZ(1).identity()  # both have data ()
+    assert K0Element(1, EndZ(1).identity()) != K0Element(1, EndZ(2).identity())
+    assert KernelSpec(0, 0, 0, 1) != (0, 0, 0, 1)
+    assert ClassAtom(1, Fraction(2)) != Dual(Sum(()))
+
+
+def test_quad_form_order_is_triple_order():
+    forms = [QuadForm(a, b, c) for a, b, c in [(2, 1, 3), (1, 1, 6), (2, -1, 3), (1, 0, 5), (2, 2, 3), (3, 1, 2)]]
+    assert [f.triple() for f in sorted(forms)] == sorted(f.triple() for f in forms)
+    for f in forms:
+        for g in forms:
+            s, t = f.triple(), g.triple()
+            assert (f < g, f <= g, f > g, f >= g) == (s < t, s <= t, s > t, s >= t)
+    assert min(forms) == QuadForm(1, 0, 5)
+    with pytest.raises(TypeError):
+        QuadForm(1, 0, 5) < (1, 0, 5)
+
+
+@pytest.mark.parametrize(
+    "build,error",
+    [
+        (lambda: FactoredRational(((3, 1), (2, 1))), ValueError),
+        (lambda: FactoredRational(((2, 0),)), ValueError),
+        (lambda: TorsionSubgroup(0, ((1, 0), (0, 1))), KernelInputError),
+        (lambda: TorsionSubgroup(6, ((1, 6), (0, 6))), KernelInputError),
+        (lambda: TorsionSubgroup(6, ((4, 0), (0, 6))), KernelInputError),
+        (lambda: QuadForm(0, 1, 1), DiscriminantError),
+        (lambda: QuadForm(1, 3, 1), DiscriminantError),
+        (lambda: EndZ(0), ContextError),
+        (lambda: CM(-13), DiscriminantError),
+        (lambda: CM(-12), DiscriminantError),
+        (lambda: OrdinaryCM(-20, 4), ContextError),
+        (lambda: OrdinaryCM(-20, 13), ContextError),
+        (lambda: Supersingular(4), ContextError),
+        (lambda: CharPEndZ(9), ContextError),
+        (lambda: KernelMultiset(5, -1), KernelInputError),
+        (lambda: KernelMultiset(5, coprime=FactoredRational.from_fraction(Fraction(1, 2))), KernelInputError),
+        (lambda: KernelMultiset(5, coprime=factor(10)), KernelInputError),
+        (lambda: QuadForm(1, 2), TypeError),
+        (lambda: FracLattice(1, _B, 3), TypeError),
+        (lambda: EndZ(g=1, p=2), TypeError),
+        (lambda: KernelSpec(zq=1), TypeError),
+    ],
+)
+def test_constructors_raise_the_same_errors(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_defaults():
+    assert KernelSpec() == KernelSpec(0, 0, 0, 1)
+    assert KernelMultiset(5) == KernelMultiset(5, 0, 0, 0, FactoredRational.one())
+    assert GroupStructure(0, ()).note is None
+    assert QuotientRelation(*([FracLattice.unit()] * 4)).stated_orders is None
+
+
+def test_cached_properties_still_cache():
+    ctx = CM(-20)
+    assert ctx.square_classes is ctx.square_classes
+    assert "square_classes" in vars(ctx)
+    sq = _square_classes()
+    assert sq.rep(QuadForm(2, 2, 3)) == QuadForm(2, 2, 3)
+    assert "_rep_of" in vars(sq)
+
+
+# Modules whose functions perfbench's tracer rebinds at install time; they
+# must be loaded by `import k0av.cli` until the tracer can follow lazy imports.
+TRACED_MODULES = (
+    "k0av._backend",
+    "k0av.arith",
+    "k0av.quadforms",
+    "k0av.contexts",
+    "k0av.kernels",
+    "k0av.expr",
+    "k0av.k0",
+)
+
+_GUARD = """
+import json, sys
+sys.path.insert(0, {src!r})
+import k0av.cli
+loaded = {{name: name in sys.modules for name in {names!r}}}
+from k0av import oracle
+loaded["oracle after import"] = "k0av.oracle" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_import_skips_dataclasses_and_oracle():
+    # -S keeps site-packages hooks from loading modules of their own.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(k0av.__file__)))
+    absent = ("dataclasses", "inspect", "random", "k0av.oracle")
+    code = _GUARD.format(src=src, names=absent + TRACED_MODULES)
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    loaded = json.loads(out.stdout)
+    assert [m for m in absent if loaded[m]] == []
+    assert [m for m in TRACED_MODULES if not loaded[m]] == []
+    assert loaded["oracle after import"]
