@@ -15,7 +15,6 @@ from .arith import (
     count_subgroups,
     factor,
     matrix_isogeny_degree,
-    smith_normal_form,
 )
 from .contexts import (
     CM,
@@ -121,7 +120,6 @@ __all__ = [
     "print_expression",
     "quotient_relation",
     "reduce_form",
-    "smith_normal_form",
     "square_classes",
     "validate_derivation",
     "__version__",

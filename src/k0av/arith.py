@@ -1,6 +1,6 @@
 """Exact integer arithmetic: factorization (trial division, then
-Pollard-Brent rho within a step budget), factored rationals, the Smith
-normal form, and rank-2 lattices.
+Pollard-Brent rho within a step budget), factored rationals, integer
+matrices, and rank-2 lattices.
 
 Conventions:
   * all arithmetic is arbitrary-precision; exactness is preferred over speed
@@ -312,14 +312,6 @@ class IntMatrix(Record):
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def __matmul__(self, other: IntMatrix) -> IntMatrix:
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        cols = list(zip(*other.rows))
-        return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows)
-        )
-
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
         if not self.is_square:
@@ -343,118 +335,6 @@ class IntMatrix(Record):
                 a[i][k] = 0
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
-
-
-def _swap_rows(a: list[list[int]], i: int, j: int) -> None:
-    a[i], a[j] = a[j], a[i]
-
-
-def _add_row(a: list[list[int]], src: int, dst: int, q: int) -> None:
-    # row[dst] += q * row[src]
-    arow, srow = a[dst], a[src]
-    for k in range(len(arow)):
-        arow[k] += q * srow[k]
-
-
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form of a nonsingular square integer matrix.
-
-    Returns (d, u, v) with u @ m @ v == d, u and v unimodular, d diagonal
-    with positive entries and d[i] | d[i+1].
-    """
-    if not m.is_square:
-        raise SingularMatrixError("singular matrix")
-    n = m.nrows
-    if m.det() == 0:
-        raise SingularMatrixError("singular matrix")
-
-    a = [list(r) for r in m.rows]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(src: int, dst: int, q: int) -> None:
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    for t in range(n):
-        while True:
-            # Move the smallest nonzero entry of the trailing block to (t, t).
-            pivot = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
-            assert pivot is not None  # nonsingular input
-            if pivot[0] != t:
-                _swap_rows(a, t, pivot[0])
-                _swap_rows(u, t, pivot[0])
-            if pivot[1] != t:
-                swap_cols(t, pivot[1])
-
-            dirty = False
-            for i in range(t + 1, n):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    _add_row(a, t, i, -q)
-                    _add_row(u, t, i, -q)
-                    dirty = dirty or a[i][t] != 0
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    dirty = dirty or a[t][j] != 0
-            if dirty:
-                continue
-            # Row and column are clear; force the pivot to divide the rest.
-            offender = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            _add_row(a, offender, t, 1)
-            _add_row(u, offender, t, 1)
-
-    # Positive diagonal, then enforce the divisibility chain.
-    for i in range(n):
-        if a[i][i] < 0:
-            for k in range(n):
-                a[i][k] = -a[i][k]
-                u[i][k] = -u[i][k]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                di, dj = a[i][i], a[j][j]
-                if dj % di == 0:
-                    continue
-                changed = True
-                g, x, y = xgcd(di, dj)
-                l = di // g * dj
-                # 2x2 unimodular pair sending diag(di, dj) to diag(g, lcm).
-                for k in range(n):
-                    u[i][k], u[j][k] = x * u[i][k] + y * u[j][k], -dj // g * u[i][k] + di // g * u[j][k]
-                for row in v:
-                    row[i], row[j] = row[i] + row[j], -y * dj // g * row[i] + x * di // g * row[j]
-                a[i][i], a[j][j] = g, l
-
-    return IntMatrix.from_rows(a), IntMatrix.from_rows(u), IntMatrix.from_rows(v)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -18,19 +18,34 @@ from typing import Optional, Sequence
 from .arith import TorsionSubgroup, IntMatrix, matrix_isogeny_degree, count_subgroups
 from .contexts import CM, IsogenyContext, make_context
 from .errors import K0Error, ParseError, excerpt
-from .expr import eval_expression, parse_expression, parse_rational
+from .expr import eval_expression, parse_expression, parse_kernel, parse_rational
 from .k0 import Derivation, derive_same_degree, k0_class, validate_derivation
-from .kernels import int_literal, kernel_from_counts, parse_kernel_literal
+from .kernels import int_literal, kernel_from_counts, tokenize
 from .quadforms import class_group, square_classes
 
 
 def _json_int(text: str) -> int:
-    """`parse_int` hook: JSON integers obey the literal digit limit."""
+    """`parse_int` hook: an optional '-', then ASCII digits within the
+    literal digit limit."""
+    negative = text.startswith("-")
     try:
-        value = int_literal(text.lstrip("-"), 0)
+        value = int_literal(text[negative:], 0)
     except ParseError as exc:
         raise K0Error(exc.message) from None
-    return -value if text.startswith("-") else value
+    return -value if negative else value
+
+
+def _int_option(option: str):
+    """argparse `type` for an integer option, read as a JSON integer.  Its
+    K0Error is not one argparse catches, so `main` reports it."""
+
+    def read(text: str) -> int:
+        try:
+            return _json_int(text)
+        except K0Error as exc:
+            raise K0Error(f"argument {option}: {exc}") from None
+
+    return read
 
 
 def _load_json(path: str, what: str):
@@ -95,7 +110,7 @@ def _cmd_dist(args) -> int:
         p = getattr(ctx, "p", None)
         if p is None:
             raise K0Error("kernel input requires a characteristic-p context")
-        counts = parse_kernel_literal(args.kernel)
+        counts = parse_kernel(args.kernel)
         cls = k0_class(ctx, 1, kernel_from_counts(p, counts)).deg
     else:
         try:
@@ -127,13 +142,15 @@ def _cmd_eval(args) -> int:
 
 
 def _parse_hnf(text: str, level: int) -> TorsionSubgroup:
-    parts = text.replace(",", " ").split()
-    if len(parts) != 4:
-        raise K0Error(f"subgroup basis needs 4 integers (row-major), got {excerpt(text)}")
+    """A subgroup basis 'a,b,0,d': four entries of ASCII digits, separated
+    by commas or whitespace."""
     try:
-        x = [int(v) for v in parts]
-    except ValueError as exc:
-        raise K0Error(f"bad subgroup basis {excerpt(text)}: {exc}") from exc
+        # int_literal refuses every token but digits; [:-1] drops "end".
+        x = [int_literal(t.text, t.pos) for t in tokenize(text)[:-1] if t.kind != ","]
+    except ParseError as exc:
+        raise K0Error(f"bad subgroup basis {excerpt(text)}: {exc}") from None
+    if len(x) != 4:
+        raise K0Error(f"subgroup basis needs 4 integers (row-major), got {excerpt(text)}")
     return TorsionSubgroup(level, ((x[0], x[1]), (x[2], x[3])))
 
 
@@ -288,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("classgroup", _cmd_classgroup, "reduced forms, class number, square classes")
-    p.add_argument("--disc", type=int, required=True, help="fundamental discriminant (negative)")
+    p.add_argument("--disc", type=_int_option("--disc"), required=True, help="fundamental discriminant (negative)")
 
     p = add("structure", _cmd_structure, "structure of the degree-class group")
     p.add_argument("--ctx", required=True, help="context file (JSON)")
@@ -305,24 +322,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--equals", help="second expression; exit 0 iff equal")
 
     p = add("derive", _cmd_derive, "produce a same-degree certificate")
-    p.add_argument("--n", type=int, required=True, help="common subgroup order (and torsion level)")
-    p.add_argument("--c1", required=True, help="subgroup basis, row-major 'a,b,0,d'")
-    p.add_argument("--c2", required=True, help="subgroup basis, row-major 'a,b,0,d'")
+    p.add_argument("--n", type=_int_option("--n"), required=True, help="common subgroup order (and torsion level)")
+    p.add_argument("--c1", required=True, help="subgroup basis, row-major 'a,b,0,d' (commas or spaces)")
+    p.add_argument("--c2", required=True, help="subgroup basis, row-major 'a,b,0,d' (commas or spaces)")
     p.add_argument("--out", help="write the certificate to this file")
 
     p = add("check", _cmd_check, "validate a certificate")
     p.add_argument("--cert", required=True, help="certificate file (JSON)")
 
     p = add("selftest", _cmd_selftest, "run oracle agreement suites")
-    p.add_argument("--max-disc", type=int, default=300, help="discriminant bound (default 300)")
-    p.add_argument("--max-level", type=int, default=8, help="torsion level bound (default 8)")
+    p.add_argument("--max-disc", type=_int_option("--max-disc"), default=300, help="discriminant bound (default 300)")
+    p.add_argument("--max-level", type=_int_option("--max-level"), default=8, help="torsion level bound (default 8)")
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # Inside the try: the integer options' `type` raises K0Error.
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except K0Error as exc:
         print(f"error: {exc}", file=sys.stderr)

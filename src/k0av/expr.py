@@ -8,24 +8,26 @@ Grammar (whitespace insignificant):
     class    := "[" nat ";" degspec "]"
     degspec  := rational | kernel
     rational := nat [ "/" nat ]
-    kernel   := "{" pair { "," pair } "}"
+    kernel   := "{" [ pair { "," pair } ] "}"
     pair     := ("zp" | "mup" | "alphap" | "coprime") ":" nat
+    integer  := [ "-" ] nat
+    nat      := digit { digit }        digit is ASCII 0-9, nothing else
 
-Literals are arbitrary precision.  `print_expression` emits a canonical
-rendering; parse(print(parse(s))) = parse(s) for every valid s.
+Literals are arbitrary precision.  One lexer (`kernels.tokenize`) reads
+every literal, kernel literals included.  `print_expression` emits a
+canonical rendering; parse(print(parse(s))) = parse(s) for every valid s.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Union
 
 from ._record import Record, set_field
 from .contexts import IsogenyContext
 from .errors import ContextMismatchError, ParseError, excerpt
 from .k0 import K0Element, k0_class
-from .kernels import int_literal, kernel_from_counts, parse_kernel_literal
+from .kernels import Token, int_literal, kernel_from_counts, parse_kernel_literal, tokenize
 
 
 class KernelSpec(Record):
@@ -75,51 +77,27 @@ class Sum(Record):
 
 Node = Union[Sum, Dual, ClassAtom]
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]+)|(?P<sym>\S))")
-_SYMBOLS = set("[];*+-/(){}:,")
-
 # Deepest dual(...) nesting accepted.  The parser and the evaluator recurse
 # once per level, so a fixed bound keeps both far below the interpreter's
 # recursion limit.
 MAX_NESTING = 200
 
 
-class _Tok(NamedTuple):
-    kind: str  # "int" | "name" | symbol | "end"
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        tok, pos = m[kind], m.start(kind)
-        if kind == "sym":
-            if tok not in _SYMBOLS:
-                raise ParseError(f"unexpected character {tok!r}", pos, "expression syntax")
-            kind = tok
-        toks.append(_Tok(kind, tok, pos))
-    toks.append(_Tok("end", "", len(text)))
-    return toks
-
-
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
+        self.toks = tokenize(text)
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> _Tok:
+    def peek(self) -> Token:
         return self.toks[self.i]
 
-    def take(self) -> _Tok:
+    def take(self) -> Token:
         t = self.toks[self.i]
         self.i += 1
         return t
 
-    def expect(self, kind: str, expected: str) -> _Tok:
+    def expect(self, kind: str, expected: str) -> Token:
         t = self.peek()
         if t.kind != kind:
             raise ParseError(f"found {excerpt(t.text)}" if t.text else "input ended", t.pos, expected)
@@ -203,20 +181,22 @@ class _Parser:
         if t.kind == "int":
             return self.rational()
         if t.kind == "{":
-            start = t.pos
-            end = self.text.find("}", start)
-            if end < 0:
-                raise ParseError("unterminated kernel literal", start, "'}'")
-            try:
-                counts = parse_kernel_literal(self.text[start : end + 1])
-            except ParseError as exc:
-                raise ParseError(exc.message, start + exc.pos, exc.expected) from None
-            while self.peek().kind != "end" and self.peek().pos <= end:
-                self.take()
-            return KernelSpec(**counts)
+            return KernelSpec(**self.kernel())
         raise ParseError(
             f"found {excerpt(t.text)}" if t.text else "input ended", t.pos, "rational or kernel literal"
         )
+
+    def kernel(self) -> dict[str, int]:
+        counts, self.i = parse_kernel_literal(self.toks, self.i)
+        return counts
+
+    def whole(self, rule):
+        """`rule`'s value, when it reads all of the text."""
+        value = rule(self)
+        t = self.peek()
+        if t.kind != "end":
+            raise ParseError(f"trailing input {excerpt(t.text)}", t.pos, "end of input")
+        return value
 
 
 def parse_expression(text: str) -> Sum:
@@ -225,12 +205,13 @@ def parse_expression(text: str) -> Sum:
 
 def parse_rational(text: str) -> Fraction:
     """A positive degree by the `rational` rule alone, e.g. "15" or "3/4"."""
-    parser = _Parser(text)
-    q = parser.rational()
-    t = parser.peek()
-    if t.kind != "end":
-        raise ParseError(f"trailing input {excerpt(t.text)}", t.pos, "end of input")
-    return q
+    return _Parser(text).whole(_Parser.rational)
+
+
+def parse_kernel(text: str) -> dict[str, int]:
+    """Counts of a kernel literal by the `kernel` rule alone, e.g.
+    "{mup:1, coprime:12}"; fields default to zp=mup=alphap=0, coprime=1."""
+    return _Parser(text).whole(_Parser.kernel)
 
 
 def _print_spec(spec: Union[Fraction, KernelSpec]) -> str:

@@ -250,17 +250,27 @@ class Derivation(Record):
 
     @property
     def degree(self) -> int:
-        return self.c1.index_over(FracLattice.unit())
+        try:
+            return self.c1.index_over(FracLattice.unit())
+        except (ArithmeticError, TypeError, ValueError):
+            _check_canonical(self)  # names a hand-built non-canonical lattice
+            raise
 
     def to_json(self) -> dict:
-        return {
-            "format": "k0-derivation/1",
-            "level": self.level,
-            "degree": self.degree,
-            "c1": self.c1.to_json(),
-            "c2": self.c2.to_json(),
-            "steps": [dict(sign=s, **rel.to_json()) for s, rel in self.steps],
-        }
+        # Canonicity is checked only after a failure, so derive_same_degree's
+        # lattices, already checked by its validation, are not checked twice.
+        try:
+            return {
+                "format": "k0-derivation/1",
+                "level": self.level,
+                "degree": self.degree,
+                "c1": self.c1.to_json(),
+                "c2": self.c2.to_json(),
+                "steps": [dict(sign=s, **rel.to_json()) for s, rel in self.steps],
+            }
+        except (ArithmeticError, TypeError, ValueError):
+            _check_canonical(self)
+            raise
 
     @staticmethod
     def from_json(data: Mapping) -> Derivation:
@@ -411,17 +421,6 @@ def _point_lattice(base: FracLattice, sub: FracLattice, ell: int) -> FracLattice
     raise DerivationError(f"subgroup has no point of order {ell}")
 
 
-def _smallest_prime_factor(m: int) -> int:
-    if m % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return f
-        f += 2
-    return m
-
-
 def _derive(base: FracLattice, l1: FracLattice, l2: FracLattice, m: int):
     if l1 == l2:
         return []
@@ -436,11 +435,12 @@ def _derive(base: FracLattice, l1: FracLattice, l2: FracLattice, m: int):
             (-1, QuotientRelation.build(base, l1, third)),
             (1, QuotientRelation.build(base, l2, third)),
         ]
-    ell1 = _smallest_prime_factor(m)
+    # The smallest divisor above 1 is the least prime factor.
+    ell1 = divisors(m)[1]
     rest = m
     while rest % ell1 == 0:
         rest //= ell1
-    ell2 = ell1 if rest == 1 else _smallest_prime_factor(rest)
+    ell2 = ell1 if rest == 1 else divisors(rest)[1]
     p1 = _point_lattice(base, l1, ell1)
     p2 = _point_lattice(base, l2, ell2)
     span = p1 + p2
@@ -456,12 +456,20 @@ def _derive(base: FracLattice, l1: FracLattice, l2: FracLattice, m: int):
     return _derive(p1, l1, middle, m // ell1) + _derive(p2, middle, l2, m // ell2)
 
 
+# Largest order derive_same_degree accepts.  Its work grows with the
+# divisors of the order: on 2 vCPUs with Python 3.11, the slowest pair
+# measured at or under the limit (order 48048) derives in about 0.5 s, and
+# order 2^20 takes about 3 s.
+MAX_DERIVE_ORDER = 50_000
+
+
 def derive_same_degree(n: int, c1: TorsionSubgroup, c2: TorsionSubgroup) -> Derivation:
     """Certificate that the quotients by two order-n subgroups agree in K0.
 
-    The subgroups must have equal level and order n.  The construction walks
-    shared prime-order points through intermediate quotients, so the result
-    validates by recomputation alone.
+    The subgroups must have equal level and order n, at most
+    MAX_DERIVE_ORDER.  The construction walks shared prime-order points
+    through intermediate quotients, so the result validates by
+    recomputation alone.
     """
     if c1.level != c2.level:
         raise LevelMismatchError("subgroup levels differ")
@@ -469,6 +477,8 @@ def derive_same_degree(n: int, c1: TorsionSubgroup, c2: TorsionSubgroup) -> Deri
         raise DerivationError(f"subgroup orders differ: {c1.order} != {c2.order}")
     if c1.order != n:
         raise DerivationError(f"claimed degree {n} != subgroup order {c1.order}")
+    if n > MAX_DERIVE_ORDER:
+        raise DerivationError(f"subgroup order {n} is over the limit of {MAX_DERIVE_ORDER} for a derivation")
     lat1 = FracLattice.from_subgroup(c1)
     lat2 = FracLattice.from_subgroup(c2)
     steps = tuple(_derive(FracLattice.unit(), lat1, lat2, n))

@@ -9,11 +9,12 @@ alpha_p; it only occurs supersingularly, where degree classes vanish anyway.
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 from ._record import Record, set_field
-from .arith import FactoredRational, IntMatrix, int_digit_limit, smith_normal_form
+from .arith import FactoredRational, IntMatrix, int_digit_limit
 from .contexts import CharPEndZ, DegreeClass
-from .errors import KernelInputError, ParseError, excerpt
+from .errors import KernelInputError, ParseError, SingularMatrixError, excerpt
 
 _ONE = FactoredRational.one()
 
@@ -80,19 +81,18 @@ def kernel_of_matrix_endo(m: IntMatrix, ctx: CharPEndZ) -> KernelMultiset:
     """Kernel multiset of the endomorphism an integer matrix induces on a
     power of an ordinary curve: each elementary divisor d contributes
     ord_p(d) copies of both Z/p and mu_p and a (prime-to-p part)^2 etale
-    factor away from p."""
-    d, _, _ = smith_normal_form(m)
+    factor away from p.  Summed over the divisors, that is ord_p(det m)
+    copies of each and the square of the prime-to-p part of |det m|, so
+    only the determinant is needed."""
+    det = abs(m.det()) if m.is_square else 0
+    if det == 0:
+        raise SingularMatrixError("singular matrix")
     p = ctx.p
-    pp = 0
-    coprime = FactoredRational.one()
-    for di in d.diagonal():
-        e = 0
-        while di % p == 0:
-            di //= p
-            e += 1
-        pp += e
-        coprime = coprime * FactoredRational.from_int(di) ** 2
-    return KernelMultiset(p, et_p=pp, mu_p=pp, coprime=coprime)
+    e = 0
+    while det % p == 0:
+        det //= p
+        e += 1
+    return KernelMultiset(p, et_p=e, mu_p=e, coprime=FactoredRational.from_int(det) ** 2)
 
 
 def kernel_class(ctx: CharPEndZ, k: KernelMultiset) -> DegreeClass:
@@ -116,9 +116,13 @@ _KERNEL_KEYS = ("zp", "mup", "alphap", "coprime")
 
 
 def int_literal(digits: str, pos: int) -> int:
-    """Value of a decimal literal at `pos`.  A literal longer than the
-    interpreter's int-conversion limit (`sys.get_int_max_str_digits()`, 0 for
-    none) is refused with a ParseError that names the limit."""
+    """Value of a decimal literal at `pos`: ASCII digits only, so `int()`'s
+    underscores, signs, whitespace and other Unicode digits are refused.  A
+    literal longer than the interpreter's int-conversion limit
+    (`sys.get_int_max_str_digits()`, 0 for none) is refused with a
+    ParseError that names the limit."""
+    if not (digits.isdigit() and digits.isascii()):
+        raise ParseError(f"bad integer literal {excerpt(digits)}", pos, "ASCII digits")
     limit = int_digit_limit()
     if limit and len(digits) > limit:
         raise ParseError(
@@ -129,63 +133,78 @@ def int_literal(digits: str, pos: int) -> int:
     return int(digits)
 
 
-_TOKEN = re.compile(r"\s*([a-z]+|\d+|[{}:,])")
+# The one lexer for every literal the package reads: expressions, kernel
+# literals, degrees and subgroup bases.  It lives here so that `expr`, which
+# imports this module, and `parse_kernel_literal` share it without a cycle.
+_TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_]+)|(?P<sym>\S))")
+_SYMBOLS = set("[];*+-/(){}:,")
 
 
-def parse_kernel_literal(text: str) -> dict[str, int]:
-    """Parse `{zp:2, mup:1, alphap:0, coprime:12}`; fields optional, at most
-    once each; returns counts with defaults zp=mup=alphap=0, coprime=1."""
-    pos = 0
-    tokens: list[tuple[str, int]] = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].strip()
-            if not stripped:
-                break
-            raise ParseError(f"bad character {stripped[0]!r}", pos)
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
+class Token(NamedTuple):
+    kind: str  # "int" | "name" | symbol | "end"
+    text: str
+    pos: int
 
-    def fail(i: int, msg: str, expected: str | None = None) -> ParseError:
-        at = tokens[i][1] if i < len(tokens) else len(text)
-        return ParseError(msg, at, expected)
 
-    if not tokens or tokens[0][0] != "{":
-        raise fail(0, "kernel literal must start with '{'", "'{'")
+def tokenize(text: str) -> list[Token]:
+    """Tokens of `text`, ending with an "end" token at len(text)."""
+    toks = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        tok, pos = m[kind], m.start(kind)
+        if kind == "sym":
+            if tok not in _SYMBOLS:
+                raise ParseError(f"unexpected character {tok!r}", pos, "expression syntax")
+            kind = tok
+        toks.append(Token(kind, tok, pos))
+    toks.append(Token("end", "", len(text)))
+    return toks
+
+
+# Token kinds that can occur inside a kernel literal; any other token
+# before the closing '}' leaves the literal unterminated.
+_IN_KERNEL = frozenset(("name", "int", "{", "}", ":", ","))
+
+
+def parse_kernel_literal(toks: list[Token], i: int) -> tuple[dict[str, int], int]:
+    """Parse `{zp:2, mup:1, alphap:0, coprime:12}` starting at toks[i];
+    fields optional, at most once each.  Returns the counts, with defaults
+    zp=mup=alphap=0, coprime=1, and the index of the token after '}'."""
+    start = toks[i]
+    if start.kind != "{":
+        raise ParseError("kernel literal must start with '{'", start.pos, "'{'")
     out: dict[str, int] = {}
-    i = 1
-    while True:
-        if i >= len(tokens):
-            raise fail(i, "unterminated kernel literal", "'}'")
-        if tokens[i][0] == "}":
-            i += 1
-            break
-        key = tokens[i][0]
+    i += 1
+    while (t := toks[i]).kind != "}":
+        if t.kind not in _IN_KERNEL:
+            raise ParseError("unterminated kernel literal", start.pos, "'}'")
+        key = t.text
         if key not in _KERNEL_KEYS:
-            raise fail(i, f"unknown kernel field {excerpt(key)}", "zp, mup, alphap or coprime")
+            raise ParseError(f"unknown kernel field {excerpt(key)}", t.pos, "zp, mup, alphap or coprime")
         if key in out:
-            raise fail(i, f"duplicate kernel field {key!r}")
-        if i + 2 >= len(tokens) or tokens[i + 1][0] != ":" or not tokens[i + 2][0].isdigit():
-            raise fail(i + 1, f"field {key!r} needs ': <integer>'", "':' and an integer")
-        out[key] = int_literal(*tokens[i + 2])
+            raise ParseError(f"duplicate kernel field {key!r}", t.pos)
+        # toks ends with "end", so toks[i + 2] exists whenever toks[i + 1] is ':'.
+        if toks[i + 1].kind != ":" or toks[i + 2].kind != "int":
+            raise ParseError(f"field {key!r} needs ': <integer>'", toks[i + 1].pos, "':' and an integer")
+        out[key] = int_literal(toks[i + 2].text, toks[i + 2].pos)
         i += 3
-        if i < len(tokens) and tokens[i][0] == ",":
+        sep = toks[i]
+        if sep.kind == ",":
             i += 1
-            if i < len(tokens) and tokens[i][0] == "}":
-                raise fail(i, "trailing comma in kernel literal")
-        elif i < len(tokens) and tokens[i][0] != "}":
-            raise fail(i, "expected ',' or '}' after kernel field", "',' or '}'")
-    if i != len(tokens):
-        raise fail(i, "trailing input after kernel literal")
+            if toks[i].kind == "}":
+                raise ParseError("trailing comma in kernel literal", toks[i].pos)
+        elif sep.kind != "}" and sep.kind in _IN_KERNEL:
+            raise ParseError("expected ',' or '}' after kernel field", sep.pos, "',' or '}'")
+        # Any other token fails the next pass's first check: unterminated.
     if out.get("coprime", 1) < 1:
-        raise fail(0, "coprime order must be positive")
-    return {
+        raise ParseError("coprime order must be positive", start.pos)
+    counts = {
         "zp": out.get("zp", 0),
         "mup": out.get("mup", 0),
         "alphap": out.get("alphap", 0),
         "coprime": out.get("coprime", 1),
     }
+    return counts, i + 1
 
 
 def kernel_from_counts(p: int, counts: dict[str, int]) -> KernelMultiset:

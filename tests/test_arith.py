@@ -22,7 +22,6 @@ from k0av.arith import (
     left_kernel,
     matrix_isogeny_degree,
     row_hnf,
-    smith_normal_form,
     xgcd,
 )
 from k0av.errors import K0Error, KernelInputError, LevelMismatchError, SingularMatrixError
@@ -100,37 +99,6 @@ def test_factored_rational_homomorphism(q1, q2):
     assert (a * b).as_fraction() == q1 * q2
     assert (a / b).as_fraction() == q1 / q2
     assert (a**3).as_fraction() == q1**3
-
-
-def test_smith_normal_form_frozen():
-    ident = IntMatrix.identity(2)
-    d, u, v = smith_normal_form(ident)
-    assert d == ident and u == ident and v == ident
-    d, _, _ = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
-    assert d.diagonal() == (1, 6)
-    d, _, _ = smith_normal_form(IntMatrix.from_rows([[2, 1], [0, 2]]))
-    assert d.diagonal() == (1, 4)
-
-
-def test_smith_normal_form_random():
-    rng = random.Random(42)
-    for _ in range(1000):
-        n = rng.randint(1, 5)
-        m = IntMatrix.from_rows([[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)])
-        if m.det() == 0:
-            continue
-        d, u, v = smith_normal_form(m)
-        assert (u @ m) @ v == d
-        assert abs(u.det()) == 1 and abs(v.det()) == 1
-        diag = d.diagonal()
-        assert all(x >= 1 for x in diag)
-        assert all(diag[i + 1] % diag[i] == 0 for i in range(len(diag) - 1))
-        assert abs(m.det()) == d.det()
-
-
-def test_smith_normal_form_singular():
-    with pytest.raises(SingularMatrixError, match="singular matrix"):
-        smith_normal_form(IntMatrix.from_rows([[1, 2], [2, 4]]))
 
 
 def test_matrix_isogeny_degree_frozen():

@@ -452,6 +452,44 @@ _REFUSED = [
         "limit of",
         id="big-p-degree-json",
     ),
+    # Literals are ASCII digits: other Unicode digits and `int()`'s
+    # underscores are refused by every reader.
+    pytest.param(
+        ["eval", "--ctx", "{file}", "[\u0661; \u0662]"],
+        '{"case": "end_z", "g": 1}',
+        "unexpected character",
+        id="arabic-indic-class",
+    ),
+    pytest.param(
+        ["eval", "--ctx", "{file}", "[1; {zp:\u0663}]"], _CHAR_P, "unexpected character", id="arabic-indic-kernel"
+    ),
+    pytest.param(
+        ["dist", "--ctx", "{ctx}", "--degree", "\u0666"], None, "unexpected character", id="arabic-indic-degree"
+    ),
+    pytest.param(
+        ["derive", "--n", "2", "--c1", "\u0661,0,0,2", "--c2", "2,0,0,1"],
+        None,
+        "bad subgroup basis",
+        id="arabic-indic-basis",
+    ),
+    pytest.param(
+        ["derive", "--n", "1_0", "--c1", "1,0,0,10", "--c2", "10,0,0,1"],
+        None,
+        "argument --n",
+        id="underscore-order",
+    ),
+    pytest.param(
+        ["derive", "--n", "10", "--c1", "1_0,0,0,1", "--c2", "1,0,0,10"],
+        None,
+        "bad subgroup basis",
+        id="underscore-basis",
+    ),
+    pytest.param(
+        ["derive", "--n", str(2**44), "--c1", f"1,0,0,{2**44}", "--c2", f"{2**44},0,0,1"],
+        None,
+        "limit of",
+        id="derive-order-2^44",
+    ),
 ]
 
 

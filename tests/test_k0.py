@@ -221,6 +221,32 @@ def test_validate_refuses_non_canonical_lattice():
     assert u.is_canonical and FracLattice.make(12, [[2, 1], [0, 3]]).is_canonical
 
 
+def test_to_json_names_a_non_canonical_lattice():
+    u = FracLattice.unit()
+    zero = FracLattice(1, ((0, 0), (0, 1)))  # member() divides by a*d = 0
+    with pytest.raises(DerivationError, match="c1 is not a canonical lattice"):
+        Derivation(1, zero, u, ()).to_json()
+    with pytest.raises(DerivationError, match="c1 is not a canonical lattice"):
+        Derivation(1, zero, u, ()).degree
+    steps = ((1, QuotientRelation(u, zero, u, u)),)
+    with pytest.raises(DerivationError, match="step 0: sub1 is not a canonical lattice"):
+        Derivation(1, u, u, steps).to_json()
+
+
+def test_derive_refuses_orders_over_the_limit():
+    n = k0.MAX_DERIVE_ORDER
+    assert n >= 10**4
+    for order in (n + 1, 2**44):
+        c1 = TorsionSubgroup(order, ((1, 0), (0, order)))
+        c2 = TorsionSubgroup(order, ((order, 0), (0, 1)))
+        with pytest.raises(DerivationError, match=f"limit of {n}"):
+            derive_same_degree(order, c1, c2)
+    # The limit itself is admitted.
+    c1 = TorsionSubgroup(n, ((1, 0), (0, n)))
+    c2 = TorsionSubgroup(n, ((n, 0), (0, 1)))
+    assert validate_derivation(derive_same_degree(n, c1, c2))
+
+
 def test_lattice_json_round_trip():
     lat = FracLattice.make(12, [[2, 1], [0, 3]])
     assert FracLattice.from_json(lat.to_json()) == lat

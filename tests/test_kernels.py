@@ -1,5 +1,7 @@
 """Kernel multisets, Cartier duality, and the characteristic-p class map."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +9,8 @@ import pytest
 
 from k0av.arith import FactoredRational, IntMatrix
 from k0av.contexts import CharPEndZ
-from k0av.errors import KernelInputError, ParseError
+from k0av.errors import KernelInputError, ParseError, SingularMatrixError
+from k0av.expr import parse_expression, parse_kernel
 from k0av.kernels import (
     KernelMultiset,
     cartier_dual,
@@ -15,7 +18,6 @@ from k0av.kernels import (
     kernel_class,
     kernel_from_counts,
     kernel_of_matrix_endo,
-    parse_kernel_literal,
 )
 
 
@@ -78,6 +80,45 @@ def test_kernel_of_matrix_endo_frozen():
     k = kernel_of_matrix_endo(IntMatrix.from_rows([[1, 0], [0, 6]]), CharPEndZ(3))
     assert (k.et_p, k.mu_p) == (1, 1)
     assert k.coprime.as_fraction() == 4  # square of the prime-to-p part
+
+
+def _elementary_divisors(rows):
+    # d_k = D_k / D_(k-1), where D_k is the gcd of the k x k minors: the
+    # Smith form's diagonal, by its definition rather than by elimination.
+    n = len(rows)
+    out, prev = [], 1
+    for k in range(1, n + 1):
+        g = 0
+        for r in itertools.combinations(range(n), k):
+            for c in itertools.combinations(range(n), k):
+                g = math.gcd(g, IntMatrix.from_rows([[rows[i][j] for j in c] for i in r]).det())
+        out.append(g // prev)
+        prev = g
+    return out
+
+
+def test_kernel_of_matrix_endo_is_the_determinant_formula():
+    # Each elementary divisor d contributes ord_p(d) copies of Z/p and mu_p
+    # and (prime-to-p part of d)^2; the kernel sums these from det m alone.
+    rng = random.Random(8)
+    done = 0
+    while done < 400:
+        n = rng.randint(1, 5)
+        rows = [[rng.choice((0, 1, 2, 3, 4, 6, 8, 9, 12, -2, -3, -5)) for _ in range(n)] for _ in range(n)]
+        if IntMatrix.from_rows(rows).det() == 0:
+            continue
+        p = rng.choice((2, 3, 5, 7, 11))
+        e, coprime = 0, 1
+        for d in _elementary_divisors(rows):
+            while d % p == 0:
+                d //= p
+                e += 1
+            coprime *= d * d
+        assert kernel_of_matrix_endo(IntMatrix.from_rows(rows), CharPEndZ(p)) == K(p, e, e, 0, coprime)
+        done += 1
+    for singular in ([[1, 2], [2, 4]], [[0]], [[1, 2, 3]]):
+        with pytest.raises(SingularMatrixError, match="singular matrix"):
+            kernel_of_matrix_endo(IntMatrix.from_rows(singular), CharPEndZ(5))
 
 
 def test_matrix_endo_kernels_have_trivial_class():
@@ -167,14 +208,14 @@ def test_class_in_image_index_two():
 
 
 def test_parse_kernel_literal():
-    assert parse_kernel_literal("{zp:2, mup:1, alphap:0, coprime:12}") == {
+    assert parse_kernel("{zp:2, mup:1, alphap:0, coprime:12}") == {
         "zp": 2,
         "mup": 1,
         "alphap": 0,
         "coprime": 12,
     }
-    assert parse_kernel_literal("{}") == {"zp": 0, "mup": 0, "alphap": 0, "coprime": 1}
-    assert parse_kernel_literal("  { mup : 3 }  ")["mup"] == 3
+    assert parse_kernel("{}") == {"zp": 0, "mup": 0, "alphap": 0, "coprime": 1}
+    assert parse_kernel("  { mup : 3 }  ")["mup"] == 3
 
 
 def test_parse_kernel_literal_errors():
@@ -188,17 +229,52 @@ def test_parse_kernel_literal_errors():
         ("{coprime:0}", "positive"),
         ("{} x", "trailing input"),
         ("{zp:1 mup:2}", "expected ','"),
-        ("{zp:%}", "bad character"),
+        ("{zp:%}", "unexpected character"),
     ]
     for text, msg in cases:
         with pytest.raises(ParseError, match=msg):
-            parse_kernel_literal(text)
+            parse_kernel(text)
 
 
 def test_parse_error_position():
     with pytest.raises(ParseError) as exc:
-        parse_kernel_literal("{frob:1}")
+        parse_kernel("{frob:1}")
     assert exc.value.pos == 1
+
+
+def test_kernel_literal_in_an_expression_reads_as_alone():
+    # One lexer: a literal inside [1; K] gives the counts K gives alone, for
+    # every subset and order of fields, spaced or not.
+    values = {"zp": 3, "mup": 0, "alphap": 12, "coprime": 35}
+    for size in range(5):
+        for keys in itertools.permutations(values, size):
+            for sep, colon in ((",", ":"), (" , ", " : "), (",\n", ":\t")):
+                literal = "{" + sep.join(f"{k}{colon}{values[k]}" for k in keys) + "}"
+                alone = parse_kernel(f" {literal} ")
+                assert alone == {**{"zp": 0, "mup": 0, "alphap": 0, "coprime": 1}, **{k: values[k] for k in keys}}
+                for text in (f"[1;{literal}]", f"[1 ; {literal} ] + [2; 3]"):
+                    spec = parse_expression(text).terms[0][1].spec
+                    assert spec.counts() == alone, text
+
+
+def test_kernel_literal_unterminated():
+    for text in ("[1; {zp:1]", "[1; {zp:1] + [1; {mup:1}]", "[1; {zp:1, ]", "[1; {", "[1; {zp:1"):
+        with pytest.raises(ParseError) as exc:
+            parse_expression(text)
+        assert exc.value.expected == "'}'", text
+        assert exc.value.pos == 4, text
+    with pytest.raises(ParseError, match="unterminated") as exc:
+        parse_kernel("{zp:1")
+    assert exc.value.expected == "'}'"
+
+
+def test_kernel_literal_ascii_digits_only():
+    for text in ("{zp:\u0663}", "{coprime:1\u0660}", "{zp:\uff11}"):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_kernel(text)
+    for text in ("{zp:1_0}", "{zp:+1}", "{zp:-1}", "{zp:1.0}"):
+        with pytest.raises(ParseError):
+            parse_kernel(text)
 
 
 def test_kernel_from_counts():
