@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
+from ._primality import jacobi
 from .arith import xgcd
 
 
@@ -25,17 +26,7 @@ def kronecker(a: int, n: int) -> int:
             return 0
         if a % 8 in (3, 5):
             result = -result
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
+    return result * jacobi(a, n)
 
 
 def reduce_triple(a: int, b: int, c: int) -> tuple[int, int, int]:

@@ -1,6 +1,7 @@
 """Exact integer arithmetic: factorization (trial division, then
 Pollard-Brent rho within a step budget), factored rationals, integer
-matrices, and rank-2 lattices.
+matrices, and rank-2 lattices.  `is_prime` is written in `_primality`
+and used from here.
 
 Conventions:
   * all arithmetic is arbitrary-precision; exactness is preferred over speed
@@ -24,6 +25,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Sequence
 
+from ._primality import is_prime
 from ._record import Record, set_field
 from .errors import DerivationError, K0Error, KernelInputError, LevelMismatchError, SingularMatrixError
 
@@ -49,37 +51,6 @@ def strict_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {type(value).__name__}")
     return value
-
-
-# Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        if a % n == 0:
-            continue
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 # Trial division stops at this bound; a cofactor that is still composite is
@@ -202,13 +173,13 @@ class FactoredRational(Record):
 
     @staticmethod
     def one() -> FactoredRational:
-        return FactoredRational(())
+        return _trusted(())
 
     @staticmethod
     def from_int(n: int) -> FactoredRational:
         if n <= 0:
             raise ValueError("positive integer required")
-        return FactoredRational(_factor_int(n))
+        return _trusted(_factor_int(n))
 
     @staticmethod
     def from_fraction(q: Fraction | int | FactoredRational) -> FactoredRational:
@@ -216,13 +187,18 @@ class FactoredRational(Record):
             return q
         if isinstance(q, int):
             return FactoredRational.from_int(q)
-        if q.denominator == 1:
-            return FactoredRational.from_int(q.numerator)
-        return FactoredRational.from_int(q.numerator) * FactoredRational.from_int(q.denominator).inverse()
+        num, den = q.numerator, q.denominator
+        if den == 1:
+            return FactoredRational.from_int(num)
+        if num <= 0:
+            raise ValueError("positive integer required")
+        # num and den are coprime, so their tables share no prime.
+        exps = _factor_int(num) + tuple([(p, -e) for p, e in _factor_int(den)])
+        return _trusted(tuple(sorted(exps)))
 
     @staticmethod
     def _from_map(m: Mapping[int, int]) -> FactoredRational:
-        return FactoredRational(tuple(sorted((p, e) for p, e in m.items() if e != 0)))
+        return _trusted(tuple(sorted((p, e) for p, e in m.items() if e != 0)))
 
     def exponent(self, p: int) -> int:
         for q, e in self.exps:
@@ -242,7 +218,7 @@ class FactoredRational(Record):
     def __pow__(self, k: int) -> FactoredRational:
         if k == 0:
             return FactoredRational.one()
-        return FactoredRational(tuple((p, e * k) for p, e in self.exps))
+        return _trusted(tuple([(p, e * k) for p, e in self.exps]))
 
     def inverse(self) -> FactoredRational:
         return self ** -1
@@ -271,6 +247,14 @@ class FactoredRational(Record):
 
 
 _set_exps = FactoredRational.exps.__set__
+
+
+def _trusted(exps: tuple[tuple[int, int], ...]) -> FactoredRational:
+    """A FactoredRational over a table the package built sorted and without
+    zero exponents, skipping `__init__`'s check."""
+    out = object.__new__(FactoredRational)
+    _set_exps(out, exps)
+    return out
 
 
 def factor(n: int) -> FactoredRational:

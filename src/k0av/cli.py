@@ -110,7 +110,10 @@ def _cmd_dist(args) -> int:
         p = getattr(ctx, "p", None)
         if p is None:
             raise K0Error("kernel input requires a characteristic-p context")
-        counts = parse_kernel(args.kernel)
+        try:
+            counts = parse_kernel(args.kernel)
+        except ParseError as exc:
+            raise K0Error(f"bad kernel {excerpt(args.kernel)}: {exc}") from exc
         cls = k0_class(ctx, 1, kernel_from_counts(p, counts)).deg
     else:
         try:

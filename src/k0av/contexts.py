@@ -173,7 +173,7 @@ class IsogenyContext(Record):
 
     def degree_class(self, q: DegreeLike) -> DegreeClass:
         """Canonical class of a positive rational isogeny degree."""
-        if not isinstance(q, FactoredRational) and q <= 0:
+        if not isinstance(q, FactoredRational) and q.numerator <= 0:
             raise KernelInputError(f"degree must be a positive rational, got {q}")
         return DegreeClass(self, self._degree_data(FactoredRational.from_fraction(q)))
 

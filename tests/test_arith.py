@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k0av import oracle
+from k0av import _formcore, _primality, oracle
+from k0av._primality import _MR_BOUNDS, _strong_lucas_probable_prime, jacobi
 from k0av.arith import (
     FactoredRational,
     FracLattice,
@@ -74,6 +75,111 @@ def test_is_prime_matches_oracle_on_range():
         assert is_prime(n) == (oracle.prime_exponents(n) == {n: 1} if n > 1 else False)
 
 
+def _strong_probable_prime(n, a):
+    """Whether the odd n > 2 passes the Miller-Rabin round to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+
+_FIRST_PRIMES = [p for p in range(2, 50) if oracle.prime_exponents(p) == {p: 1}]
+
+# OEIS A014233: psi_k, the least odd composite that is a strong probable
+# prime to each of the first k prime bases, for k = 1..13.
+_PSI = [
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+]
+_PSI12, _PSI13 = _PSI[11], _PSI[12]
+
+
+def test_is_prime_refuses_every_bound_of_its_table(monkeypatch):
+    # Each bound is psi_k for the least k it is psi_k of, and takes the
+    # first k bases.  psi_k passes those bases, so it is refused only
+    # because the bound is strict: n = psi_k runs more of them.
+    assert [psi for psi, _ in _MR_BOUNDS] == sorted(set(_PSI))
+    for psi, bases in _MR_BOUNDS:
+        k = _PSI.index(psi) + 1
+        assert list(bases) == _FIRST_PRIMES[:k]
+        assert all(_strong_probable_prime(psi, a) for a in bases), psi
+        assert not is_prime(psi), psi
+    # Below the last bound the bases decide alone, without the Lucas test.
+    monkeypatch.setattr(_primality, "_strong_lucas_probable_prime", lambda n: True)
+    for psi, _ in _MR_BOUNDS[:-1]:
+        assert not is_prime(psi), psi
+
+
+def test_is_prime_on_the_pseudoprimes_past_twelve_bases():
+    # Both passed the twelve fixed bases that is_prime ran before.
+    assert _PSI12 == 399165290221 * 798330580441
+    assert _PSI13 == 1287836182261 * 2575672364521
+    assert not is_prime(_PSI12) and not is_prime(_PSI13)
+    assert dict(factor(_PSI12).exps) == {399165290221: 1, 798330580441: 1}
+    with pytest.raises(K0Error, match="budget of .* Pollard-rho steps"):
+        factor(_PSI13)
+
+
+def test_is_prime_matches_oracle_around_small_bounds():
+    for psi, _ in _MR_BOUNDS[:4]:
+        for n in range(psi - 200, psi + 201):
+            assert is_prime(n) == (oracle.prime_exponents(n) == {n: 1}), n
+
+
+def test_is_prime_past_the_table_is_bpsw():
+    mersenne = [2**89 - 1, 2**107 - 1, 2**127 - 1]
+    for i, p in enumerate(mersenne):
+        assert p > _PSI13 and is_prime(p)
+        for q in mersenne[i:]:
+            assert not is_prime(p * q)
+    # No D has (D/n) = -1 for a square n, so the Lucas test refuses squares
+    # before it searches.
+    assert not _strong_lucas_probable_prime((2**89 - 1) ** 2)
+
+
+def test_strong_lucas_pseudoprimes_below_10_5():
+    # OEIS A217255: the odd composites that pass the strong Lucas test with
+    # Selfridge's parameters; each also has no prime factor up to 31.
+    candidates = [n for n in range(37, 10**5, 2) if all(n % p for p in _FIRST_PRIMES[1:11])]
+    passing = {n for n in candidates if _strong_lucas_probable_prime(n)}
+    primes = {n for n in candidates if oracle.prime_exponents(n) == {n: 1}}
+    assert primes <= passing
+    assert sorted(passing - primes) == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+
+
+def _euler_symbol(a, p):
+    r = pow(a, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def test_jacobi_and_kronecker_match_euler_criterion():
+    for n in range(1, 300):
+        factors = oracle.prime_exponents(n)
+        for a in range(-60, 61):
+            want = 1
+            for p, e in factors.items():
+                if p == 2:
+                    s = 0 if a % 2 == 0 else (1 if a % 8 in (1, 7) else -1)
+                else:
+                    s = _euler_symbol(a % p, p)
+                want *= s**e
+            assert _formcore.kronecker(a, n) == want, (a, n)
+            if n % 2:
+                assert jacobi(a, n) == want, (a, n)
+
+
 def test_factored_rational_group_law():
     two = FactoredRational.from_int(2)
     assert (two * two.inverse()).is_one
@@ -99,6 +205,16 @@ def test_factored_rational_homomorphism(q1, q2):
     assert (a * b).as_fraction() == q1 * q2
     assert (a / b).as_fraction() == q1 / q2
     assert (a**3).as_fraction() == q1**3
+
+
+@given(st.integers(1, 10**12), st.integers(1, 10**12))
+@settings(max_examples=200, deadline=None)
+def test_from_fraction_is_numerator_over_denominator(a, b):
+    q = Fraction(a, b)
+    expected = FactoredRational.from_int(q.numerator) * FactoredRational.from_int(q.denominator).inverse()
+    got = FactoredRational.from_fraction(q)
+    assert got == expected
+    assert got.exps == FactoredRational(got.exps).exps  # a table the checked constructor accepts
 
 
 def test_matrix_isogeny_degree_frozen():

@@ -467,6 +467,12 @@ _REFUSED = [
         ["dist", "--ctx", "{ctx}", "--degree", "\u0666"], None, "unexpected character", id="arabic-indic-degree"
     ),
     pytest.param(
+        ["dist", "--ctx", "{file}", "--kernel", "{zp:%}"],
+        _CHAR_P,
+        "error: bad kernel '{zp:%}': at position 4",
+        id="bad-kernel-named",
+    ),
+    pytest.param(
         ["derive", "--n", "2", "--c1", "\u0661,0,0,2", "--c2", "2,0,0,1"],
         None,
         "bad subgroup basis",
