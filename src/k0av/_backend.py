@@ -1,59 +1,11 @@
-"""Backend selection for the quadratic-form kernels.
+"""The quadratic-form kernels as `quadforms` calls them.
 
-The compiled module is preferred when importable; every wrapper falls back to
-the pure-Python twin per call when the compiled guard raises OverflowError.
-Set K0AV_BACKEND=pure to skip the compiled module entirely.
+`_formcore` is the one implementation; this module only names its four
+kernels, and code that rebinds `k0av._backend.*` reaches every call.
 """
 
-from __future__ import annotations
-
-import os
-
-from . import _formcore
-
-_speedups = None
-if os.environ.get("K0AV_BACKEND", "").lower() != "pure":
-    try:
-        from . import _speedups as _speedups_mod
-    except ImportError:
-        _speedups = None
-    else:
-        _speedups = _speedups_mod
-
-BACKEND = "compiled" if _speedups is not None else "pure"
+from ._formcore import compose_triples, kronecker, reduce_triple, reduced_forms_disc
 
 
 def backend_name() -> str:
-    return BACKEND
-
-
-if _speedups is None:
-    kronecker = _formcore.kronecker
-    reduce_triple = _formcore.reduce_triple
-    compose_triples = _formcore.compose_triples
-    reduced_forms_disc = _formcore.reduced_forms_disc
-else:
-
-    def kronecker(a: int, n: int) -> int:
-        try:
-            return _speedups.kronecker(a, n)
-        except OverflowError:
-            return _formcore.kronecker(a, n)
-
-    def reduce_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
-        try:
-            return _speedups.reduce_triple(a, b, c)
-        except OverflowError:
-            return _formcore.reduce_triple(a, b, c)
-
-    def compose_triples(a1, b1, c1, a2, b2, c2) -> tuple[int, int, int]:
-        try:
-            return _speedups.compose_triples(a1, b1, c1, a2, b2, c2)
-        except OverflowError:
-            return _formcore.compose_triples(a1, b1, c1, a2, b2, c2)
-
-    def reduced_forms_disc(d: int) -> list[tuple[int, int, int]]:
-        try:
-            return _speedups.reduced_forms_disc(d)
-        except OverflowError:
-            return _formcore.reduced_forms_disc(d)
+    return "pure"

@@ -1,7 +1,7 @@
-"""Pure-Python binary-quadratic-form kernels.
+"""Binary-quadratic-form kernels: the package's one implementation.
 
-Same surface as the compiled module `_speedups`; arbitrary precision, no
-guards.  Forms are (a, b, c) triples with a > 0 and b^2 - 4ac < 0.
+Pure Python in arbitrary precision.  Forms are (a, b, c) triples with
+a > 0 and b^2 - 4ac < 0.
 """
 
 from __future__ import annotations

@@ -18,6 +18,16 @@ from .errors import DiscriminantError
 
 kronecker = _backend.kronecker
 
+# Enumerating the reduced forms of discriminant d takes time linear in |d|.
+# On 2 vCPUs with Python 3.11 the slowest `k0 classgroup --disc` calls
+# measured just under the limit (h near 6000) take 0.5-0.7 s, start-up
+# included; at d = -10^11 - 3 the call ran past 20 s.
+MAX_CLASS_GROUP_DISC = 10_000_000
+
+# Discriminants whose class group (and square classes) stay cached.  An entry
+# holds h forms, and h reaches several thousand near MAX_CLASS_GROUP_DISC.
+DISC_CACHE_SIZE = 32
+
 
 class QuadForm(Record):
     """The form a*x^2 + b*xy + c*y^2, ordered as the triple (a, b, c)."""
@@ -152,8 +162,10 @@ class ClassGroup(Record):
         return compose(f, g)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DISC_CACHE_SIZE)
 def class_group(d: int) -> ClassGroup:
+    if d < -MAX_CLASS_GROUP_DISC:
+        raise DiscriminantError(f"discriminant {d}: |d| is over the class-group limit of {MAX_CLASS_GROUP_DISC}")
     _check_discriminant(d)
     forms = tuple(QuadForm(*t) for t in _backend.reduced_forms_disc(d))
     return ClassGroup(d, forms)
@@ -199,7 +211,7 @@ class SquareClasses(Record):
             raise DiscriminantError(f"form {f} is not of discriminant {self.disc}") from None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DISC_CACHE_SIZE)
 def square_classes(d: int) -> SquareClasses:
     group = class_group(d)
     squares = sorted({compose(f, f) for f in group.elements})

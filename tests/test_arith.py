@@ -176,6 +176,10 @@ def test_jacobi_and_kronecker_match_euler_criterion():
                     s = _euler_symbol(a % p, p)
                 want *= s**e
             assert _formcore.kronecker(a, n) == want, (a, n)
+            # (a/-1) is the sign of a, and (a/0) is 1 exactly for a = +-1
+            assert _formcore.kronecker(a, -n) == (want if a >= 0 else -want), (a, -n)
+            if n == 1:
+                assert _formcore.kronecker(a, 0) == (1 if a in (1, -1) else 0), a
             if n % 2:
                 assert jacobi(a, n) == want, (a, n)
 

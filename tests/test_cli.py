@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import k0av
 from k0av.cli import main
+from k0av.quadforms import MAX_CLASS_GROUP_DISC
 
 
 @pytest.fixture
@@ -407,6 +408,8 @@ _NEAR = "9" * max(_LIMIT - 300, 1)  # a literal within the limit whose square is
 _DEEP_DUAL = "dual(" * 330 + "[1; 2]" + ")" * 330
 _DEEP_JSON = "[" * 100_000 + "]" * 100_000
 _CHAR_P = '{"case": "char_p_end_z", "p": 5}'
+_BIG_CM = '{"case": "cm", "disc": -100000000003}'
+_DISC_LIMIT = f"class-group limit of {MAX_CLASS_GROUP_DISC}"
 
 # argv with {ctx} and {file} placeholders, contents of {file}, stderr fragment
 _REFUSED = [
@@ -496,6 +499,10 @@ _REFUSED = [
         "limit of",
         id="derive-order-2^44",
     ),
+    # class groups are enumerated in time linear in |d|
+    pytest.param(["classgroup", "--disc", "-100000000003"], None, _DISC_LIMIT, id="classgroup-big-disc"),
+    pytest.param(["structure", "--ctx", "{file}"], _BIG_CM, _DISC_LIMIT, id="structure-big-disc"),
+    pytest.param(["dist", "--ctx", "{file}", "--degree", "3"], _BIG_CM, _DISC_LIMIT, id="dist-big-disc"),
 ]
 
 

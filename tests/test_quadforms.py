@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k0av import oracle
+from k0av import _formcore, oracle
 from k0av.errors import DiscriminantError
 from k0av.quadforms import (
+    DISC_CACHE_SIZE,
+    MAX_CLASS_GROUP_DISC,
     ClassGroup,
     QuadForm,
     SquareClasses,
@@ -33,13 +35,16 @@ def test_reduce_frozen():
 
 
 def test_reduce_idempotent_and_boundary():
-    for d in (-20, -23, -47, -84):
+    for d in fundamental_discs(400):
         for f in class_group(d).elements:
             assert reduce_form(f) == f
             a, b, c = f.triple()
             assert abs(b) <= a <= c
             if abs(b) == a or a == c:
                 assert b >= 0
+            # the shifts b -> b + 2ak are the same class, unreduced
+            for k in (1, 2, 5):
+                assert _formcore.reduce_triple(a, b + 2 * a * k, a * k * k + b * k + c) == (a, b, c)
 
 
 def test_form_validation():
@@ -107,6 +112,17 @@ def test_class_group_rejects_bad_discs():
         class_group(-21)
     with pytest.raises(DiscriminantError):
         class_group(5)
+    # past the enumeration limit, refused before factoring: d is minus a
+    # product of two 20-digit primes, which factoring would refuse only
+    # after its whole rho budget
+    limit = f"class-group limit of {MAX_CLASS_GROUP_DISC}"
+    for d in (-MAX_CLASS_GROUP_DISC - 3, -100000000003,
+              -10000000000000000051 * 10000000000000000097):
+        with pytest.raises(DiscriminantError, match=limit):
+            class_group(d)
+        with pytest.raises(DiscriminantError, match=limit):
+            square_classes(d)
+    assert class_group(-MAX_CLASS_GROUP_DISC + 5).disc == -MAX_CLASS_GROUP_DISC + 5
 
 
 def test_fundamental_discriminant_classifier():
@@ -252,3 +268,18 @@ def test_reduce_recovers_class_representative(pair):
 def test_class_group_is_cached():
     assert class_group(-47) is class_group(-47)
     assert isinstance(class_group(-47), ClassGroup)
+
+
+def test_class_group_caches_are_bounded_and_cache_no_raise():
+    for fn in (class_group, square_classes):
+        assert fn.cache_info().maxsize == DISC_CACHE_SIZE
+    for d in fundamental_discs(400):
+        square_classes(d)
+    sizes = [fn.cache_info().currsize for fn in (class_group, square_classes)]
+    assert sizes == [DISC_CACHE_SIZE, DISC_CACHE_SIZE]
+    for fn in (class_group, square_classes):
+        with pytest.raises(DiscriminantError, match="non-maximal"):
+            fn(-12)
+        with pytest.raises(DiscriminantError, match="limit of"):
+            fn(-MAX_CLASS_GROUP_DISC - 3)
+    assert [fn.cache_info().currsize for fn in (class_group, square_classes)] == sizes
