@@ -113,7 +113,10 @@ def _rho_exponents(n: int) -> list[tuple[int, int]]:
     return [(p, primes.count(p)) for p in sorted(set(primes))]
 
 
-@lru_cache(maxsize=None)
+# Bounded so a long-lived process does not grow without limit; 32,768
+# entries hold more than the ~23,800 distinct integers a full degree-query
+# benchmark pass factors.
+@lru_cache(maxsize=1 << 15)
 def _factor_int(n: int) -> tuple[tuple[int, int], ...]:
     # Trial division with a primality shortcut after each hit, then rho past
     # _TRIAL_BOUND.

@@ -148,8 +148,9 @@ def _parse_hnf(text: str, level: int) -> TorsionSubgroup:
     """A subgroup basis 'a,b,0,d': four entries of ASCII digits, separated
     by commas or whitespace."""
     try:
-        # int_literal refuses every token but digits; [:-1] drops "end".
-        x = [int_literal(t.text, t.pos) for t in tokenize(text)[:-1] if t.kind != ","]
+        # value() refuses every token but digits; [:-1] drops the end.
+        toks = tokenize(text)
+        x = [toks.value(i) for i, t in enumerate(toks[:-1]) if t != ","]
     except ParseError as exc:
         raise K0Error(f"bad subgroup basis {excerpt(text)}: {exc}") from None
     if len(x) != 4:
@@ -193,6 +194,12 @@ def _cmd_check(args) -> int:
         return 0
     _emit(args, payload, "certificate INVALID:\n" + "\n".join(f"  {f}" for f in result.failures))
     return 1
+
+
+# Largest `selftest --max-disc` and `--max-level`: each suite walks every
+# discriminant or level up to its bound through the package and the oracle.
+MAX_SELFTEST_DISC = 20_000
+MAX_SELFTEST_LEVEL = 16
 
 
 def _selftest_suites(max_disc: int, max_level: int):
@@ -280,6 +287,12 @@ def _selftest_suites(max_disc: int, max_level: int):
 
 
 def _cmd_selftest(args) -> int:
+    for option, value, limit in (
+        ("--max-disc", args.max_disc, MAX_SELFTEST_DISC),
+        ("--max-level", args.max_level, MAX_SELFTEST_LEVEL),
+    ):
+        if value > limit:
+            raise K0Error(f"argument {option}: {value} is over the selftest limit of {limit}")
     results = []
     ok = True
     for name, fn in _selftest_suites(args.max_disc, args.max_level):
@@ -334,8 +347,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", required=True, help="certificate file (JSON)")
 
     p = add("selftest", _cmd_selftest, "run oracle agreement suites")
-    p.add_argument("--max-disc", type=_int_option("--max-disc"), default=300, help="discriminant bound (default 300)")
-    p.add_argument("--max-level", type=_int_option("--max-level"), default=8, help="torsion level bound (default 8)")
+    p.add_argument(
+        "--max-disc",
+        type=_int_option("--max-disc"),
+        default=300,
+        help=f"discriminant bound (default 300, at most {MAX_SELFTEST_DISC})",
+    )
+    p.add_argument(
+        "--max-level",
+        type=_int_option("--max-level"),
+        default=8,
+        help=f"torsion level bound (default 8, at most {MAX_SELFTEST_LEVEL})",
+    )
 
     return parser
 

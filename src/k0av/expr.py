@@ -14,7 +14,8 @@ Grammar (whitespace insignificant):
     nat      := digit { digit }        digit is ASCII 0-9, nothing else
 
 Literals are arbitrary precision.  One lexer (`kernels.tokenize`) reads
-every literal, kernel literals included.  `print_expression` emits a
+every literal, kernel literals included, in one regex pass; token offsets
+are found only for an error message.  `print_expression` emits a
 canonical rendering; parse(print(parse(s))) = parse(s) for every valid s.
 """
 
@@ -27,7 +28,7 @@ from ._record import Record, set_field
 from .contexts import IsogenyContext
 from .errors import ContextMismatchError, ParseError, excerpt
 from .k0 import K0Element, k0_class
-from .kernels import Token, int_literal, kernel_from_counts, parse_kernel_literal, tokenize
+from .kernels import kernel_from_counts, parse_kernel_literal, tokenize
 
 
 class KernelSpec(Record):
@@ -89,118 +90,111 @@ class _Parser:
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> Token:
-        return self.toks[self.i]
+    def error(self, message: str, expected: str | None = None, at: int | None = None) -> ParseError:
+        """A ParseError at token `at`, by default the current one."""
+        return ParseError(message, self.toks.pos(self.i if at is None else at), expected)
 
-    def take(self) -> Token:
+    def found(self, expected: str) -> ParseError:
         t = self.toks[self.i]
+        return self.error(f"found {excerpt(t)}" if t else "input ended", expected)
+
+    def expect(self, tok: str, expected: str) -> None:
+        if self.toks[self.i] != tok:
+            raise self.found(expected)
         self.i += 1
-        return t
 
-    def expect(self, kind: str, expected: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"found {excerpt(t.text)}" if t.text else "input ended", t.pos, expected)
-        return self.take()
-
-    def parse(self) -> Sum:
-        node = self.expr()
-        t = self.peek()
-        if t.kind != "end":
-            raise ParseError(f"trailing input {excerpt(t.text)}", t.pos, "'+', '-', or end of input")
-        return node
+    def nat(self, expected: str) -> int:
+        """The integer literal at the current token, which it passes."""
+        i = self.i
+        if not self.toks[i].isdigit():
+            raise self.found(expected)
+        self.i = i + 1
+        return self.toks.value(i)
 
     def expr(self) -> Sum:
         terms = [self.term(1)]
-        while self.peek().kind in ("+", "-"):
-            sign = 1 if self.take().kind == "+" else -1
-            terms.append(self.term(sign))
+        while (t := self.toks[self.i]) == "+" or t == "-":
+            self.i += 1
+            terms.append(self.term(1 if t == "+" else -1))
         return Sum(tuple(terms))
 
     def term(self, sign: int) -> tuple[int, Union[ClassAtom, Dual]]:
         coef = 1
-        t = self.peek()
-        if t.kind == "-" or t.kind == "int":
-            neg = False
-            if t.kind == "-":
-                self.take()
-                neg = True
-            lit = self.expect("int", "integer coefficient")
-            coef = int_literal(lit.text, lit.pos)
-            if neg:
-                coef = -coef
+        t = self.toks[self.i]
+        negative = t == "-"
+        if negative or t.isdigit():
+            self.i += negative
+            at = self.i
+            coef = self.nat("integer coefficient")
             if coef == 0:
-                raise ParseError("zero coefficient", lit.pos, "nonzero integer")
+                raise self.error("zero coefficient", "nonzero integer", at)
+            coef = -coef if negative else coef
             self.expect("*", "'*' after coefficient")
         return (sign * coef, self.atom())
 
     def atom(self) -> Union[ClassAtom, Dual]:
-        t = self.peek()
-        if t.kind == "name":
-            if t.text != "dual":
-                raise ParseError(f"unknown name {excerpt(t.text)}", t.pos, "'dual'")
-            self.take()
+        t = self.toks[self.i]
+        if t == "[":
+            return self.class_atom()
+        if t == "dual":
+            at = self.i
+            self.i += 1
             self.expect("(", "'(' after dual")
             if self.depth == MAX_NESTING:
-                raise ParseError(f"dual(...) nested deeper than {MAX_NESTING}", t.pos, "shallower nesting")
+                raise self.error(f"dual(...) nested deeper than {MAX_NESTING}", "shallower nesting", at)
             self.depth += 1
             inner = self.expr()
             self.depth -= 1
             self.expect(")", "')'")
             return Dual(inner)
-        if t.kind == "[":
-            return self.class_atom()
-        raise ParseError(
-            f"found {excerpt(t.text)}" if t.text else "input ended", t.pos, "'[' or 'dual'"
-        )
+        if t.isidentifier():
+            raise self.error(f"unknown name {excerpt(t)}", "'dual'")
+        raise self.found("'[' or 'dual'")
 
     def class_atom(self) -> ClassAtom:
         self.expect("[", "'['")
-        lit = self.expect("int", "positive multiplicity")
-        n = int_literal(lit.text, lit.pos)
+        at = self.i
+        n = self.nat("positive multiplicity")
         if n < 1:
-            raise ParseError("multiplicity must be positive", lit.pos, "positive integer")
+            raise self.error("multiplicity must be positive", "positive integer", at)
         self.expect(";", "';' between multiplicity and degree")
         spec = self.degspec()
         self.expect("]", "']'")
         return ClassAtom(n, spec)
 
     def rational(self) -> Fraction:
-        t = self.expect("int", "positive rational")
-        num, den = int_literal(t.text, t.pos), 1
-        if self.peek().kind == "/":
-            self.take()
-            d = self.expect("int", "denominator")
-            den = int_literal(d.text, d.pos)
+        at = self.i
+        num, den = self.nat("positive rational"), 1
+        if self.toks[self.i] == "/":
+            self.i += 1
+            den = self.nat("denominator")
         if num == 0 or den == 0:
-            raise ParseError("degree must be a positive rational", t.pos, "positive rational")
+            raise self.error("degree must be a positive rational", "positive rational", at)
         return Fraction(num, den)
 
     def degspec(self) -> Union[Fraction, KernelSpec]:
-        t = self.peek()
-        if t.kind == "int":
+        t = self.toks[self.i]
+        if t.isdigit():
             return self.rational()
-        if t.kind == "{":
+        if t == "{":
             return KernelSpec(**self.kernel())
-        raise ParseError(
-            f"found {excerpt(t.text)}" if t.text else "input ended", t.pos, "rational or kernel literal"
-        )
+        raise self.found("rational or kernel literal")
 
     def kernel(self) -> dict[str, int]:
         counts, self.i = parse_kernel_literal(self.toks, self.i)
         return counts
 
-    def whole(self, rule):
+    def whole(self, rule, expected: str = "end of input"):
         """`rule`'s value, when it reads all of the text."""
         value = rule(self)
-        t = self.peek()
-        if t.kind != "end":
-            raise ParseError(f"trailing input {excerpt(t.text)}", t.pos, "end of input")
+        t = self.toks[self.i]
+        if t:
+            raise self.error(f"trailing input {excerpt(t)}", expected)
         return value
 
 
 def parse_expression(text: str) -> Sum:
-    return _Parser(text).parse()
+    return _Parser(text).whole(_Parser.expr, "'+', '-', or end of input")
 
 
 def parse_rational(text: str) -> Fraction:

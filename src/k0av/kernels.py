@@ -9,7 +9,7 @@ alpha_p; it only occurs supersingularly, where degree classes vanish anyway.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from itertools import islice
 
 from ._record import Record, set_field
 from .arith import FactoredRational, IntMatrix, int_digit_limit
@@ -112,7 +112,7 @@ def class_in_image(p: int, a: int, q: FactoredRational | int) -> bool:
     return q.exponent(p) % 2 == 0
 
 
-_KERNEL_KEYS = ("zp", "mup", "alphap", "coprime")
+_KERNEL_DEFAULTS = {"zp": 0, "mup": 0, "alphap": 0, "coprime": 1}
 
 
 def int_literal(digits: str, pos: int) -> int:
@@ -136,75 +136,81 @@ def int_literal(digits: str, pos: int) -> int:
 # The one lexer for every literal the package reads: expressions, kernel
 # literals, degrees and subgroup bases.  It lives here so that `expr`, which
 # imports this module, and `parse_kernel_literal` share it without a cycle.
-_TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_]+)|(?P<sym>\S))")
-_SYMBOLS = set("[];*+-/(){}:,")
+_SYMBOLS = "[];*+-/(){}:,"
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z_]+|\S")
+# The first character outside the grammar's alphabet: ASCII digits, letters
+# and '_', the symbols, and whitespace.
+_STRAY = re.compile(r"[^\s0-9A-Za-z_" + re.escape(_SYMBOLS) + "]")
 
 
-class Token(NamedTuple):
-    kind: str  # "int" | "name" | symbol | "end"
-    text: str
-    pos: int
+class Tokens(list):
+    """The tokens of `text` as plain strings, ending with "" for the end.
+    Offsets are found only when an error needs one."""
+
+    __slots__ = ("text",)
+
+    def pos(self, i: int) -> int:
+        """Offset of token i in the text; the end's is len(text)."""
+        m = next(islice(_TOKEN.finditer(self.text), i, None), None)
+        return len(self.text) if m is None else m.start()
+
+    def value(self, i: int) -> int:
+        """Value of token i as an integer literal, which `int_literal` refuses
+        with its messages unless it is digits within the digit limit."""
+        t = self[i]
+        limit = int_digit_limit()
+        if t.isdigit() and not (limit and len(t) > limit):
+            return int(t)  # ASCII: the lexer admits no other digits
+        return int_literal(t, self.pos(i))
 
 
-def tokenize(text: str) -> list[Token]:
-    """Tokens of `text`, ending with an "end" token at len(text)."""
-    toks = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        tok, pos = m[kind], m.start(kind)
-        if kind == "sym":
-            if tok not in _SYMBOLS:
-                raise ParseError(f"unexpected character {tok!r}", pos, "expression syntax")
-            kind = tok
-        toks.append(Token(kind, tok, pos))
-    toks.append(Token("end", "", len(text)))
+def tokenize(text: str) -> Tokens:
+    """Tokens of `text`; a character outside the alphabet is refused first."""
+    stray = _STRAY.search(text)
+    if stray:
+        raise ParseError(f"unexpected character {stray[0]!r}", stray.start(), "expression syntax")
+    toks = Tokens([*_TOKEN.findall(text), ""])
+    toks.text = text
     return toks
 
 
-# Token kinds that can occur inside a kernel literal; any other token
-# before the closing '}' leaves the literal unterminated.
-_IN_KERNEL = frozenset(("name", "int", "{", "}", ":", ","))
+# Tokens that cannot occur inside a kernel literal; reaching one before the
+# closing '}' leaves the literal unterminated.
+_ENDS_KERNEL = frozenset(_SYMBOLS).difference("{}:,").union([""])
 
 
-def parse_kernel_literal(toks: list[Token], i: int) -> tuple[dict[str, int], int]:
+def parse_kernel_literal(toks: Tokens, i: int) -> tuple[dict[str, int], int]:
     """Parse `{zp:2, mup:1, alphap:0, coprime:12}` starting at toks[i];
     fields optional, at most once each.  Returns the counts, with defaults
     zp=mup=alphap=0, coprime=1, and the index of the token after '}'."""
-    start = toks[i]
-    if start.kind != "{":
-        raise ParseError("kernel literal must start with '{'", start.pos, "'{'")
+    start = i
+    if toks[i] != "{":
+        raise ParseError("kernel literal must start with '{'", toks.pos(i), "'{'")
     out: dict[str, int] = {}
     i += 1
-    while (t := toks[i]).kind != "}":
-        if t.kind not in _IN_KERNEL:
-            raise ParseError("unterminated kernel literal", start.pos, "'}'")
-        key = t.text
-        if key not in _KERNEL_KEYS:
-            raise ParseError(f"unknown kernel field {excerpt(key)}", t.pos, "zp, mup, alphap or coprime")
+    while (key := toks[i]) != "}":
+        if key in _ENDS_KERNEL:
+            raise ParseError("unterminated kernel literal", toks.pos(start), "'}'")
+        if key not in _KERNEL_DEFAULTS:
+            raise ParseError(f"unknown kernel field {excerpt(key)}", toks.pos(i), "zp, mup, alphap or coprime")
         if key in out:
-            raise ParseError(f"duplicate kernel field {key!r}", t.pos)
-        # toks ends with "end", so toks[i + 2] exists whenever toks[i + 1] is ':'.
-        if toks[i + 1].kind != ":" or toks[i + 2].kind != "int":
-            raise ParseError(f"field {key!r} needs ': <integer>'", toks[i + 1].pos, "':' and an integer")
-        out[key] = int_literal(toks[i + 2].text, toks[i + 2].pos)
+            raise ParseError(f"duplicate kernel field {key!r}", toks.pos(i))
+        # toks ends with "", so toks[i + 2] exists whenever toks[i + 1] is ':'.
+        if toks[i + 1] != ":" or not toks[i + 2].isdigit():
+            raise ParseError(f"field {key!r} needs ': <integer>'", toks.pos(i + 1), "':' and an integer")
+        out[key] = toks.value(i + 2)
         i += 3
         sep = toks[i]
-        if sep.kind == ",":
+        if sep == ",":
             i += 1
-            if toks[i].kind == "}":
-                raise ParseError("trailing comma in kernel literal", toks[i].pos)
-        elif sep.kind != "}" and sep.kind in _IN_KERNEL:
-            raise ParseError("expected ',' or '}' after kernel field", sep.pos, "',' or '}'")
+            if toks[i] == "}":
+                raise ParseError("trailing comma in kernel literal", toks.pos(i))
+        elif sep != "}" and sep not in _ENDS_KERNEL:
+            raise ParseError("expected ',' or '}' after kernel field", toks.pos(i), "',' or '}'")
         # Any other token fails the next pass's first check: unterminated.
     if out.get("coprime", 1) < 1:
-        raise ParseError("coprime order must be positive", start.pos)
-    counts = {
-        "zp": out.get("zp", 0),
-        "mup": out.get("mup", 0),
-        "alphap": out.get("alphap", 0),
-        "coprime": out.get("coprime", 1),
-    }
-    return counts, i + 1
+        raise ParseError("coprime order must be positive", toks.pos(start))
+    return {**_KERNEL_DEFAULTS, **out}, i + 1
 
 
 def kernel_from_counts(p: int, counts: dict[str, int]) -> KernelMultiset:

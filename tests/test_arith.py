@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k0av import _formcore, _primality, oracle
+from k0av import _formcore, _primality, arith, oracle
 from k0av._primality import _MR_BOUNDS, _strong_lucas_probable_prime, jacobi
 from k0av.arith import (
     FactoredRational,
@@ -59,6 +59,12 @@ def test_factor_refuses_past_its_budget():
     assert is_prime(p) and is_prime(q)
     with pytest.raises(K0Error, match="budget of .* Pollard-rho steps"):
         factor(p * q)
+
+
+def test_factor_cache_is_bounded():
+    # The benchmark tracer reads cache_info(), so it stays an lru_cache.
+    maxsize = arith._factor_int.cache_parameters()["maxsize"]
+    assert maxsize is not None and maxsize >= 1 << 15
 
 
 def test_is_prime_includes_all_witness_bases():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import k0av
-from k0av.cli import main
+from k0av.cli import MAX_SELFTEST_DISC, MAX_SELFTEST_LEVEL, main
 from k0av.quadforms import MAX_CLASS_GROUP_DISC
 
 
@@ -503,6 +503,19 @@ _REFUSED = [
     pytest.param(["classgroup", "--disc", "-100000000003"], None, _DISC_LIMIT, id="classgroup-big-disc"),
     pytest.param(["structure", "--ctx", "{file}"], _BIG_CM, _DISC_LIMIT, id="structure-big-disc"),
     pytest.param(["dist", "--ctx", "{file}", "--degree", "3"], _BIG_CM, _DISC_LIMIT, id="dist-big-disc"),
+    # selftest walks every discriminant and level up to its bounds
+    pytest.param(
+        ["selftest", "--max-disc", str(MAX_SELFTEST_DISC + 1)],
+        None,
+        f"--max-disc: {MAX_SELFTEST_DISC + 1} is over the selftest limit of {MAX_SELFTEST_DISC}",
+        id="selftest-big-disc",
+    ),
+    pytest.param(
+        ["selftest", "--max-level", str(MAX_SELFTEST_LEVEL + 1)],
+        None,
+        f"selftest limit of {MAX_SELFTEST_LEVEL}",
+        id="selftest-big-level",
+    ),
 ]
 
 
@@ -586,5 +599,53 @@ def test_eval_fuzz_exit_contract(tmp_path):
         code, _, err = _main_captured(argv)
         assert code in (0, 1, 2), (argv, code)
         assert ("error:" in err) == (code == 2), (argv, err)
+
+    check()
+
+
+# The other readers of the one lexer: degrees, kernel literals and subgroup
+# bases, well-formed, cut, or junk with stray and non-ASCII characters.
+_LITERAL_JUNK = st.text(alphabet="{}:,/ 0123456789zpmucoprimealph-_.٣１ $%\x00", max_size=24)
+
+
+def _hermite(n):
+    """Hermite bases 'a,b,0,d' of order-n subgroups at level n."""
+    return st.builds(
+        lambda a, b, sep: sep.join(map(str, (a, b % (n // a), 0, n // a))),
+        st.sampled_from([a for a in range(1, n + 1) if n % a == 0]),
+        st.integers(0, n),
+        st.sampled_from([",", " ", ", "]),
+    )
+
+
+def _literal(well_formed):
+    return st.one_of(well_formed, st.builds(_cut, well_formed, st.integers(0, 40)), _LITERAL_JUNK)
+
+
+def test_literal_fuzz_exit_contract(tmp_path):
+    paths = []
+    for i, spec in enumerate(({"case": "cm", "disc": -84}, {"case": "char_p_end_z", "p": 5})):
+        path = tmp_path / f"ctx{i}.json"
+        path.write_text(json.dumps(spec))
+        paths.append(str(path))
+    argvs = st.one_of(
+        st.builds(lambda ctx, d: ["dist", "--ctx", ctx, f"--degree={d}"], st.sampled_from(paths), _literal(_DEGREE)),
+        st.builds(lambda ctx, k: ["dist", "--ctx", ctx, f"--kernel={k}"], st.sampled_from(paths), _literal(_KERNEL)),
+        st.sampled_from([1, 4, 6, 12]).flatmap(
+            lambda n: st.builds(
+                lambda c1, c2: ["derive", "--n", str(n), f"--c1={c1}", f"--c2={c2}"],
+                _literal(_hermite(n)),
+                _literal(_hermite(n)),
+            )
+        ),
+    )
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(argvs)
+    def check(argv):
+        code, _, err = _main_captured(argv)
+        assert code in (0, 1, 2), (argv, code)
+        assert ("error:" in err) == (code == 2), (argv, err)
+        assert "Traceback" not in err, argv
 
     check()

@@ -18,6 +18,7 @@ from k0av.kernels import (
     kernel_class,
     kernel_from_counts,
     kernel_of_matrix_endo,
+    tokenize,
 )
 
 
@@ -275,6 +276,64 @@ def test_kernel_literal_ascii_digits_only():
     for text in ("{zp:1_0}", "{zp:+1}", "{zp:-1}", "{zp:1.0}"):
         with pytest.raises(ParseError):
             parse_kernel(text)
+
+
+_DIGITS = "0123456789"
+_WORD = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+_SYMBOL = "[];*+-/(){}:,"
+
+
+def _reference_scan(text):
+    """Char by char: the tokens with their offsets, or the offset of the
+    first character outside the alphabet."""
+    toks, i = [], 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        for run in (_DIGITS, _WORD):
+            if c in run:
+                j = i
+                while j < len(text) and text[j] in run:
+                    j += 1
+                break
+        else:
+            if c not in _SYMBOL:
+                return None, i
+            j = i + 1
+        toks.append((text[i:j], i))
+        i = j
+    return toks + [("", len(text))], None
+
+
+def test_tokenize_matches_reference_scanner():
+    pieces = [*_DIGITS, *"azAZ_", *_SYMBOL, "dual", "coprime", " ", "\n", "\t"]
+    rare = ["\u0663", "\uff11", "\u00a0", "\u2003", "$", "%", "\x00", "."]
+    rng = random.Random(20261018)
+    refused = 0
+    for _ in range(3000):
+        text = "".join(
+            rng.choice(rare) if rng.random() < 0.03 else rng.choice(pieces) for _ in range(rng.randint(0, 16))
+        )
+        want, bad = _reference_scan(text)
+        if bad is not None:
+            refused += 1
+            with pytest.raises(ParseError, match="unexpected character") as exc:
+                tokenize(text)
+            assert exc.value.pos == bad and exc.value.message.endswith(repr(text[bad])), text
+            continue
+        toks = tokenize(text)
+        assert list(toks) == [t for t, _ in want], text
+        assert [toks.pos(i) for i in range(len(toks))] == [pos for _, pos in want], text
+    assert 300 < refused < 2700
+
+
+def test_bad_character_is_refused_before_the_grammar():
+    # "[0; 2]" alone fails at its multiplicity; the stray character wins.
+    with pytest.raises(ParseError, match="unexpected character '\\$'") as exc:
+        parse_expression("[0; 2] $")
+    assert exc.value.pos == 7
 
 
 def test_kernel_from_counts():
