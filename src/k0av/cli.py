@@ -196,9 +196,13 @@ def _cmd_check(args) -> int:
     return 1
 
 
-# Largest `selftest --max-disc` and `--max-level`: each suite walks every
-# discriminant or level up to its bound through the package and the oracle.
+# Bounds of `selftest --max-disc` and `--max-level`: each suite walks every
+# discriminant or level up to its bound through the package and the oracle,
+# so the largest bounds cap its time, and below the least (|d| = 3, level 1)
+# a suite would check nothing and still report ok.
+MIN_SELFTEST_DISC = 3
 MAX_SELFTEST_DISC = 20_000
+MIN_SELFTEST_LEVEL = 1
 MAX_SELFTEST_LEVEL = 16
 
 
@@ -287,10 +291,12 @@ def _selftest_suites(max_disc: int, max_level: int):
 
 
 def _cmd_selftest(args) -> int:
-    for option, value, limit in (
-        ("--max-disc", args.max_disc, MAX_SELFTEST_DISC),
-        ("--max-level", args.max_level, MAX_SELFTEST_LEVEL),
+    for option, value, least, limit in (
+        ("--max-disc", args.max_disc, MIN_SELFTEST_DISC, MAX_SELFTEST_DISC),
+        ("--max-level", args.max_level, MIN_SELFTEST_LEVEL, MAX_SELFTEST_LEVEL),
     ):
+        if value < least:
+            raise K0Error(f"argument {option}: {value} is under the selftest minimum of {least}")
         if value > limit:
             raise K0Error(f"argument {option}: {value} is over the selftest limit of {limit}")
     results = []
@@ -351,13 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-disc",
         type=_int_option("--max-disc"),
         default=300,
-        help=f"discriminant bound (default 300, at most {MAX_SELFTEST_DISC})",
+        help=f"bound on |disc| (default 300, from {MIN_SELFTEST_DISC} to {MAX_SELFTEST_DISC})",
     )
     p.add_argument(
         "--max-level",
         type=_int_option("--max-level"),
         default=8,
-        help=f"torsion level bound (default 8, at most {MAX_SELFTEST_LEVEL})",
+        help=f"torsion level bound (default 8, from {MIN_SELFTEST_LEVEL} to {MAX_SELFTEST_LEVEL})",
     )
 
     return parser

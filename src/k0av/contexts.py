@@ -34,14 +34,10 @@ from .arith import FactoredRational, is_prime, printable_int
 from .errors import ContextError, ContextMismatchError, KernelInputError
 from .quadforms import (
     ClassGroup,
-    PrimeClass,
-    QuadForm,
     SquareClasses,
     class_group,
-    compose,
     kronecker,
     prime_class,
-    principal_form,
     square_classes,
 )
 
@@ -272,14 +268,21 @@ class EndZ(IsogenyContext):
 
 
 @lru_cache(maxsize=512)
-def _prime_class_memo(p: int, disc: int) -> PrimeClass:
-    """Bounded memo of `prime_class` for degree classes: small primes recur
-    across degrees.  A miss runs the full validation; a raise is not cached."""
-    return prime_class(p, disc)
+def _prime_mask(p: int, disc: int) -> int | None:
+    """Bounded memo of a prime's coset mask in C/C^2 (None when p is inert):
+    small primes recur across degrees.  A miss runs the full validation of
+    `prime_class`; a raise is not cached."""
+    pc = prime_class(p, disc)
+    if pc.is_inert:
+        return None
+    sq = square_classes(disc)
+    return sq.mask_of[sq.rep(pc.form)]
 
 
 class _WithClassGroup(IsogenyContext):
-    """Mixin for contexts whose value group involves a class group."""
+    """Mixin for contexts whose value group involves a class group.  A coset
+    of C/C^2 is combined as its bit mask (see `SquareClasses.reps`) and
+    stored as its representative form."""
 
     disc: int
 
@@ -291,34 +294,30 @@ class _WithClassGroup(IsogenyContext):
     def square_classes(self) -> SquareClasses:
         return square_classes(self.disc)
 
-    @cached_property
-    def _principal(self) -> QuadForm:
-        return principal_form(self.disc)
-
     def is_norm(self, q: DegreeLike) -> bool:
         """Whether q is a norm from the CM field (i.e. a trivial degree class)."""
         return self.degree_class(q).is_identity
 
     def _identity_data(self) -> tuple:
-        return (self._principal, ())
+        return (self.square_classes.coset_reps[0], ())
 
     def _degree_data(self, q: FactoredRational) -> tuple:
-        rep = None
+        mask = 0
         inert = []
         for p, e in q.exps:
             if e % 2 == 0:  # p^e is a norm: its class is a square, its inert parity even
                 continue
-            pc = _prime_class_memo(p, self.disc)
-            if pc.is_inert:
+            m = _prime_mask(p, self.disc)
+            if m is None:
                 inert.append(p)
             else:
-                rep = pc.form if rep is None else compose(rep, pc.form)
-        if rep is None:
-            return (self._principal, tuple(inert))
-        return (self.square_classes.rep(rep), tuple(inert))
+                mask ^= m
+        return (self.square_classes.reps[mask], tuple(inert))
 
     def _mul(self, x: tuple, y: tuple) -> tuple:
-        rep = self.square_classes.rep(compose(x[0], y[0]))
+        sq = self.square_classes
+        mask_of = sq.mask_of
+        rep = sq.reps[mask_of[x[0]] ^ mask_of[y[0]]]
         inert = tuple(sorted(set(x[1]) ^ set(y[1])))
         return (rep, inert)
 

@@ -178,6 +178,11 @@ class SquareClasses(Record):
     the identity coset is always represented by the principal form.  `rep`
     looks forms up in a table built on its first call, not at construction,
     so a cached instance that never answers `rep` never holds the table.
+
+    C/C^2 is elementary abelian, (Z/2)^k, so its cosets are also numbered by
+    k-bit masks with the group law XOR: `reps` maps a mask to its coset
+    representative and `mask_of` maps back.  The principal form is mask 0.
+    Both tables are likewise built on first use.
     """
 
     _fields = ("disc", "squares", "coset_reps")
@@ -209,6 +214,26 @@ class SquareClasses(Record):
             return self._rep_of[f]
         except KeyError:
             raise DiscriminantError(f"form {f} is not of discriminant {self.disc}") from None
+
+    @cached_property
+    def reps(self) -> tuple[QuadForm, ...]:
+        """Coset representatives indexed by bit mask: 2^k - 1 compositions.
+
+        Walking the representatives in (a, b) order, each one not yet in the
+        span becomes the next basis bit, and the span doubles."""
+        reps = [self.coset_reps[0]]
+        reached = {reps[0]}
+        for f in self.coset_reps:
+            if f not in reached:
+                new = [self.rep(compose(f, r)) for r in reps]
+                reached.update(new)
+                reps += new
+        return tuple(reps)
+
+    @cached_property
+    def mask_of(self) -> dict[QuadForm, int]:
+        """Each coset representative mapped to its bit mask."""
+        return {r: mask for mask, r in enumerate(self.reps)}
 
 
 @lru_cache(maxsize=DISC_CACHE_SIZE)

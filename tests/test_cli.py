@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import k0av
-from k0av.cli import MAX_SELFTEST_DISC, MAX_SELFTEST_LEVEL, main
+from k0av.cli import MAX_SELFTEST_DISC, MAX_SELFTEST_LEVEL, MIN_SELFTEST_DISC, MIN_SELFTEST_LEVEL, main
 from k0av.quadforms import MAX_CLASS_GROUP_DISC
 
 
@@ -515,6 +515,18 @@ _REFUSED = [
         None,
         f"selftest limit of {MAX_SELFTEST_LEVEL}",
         id="selftest-big-level",
+    ),
+    pytest.param(
+        ["selftest", "--max-disc", "-5", "--max-level", "-1"],
+        None,
+        f"--max-disc: -5 is under the selftest minimum of {MIN_SELFTEST_DISC}",
+        id="selftest-negative-disc",
+    ),
+    pytest.param(
+        ["selftest", "--max-level", "0"],
+        None,
+        f"--max-level: 0 is under the selftest minimum of {MIN_SELFTEST_LEVEL}",
+        id="selftest-zero-level",
     ),
 ]
 

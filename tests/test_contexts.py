@@ -201,22 +201,85 @@ def test_power_matches_repeated_product():
                 assert got.to_json() == _naive_power(cls, k).to_json(), (ctx, cls, k)
 
 
-def test_prime_class_memo_is_bounded_and_caches_no_raise():
-    from k0av.contexts import _prime_class_memo
+def test_prime_mask_memo_is_bounded_and_caches_no_raise():
+    from k0av.contexts import _prime_mask
     from k0av.errors import DiscriminantError
 
     ctx = CM(-84)
     for q in range(2, 200):
         ctx.degree_class(q)
-    assert _prime_class_memo.cache_info().maxsize is not None
-    size = _prime_class_memo.cache_info().currsize
+    assert _prime_mask.cache_info().maxsize == 512
+    size = _prime_mask.cache_info().currsize
     assert size > 0
-    for fn in (prime_class, _prime_class_memo):
+    for fn in (prime_class, _prime_mask):
         with pytest.raises(ValueError, match="not prime"):
             fn(4, -84)
         with pytest.raises(DiscriminantError):
             fn(5, -12)
-    assert _prime_class_memo.cache_info().currsize == size
+    assert _prime_mask.cache_info().currsize == size
+
+
+# The degree-class arithmetic that bit masks replaced: one Gauss composition
+# per split prime and per product, then a coset lookup.
+def _reference_degree_data(ctx, q):
+    from k0av.quadforms import compose, principal_form
+
+    rep = None
+    inert = []
+    for p, e in q.exps:
+        if e % 2 == 0:
+            continue
+        pc = prime_class(p, ctx.disc)
+        if pc.is_inert:
+            inert.append(p)
+        else:
+            rep = pc.form if rep is None else compose(rep, pc.form)
+    if rep is None:
+        return (principal_form(ctx.disc), tuple(inert))
+    return (ctx.square_classes.rep(rep), tuple(inert))
+
+
+def _reference_mul(ctx, x, y):
+    from k0av.quadforms import compose
+
+    rep = ctx.square_classes.rep(compose(x[0], y[0]))
+    return (rep, tuple(sorted(set(x[1]) ^ set(y[1]))))
+
+
+def _seeded_degrees(rng):
+    primes = [q for q in range(2, 400) if oracle.prime_exponents(q) == {q: 1}]
+    for _ in range(60):
+        num = 1
+        for _ in range(rng.randint(0, 5)):
+            num *= rng.choice(primes) ** rng.randint(1, 3)
+        den = rng.choice(primes) ** rng.randint(1, 2) if rng.random() < 0.3 else 1
+        yield Fraction(num, den)
+    yield from (1, 2, 4, 9, Fraction(1, 2), Fraction(6, 35))
+
+
+def test_masks_agree_with_composition_reference():
+    from k0av.contexts import DegreeClass
+
+    rng = random.Random(20261018)
+    for ctx in [CM(d) for d in (-4, -20, -84, -1671, -3315, -5291)] + [OrdinaryCM(-84, 5)]:
+        degrees = list(_seeded_degrees(rng))
+        classes = []
+        for q in degrees:
+            got = ctx.degree_class(q)
+            want = DegreeClass(ctx, _reference_degree_data(ctx, FactoredRational.from_fraction(q)))
+            assert got.data == want.data, (ctx, q)
+            assert got.to_json() == want.to_json() and got.describe() == want.describe(), (ctx, q)
+            classes.append(got)
+        for _ in range(200):
+            x, y = rng.choice(classes), rng.choice(classes)
+            k = rng.randint(-4, 5)
+            want = DegreeClass(ctx, _reference_mul(ctx, x.data, y.data))
+            assert (x * y).data == want.data, (ctx, x, y)
+            assert (x * y).to_json() == want.to_json() and (x * y).describe() == want.describe()
+            power = DegreeClass(ctx, _reference_degree_data(ctx, FactoredRational.from_int(1)))
+            for _ in range(abs(k)):
+                power = DegreeClass(ctx, _reference_mul(ctx, power.data, x.data))
+            assert (x**k).data == power.data and (x**k).describe() == power.describe(), (ctx, x, k)
 
 
 def test_common_factor_cancellation():

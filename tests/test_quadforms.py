@@ -185,6 +185,19 @@ def test_square_rep_is_least_form_of_coset():
             assert sq.rep(f) == want and sq.rep(shifted) == want, (d, f)
 
 
+def test_masks_are_an_isomorphism_onto_xor():
+    for d in fundamental_discs(1000):
+        sq = square_classes(d)
+        assert sorted(sq.mask_of.values()) == list(range(sq.index)), d
+        assert sorted(sq.reps) == list(sq.coset_reps), d
+        assert sq.mask_of[principal_form(d)] == 0 and sq.reps[0] == principal_form(d), d
+        elements = class_group(d).elements
+        masks = [sq.mask_of[sq.rep(f)] for f in elements]
+        for f, mf in zip(elements, masks):
+            for g, mg in zip(elements, masks):
+                assert sq.reps[mf ^ mg] == sq.rep(compose(f, g)), (d, f, g)
+
+
 def test_square_rep_rejects_other_discriminant():
     with pytest.raises(DiscriminantError):
         square_classes(-20).rep(QuadForm(2, 1, 3))  # disc -23
