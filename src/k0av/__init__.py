@@ -46,7 +46,6 @@ from .k0 import (
     QuotientRelation,
     derive_same_degree,
     k0_class,
-    quotient_relation,
     validate_derivation,
 )
 from .kernels import (
@@ -118,7 +117,6 @@ __all__ = [
     "prime_class",
     "principal_form",
     "print_expression",
-    "quotient_relation",
     "reduce_form",
     "square_classes",
     "validate_derivation",

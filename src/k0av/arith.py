@@ -13,8 +13,9 @@ Rank-2 lattice arithmetic is closed-form and lives in one place: `row_hnf`
 folds in one generator row at a time with an extended gcd, `left_kernel`
 reduces two columns the same way while keeping the row operations, and
 FracLattice builds sum, intersection, membership and containment on them.
-TorsionSubgroup, a finite subgroup of (Q/Z)^2, delegates its lattice
-operations to FracLattice.
+It is the one rank-2 lattice type: TorsionSubgroup, a finite subgroup of
+(Q/Z)^2, only validates and carries a (level, Hermite basis) pair, and
+`FracLattice.from_subgroup` turns it into the lattice it stands for.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ._primality import is_prime
 from ._record import Record, set_field
-from .errors import DerivationError, K0Error, KernelInputError, LevelMismatchError, SingularMatrixError
+from .errors import DerivationError, K0Error, KernelInputError, SingularMatrixError
 
 # Python 3.10 before 3.10.7 has no int-conversion limit.
 int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -442,7 +443,11 @@ class FracLattice(Record):
 
     @staticmethod
     def from_subgroup(c: TorsionSubgroup) -> FracLattice:
-        return FracLattice.make(c.level, c.basis)
+        """The lattice L with C = L/Z^2.  The subgroup's basis is already a
+        Hermite basis, so `make` would only divide out the gcd."""
+        (a, b), (_, d) = c.basis
+        g = gcd(c.level, a, b, d)
+        return FracLattice(c.level // g, ((a // g, b // g), (0, d // g)))
 
     @property
     def is_canonical(self) -> bool:
@@ -456,13 +461,9 @@ class FracLattice(Record):
             return False
 
     @property
-    def vol(self) -> Fraction:
-        return Fraction(*self.covolume)
-
-    @property
     def covolume(self) -> tuple[int, int]:
-        """`vol` = a*d/den**2 as the integer pair (a*d, den**2), for exact
-        comparisons by cross-multiplication."""
+        """The covolume a*d/den**2 as the integer pair (a*d, den**2), for
+        exact comparisons by cross-multiplication."""
         return self.basis[0][0] * self.basis[1][1], self.den * self.den
 
     def _scaled_rows(self, new_den: int) -> list[list[int]]:
@@ -528,12 +529,14 @@ _set_basis = FracLattice.basis.__set__
 
 
 class TorsionSubgroup(Record):
-    """A finite subgroup C of (Q/Z)^2 killed by `level`.
+    """A finite subgroup C of (Q/Z)^2 killed by `level`: the input form of
+    `derive_same_degree` and `k0 derive`.
 
     C corresponds to a lattice L with Z^2 <= L <= (1/level) Z^2 via
     C = L / Z^2.  Since L itself is not integral, `basis` stores the Hermite
     basis of level*L, so level*Z^2 <= span(basis) <= Z^2 and
-    |C| = level^2 / det(basis).  Lattice operations go through FracLattice.
+    |C| = level^2 / det(basis).  Lattice operations are FracLattice's
+    (`FracLattice.from_subgroup`).
     """
 
     __slots__ = _fields = ("level", "basis")
@@ -549,98 +552,19 @@ class TorsionSubgroup(Record):
         # level*Z^2 <= span(basis): (level, 0) and (0, level) must be integer combinations.
         if level % a != 0 or level % d != 0 or (level // a) * b % d != 0:
             raise KernelInputError("basis does not contain level * Z^2")
-        _set_level(self, level)
-        _set_sub_basis(self, basis)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.level == other.level and self.basis == other.basis
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.level, self.basis))
-
-    @staticmethod
-    def from_lattice(level: int, lat: FracLattice) -> TorsionSubgroup:
-        """The subgroup lat/Z^2; scaling the Hermite basis of lat by
-        level/den keeps it in Hermite form."""
-        k, r = divmod(level, lat.den)
-        if r:
-            raise KernelInputError(f"lattice is not killed by level {level}")
-        (a, b), (_, d) = lat.basis
-        return TorsionSubgroup(level, ((a * k, b * k), (0, d * k)))
-
-    @staticmethod
-    def from_rows(level: int, rows: Iterable[Sequence[int]]) -> TorsionSubgroup:
-        return TorsionSubgroup.from_lattice(level, FracLattice.make(level, rows))
-
-    @staticmethod
-    def from_generators(level: int, gens: Iterable[Sequence[int]]) -> TorsionSubgroup:
-        """Subgroup generated by points (x/level, y/level) given as (x, y)."""
-        rows = [list(g) for g in gens]
-        rows += [[level, 0], [0, level]]
-        return TorsionSubgroup.from_rows(level, rows)
-
-    @staticmethod
-    def trivial(level: int) -> TorsionSubgroup:
-        return TorsionSubgroup(level, ((level, 0), (0, level)))
-
-    @staticmethod
-    def full(level: int) -> TorsionSubgroup:
-        return TorsionSubgroup(level, ((1, 0), (0, 1)))
+        set_field(self, "level", level)
+        set_field(self, "basis", basis)
 
     @property
     def order(self) -> int:
         (a, _), (_, d) = self.basis
         return self.level * self.level // (a * d)
 
-    def _lattices(self, other: TorsionSubgroup) -> tuple[FracLattice, FracLattice]:
-        if self.level != other.level:
-            raise LevelMismatchError(
-                f"subgroup levels differ: {self.level} != {other.level}"
-            )
-        return FracLattice.from_subgroup(self), FracLattice.from_subgroup(other)
-
-    def __add__(self, other: TorsionSubgroup) -> TorsionSubgroup:
-        mine, theirs = self._lattices(other)
-        return TorsionSubgroup.from_lattice(self.level, mine + theirs)
-
-    def __and__(self, other: TorsionSubgroup) -> TorsionSubgroup:
-        mine, theirs = self._lattices(other)
-        return TorsionSubgroup.from_lattice(self.level, mine & theirs)
-
-    def contains(self, other: TorsionSubgroup) -> bool:
-        mine, theirs = self._lattices(other)
-        return mine.contains(theirs)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
-    def to_json(self) -> dict:
-        return {"level": self.level, "basis": [list(r) for r in self.basis]}
-
-    @staticmethod
-    def from_json(data: Mapping) -> TorsionSubgroup:
-        try:
-            level = strict_int(data["level"])
-            rows = [(strict_int(x), strict_int(y)) for x, y in data["basis"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise KernelInputError(f"malformed subgroup: {exc}") from exc
-        return TorsionSubgroup.from_rows(level, rows)
-
-
-_set_level = TorsionSubgroup.level.__set__
-_set_sub_basis = TorsionSubgroup.basis.__set__
-
 
 def count_subgroups(n: int) -> int:
     """Number of subgroups of (Z/n)^2: sum over divisor pairs of gcd terms."""
-    total = 0
-    for a in divisors(n):
-        for d in divisors(n):
-            total += gcd(d, n // a)
-    return total
+    divs = divisors(n)
+    return sum(gcd(d, n // a) for a in divs for d in divs)
 
 
 def divisors(n: int) -> list[int]:

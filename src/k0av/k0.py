@@ -14,7 +14,10 @@ Everything is modelled on a rank-2 lattice: the base object is Z^2, a
 quotient is a lattice L with Z^2 <= L and [L : Z^2] finite, and a subgroup of
 the quotient at L is a finite-index overlattice.  A derivation is a signed
 list of quotient relations whose formal sum telescopes to [L1] - [L2].  The
-lattices are `arith.FracLattice`s.
+lattices are `arith.FracLattice`s, the one rank-2 lattice type: the two
+input subgroups arrive as `arith.TorsionSubgroup`s, a validated (level,
+Hermite basis) pair, and `derive_same_degree` turns them into lattices with
+`FracLattice.from_subgroup` before any arithmetic.
 
 Certificate format (JSON, stable, tag "k0-derivation/1"):
 
@@ -36,6 +39,10 @@ covolumes (a*c/d^2 for [[a, b], [0, c]]/d), and D1+D2 is needed for the
 relation anyway.  `arith.left_kernel` still serves `&`: for the point
 lattices of the construction, for the public API, and for a step whose
 containment check already failed, so its failure lines stay the same.
+
+A certificate is written (`Derivation.to_json`) only after every lattice
+of it is checked canonical, so a hand-built lattice is named rather than
+written out or crashed on.
 """
 
 from __future__ import annotations
@@ -209,15 +216,6 @@ _set_joint = QuotientRelation.joint.__set__
 _set_stated_orders = QuotientRelation.stated_orders.__set__
 
 
-def quotient_relation(level: int, c1: TorsionSubgroup, c2: TorsionSubgroup) -> QuotientRelation:
-    """Relation for two level-`level` subgroups of the base object itself."""
-    if c1.level != level or c2.level != level:
-        raise LevelMismatchError("subgroup levels differ from the requested level")
-    return QuotientRelation.build(
-        FracLattice.unit(), FracLattice.from_subgroup(c1), FracLattice.from_subgroup(c2)
-    )
-
-
 class Derivation(Record):
     """Signed quotient relations telescoping to [L1] - [L2] = 0.
 
@@ -250,27 +248,20 @@ class Derivation(Record):
 
     @property
     def degree(self) -> int:
-        try:
-            return self.c1.index_over(FracLattice.unit())
-        except (ArithmeticError, TypeError, ValueError):
-            _check_canonical(self)  # names a hand-built non-canonical lattice
-            raise
+        if not self.c1.is_canonical:
+            raise DerivationError("c1 is not a canonical lattice")
+        return self.c1.index_over(FracLattice.unit())
 
     def to_json(self) -> dict:
-        # Canonicity is checked only after a failure, so derive_same_degree's
-        # lattices, already checked by its validation, are not checked twice.
-        try:
-            return {
-                "format": "k0-derivation/1",
-                "level": self.level,
-                "degree": self.degree,
-                "c1": self.c1.to_json(),
-                "c2": self.c2.to_json(),
-                "steps": [dict(sign=s, **rel.to_json()) for s, rel in self.steps],
-            }
-        except (ArithmeticError, TypeError, ValueError):
-            _check_canonical(self)
-            raise
+        _check_canonical(self)  # never write a hand-built non-canonical lattice
+        return {
+            "format": "k0-derivation/1",
+            "level": self.level,
+            "degree": self.degree,
+            "c1": self.c1.to_json(),
+            "c2": self.c2.to_json(),
+            "steps": [dict(sign=s, **rel.to_json()) for s, rel in self.steps],
+        }
 
     @staticmethod
     def from_json(data: Mapping) -> Derivation:

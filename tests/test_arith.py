@@ -25,7 +25,7 @@ from k0av.arith import (
     row_hnf,
     xgcd,
 )
-from k0av.errors import K0Error, KernelInputError, LevelMismatchError, SingularMatrixError
+from k0av.errors import DerivationError, K0Error, KernelInputError, SingularMatrixError
 
 
 def test_factor_frozen():
@@ -300,61 +300,71 @@ def test_divisors_and_squares():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
 
 
+def _lattices(n):
+    """Every subgroup of (Z/n)^2 as its FracLattice, in oracle order."""
+    return [FracLattice.from_subgroup(s) for s in oracle.exhaustive_subgroups(n)]
+
+
+def _order(lat):
+    return lat.index_over(FracLattice.unit())
+
+
 def test_subgroup_identities():
-    triv = TorsionSubgroup(2, ((2, 0), (0, 2)))
-    c = TorsionSubgroup(2, ((1, 0), (0, 2)))
+    triv = FracLattice.unit()
+    c = FracLattice.from_subgroup(TorsionSubgroup(2, ((1, 0), (0, 2))))
     assert (c + triv) == c
     assert (c & triv) == triv
-    line1 = TorsionSubgroup(2, ((1, 0), (0, 2)))
-    line2 = TorsionSubgroup(2, ((2, 0), (0, 1)))
-    assert (line1 + line2).order == 4
+    line1 = FracLattice.from_subgroup(TorsionSubgroup(2, ((1, 0), (0, 2))))
+    line2 = FracLattice.from_subgroup(TorsionSubgroup(2, ((2, 0), (0, 1))))
+    assert _order(line1 + line2) == 4
     assert (line1 & line2) == triv
-
-
-def test_subgroup_level_mismatch():
-    with pytest.raises(LevelMismatchError):
-        TorsionSubgroup(2, ((1, 0), (0, 2))) + TorsionSubgroup(4, ((1, 0), (0, 4)))
 
 
 def test_subgroup_distinct_prime_lines_intersect_trivially():
     for ell in (2, 3, 5, 7, 11, 13):
-        lines = [s for s in oracle.exhaustive_subgroups(ell) if s.order == ell]
+        lines = [lat for lat in _lattices(ell) if _order(lat) == ell]
         assert len(lines) == ell + 1
         for i, a in enumerate(lines):
             for b in lines[i + 1 :]:
-                assert (a & b).is_trivial
-                assert (a + b).order == ell * ell
+                assert (a & b) == FracLattice.unit()
+                assert _order(a + b) == ell * ell
 
 
 def test_subgroup_lattice_axioms():
     for n in (4, 6, 9):
-        subs = oracle.exhaustive_subgroups(n)
+        subs = _lattices(n)
         for a in subs:
             for b in subs:
                 s, i = a + b, a & b
                 assert s == b + a and i == b & a
                 assert (a + (a & b)) == a  # absorption
                 assert (a & (a + b)) == a
-                assert s.order * i.order == a.order * b.order
+                assert _order(s) * _order(i) == _order(a) * _order(b)
 
 
-def _elements(s):
-    """The points of s inside (Z/n)^2, enumerated from its Hermite basis."""
-    (a, b), (_, d) = s.basis
-    n = s.level
-    return frozenset(((i * a) % n, (i * b + j * d) % n) for i in range(n) for j in range(n))
+def _elements(lat, n):
+    """The points of lat/Z^2 inside (Z/n)^2, enumerated from its Hermite
+    basis; lat.den divides n."""
+    k = n // lat.den
+    (a, b), (_, d) = lat.basis
+    return frozenset(((i * a * k) % n, (i * b * k + j * d * k) % n) for i in range(n) for j in range(n))
 
 
 def test_subgroup_sum_and_intersection_brute_force():
     for n in range(1, 13):
         subs = oracle.exhaustive_subgroups(n)
-        points = {s: _elements(s) for s in subs}
-        for a in subs:
-            for b in subs:
+        lats = [FracLattice.from_subgroup(s) for s in subs]
+        points = {lat: _elements(lat, n) for lat in lats}
+        for s, lat in zip(subs, lats):
+            (a, b), (_, d) = s.basis
+            assert points[lat] == {((i * a) % n, (i * b + j * d) % n) for i in range(n) for j in range(n)}
+            assert len(points[lat]) == s.order == _order(lat)
+        for a in lats:
+            for b in lats:
                 pa, pb = points[a], points[b]
                 generated = {((x + u) % n, (y + v) % n) for x, y in pa for u, v in pb}
-                assert _elements(a + b) == generated, (n, a, b)
-                assert _elements(a & b) == pa & pb, (n, a, b)
+                assert _elements(a + b, n) == generated, (n, a, b)
+                assert _elements(a & b, n) == pa & pb, (n, a, b)
                 assert a.contains(b) == (pb <= pa)
 
 
@@ -368,10 +378,9 @@ def test_singular_generators_rejected():
         [[4, 6], [0, 0], [-2, -3], [6, 9]],
     )
     for rows in singular:
-        with pytest.raises(SingularMatrixError):
-            FracLattice.make(1, rows)
-        with pytest.raises(SingularMatrixError):
-            TorsionSubgroup.from_rows(12, rows)
+        for den in (1, 12):
+            with pytest.raises(SingularMatrixError):
+                FracLattice.make(den, rows)
 
 
 def test_subgroup_validation():
@@ -381,33 +390,27 @@ def test_subgroup_validation():
         TorsionSubgroup(2, ((3, 0), (0, 2)))  # does not contain 2*Z^2
     with pytest.raises(KernelInputError):
         TorsionSubgroup(4, ((2, 1), (0, 4)))  # (n/a)*b not divisible by d
-    with pytest.raises(KernelInputError):
-        TorsionSubgroup.from_lattice(2, FracLattice.make(3, [[1, 0], [0, 1]]))  # not 2-torsion
-
-
-def test_subgroup_json_round_trip():
-    for s in oracle.exhaustive_subgroups(6):
-        assert TorsionSubgroup.from_json(s.to_json()) == s
 
 
 @pytest.mark.parametrize(
     "data",
     [
-        {"level": 6.9, "basis": [[1, 0.5], [0, 6.7]]},  # int() read this as level 6
-        {"level": 6, "basis": [[1, 0], [0, 6.0]]},
-        {"level": "6", "basis": [[1, 0], [0, 6]]},
-        {"level": True, "basis": [[1, 0], [0, 1]]},
-        {"level": 6},
+        {"den": 6.9, "basis": [[1, 0.5], [0, 6.7]]},  # int() read this as den 6
+        {"den": 6, "basis": [[1, 0], [0, 6.0]]},
+        {"den": "6", "basis": [[1, 0], [0, 6]]},
+        {"den": True, "basis": [[1, 0], [0, 1]]},
+        {"den": 6},
         {"basis": [[1, 0], [0, 6]]},
-        {"level": 6, "basis": [[1, 0, 0], [0, 6]]},
-        {"level": 6, "basis": 6},
+        {"den": 6, "basis": [[1, 0, 0], [0, 6]]},
+        {"den": 6, "basis": 6},
         [6, [[1, 0], [0, 6]]],
         None,
     ],
 )
 def test_subgroup_from_json_is_strict(data):
-    with pytest.raises(KernelInputError, match="malformed subgroup"):
-        TorsionSubgroup.from_json(data)
+    # A subgroup is read from JSON as its lattice {den, basis}, as in a certificate.
+    with pytest.raises(DerivationError, match="malformed lattice"):
+        FracLattice.from_json(data)
 
 
 def test_count_subgroups_vs_enumeration():

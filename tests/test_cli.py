@@ -321,7 +321,8 @@ def test_check_failure_lists_pinned(capsys, tmp_path):
         for order, group in by_order.items():
             certs += [derive_same_degree(order, c1, c2).to_json() for c1 in group for c2 in group if c1 != c2]
     for n in (12, 24, 30, 210):
-        cyclic = [TorsionSubgroup.from_generators(n, [g]) for g in ((1, 0), (0, 1), (1, 1))]
+        # The cyclic subgroups generated by (1/n, 0), (0, 1/n) and (1/n, 1/n).
+        cyclic = [TorsionSubgroup(n, basis) for basis in (((1, 0), (0, n)), ((n, 0), (0, 1)), ((1, 1), (0, n)))]
         certs += [derive_same_degree(n, c1, c2).to_json() for c1, c2 in zip(cyclic, cyclic[1:])]
     path = tmp_path / "bad.json"
     digest = hashlib.sha256()

@@ -21,14 +21,24 @@ from k0av.k0 import (
     QuotientRelation,
     derive_same_degree,
     k0_class,
-    quotient_relation,
     validate_derivation,
 )
 from k0av.kernels import KernelMultiset
 
 
+def lattice(level, *gens):
+    """The lattice L of the subgroup L/Z^2 of (Q/Z)^2 generated by the
+    points g/level."""
+    return FracLattice.make(level, [*gens, (level, 0), (0, level)])
+
+
 def sub(level, *gens):
-    return TorsionSubgroup.from_generators(level, gens)
+    """The same subgroup as the TorsionSubgroup that derive_same_degree
+    takes: the Hermite basis of level*L."""
+    lat = lattice(level, *gens)
+    k = level // lat.den
+    (a, b), (_, d) = lat.basis
+    return TorsionSubgroup(level, ((a * k, b * k), (0, d * k)))
 
 
 # ---------------------------------------------------------------- K0 classes
@@ -129,9 +139,9 @@ def test_lattice_canonical_form():
 
 def test_lattice_volume_and_index():
     unit = FracLattice.unit()
-    assert unit.vol == 1
+    assert unit.covolume == (1, 1)
     half = FracLattice.make(2, [[1, 0], [0, 1]])
-    assert half.vol == Fraction(1, 4)
+    assert half.covolume == (1, 4)
     assert half.index_over(unit) == 4
     cyc = FracLattice.make(6, [[1, 0], [0, 6]])
     assert cyc.index_over(unit) == 6
@@ -194,7 +204,8 @@ def test_lattice_matches_torsion_subgroup_ops():
         assert _points(l1 + l2, n) == _span(n, h1 + h2)
         assert _points(l1 & l2, n) == p1 & p2
         assert l1.contains(l2) == (p2 <= p1)
-        assert (l1 + l2).vol * (l1 & l2).vol == l1.vol * l2.vol
+        vol = [Fraction(*lat.covolume) for lat in (l1 + l2, l1 & l2, l1, l2)]
+        assert vol[0] * vol[1] == vol[2] * vol[3]
 
 
 def test_validate_refuses_non_canonical_lattice():
@@ -223,11 +234,16 @@ def test_validate_refuses_non_canonical_lattice():
 
 def test_to_json_names_a_non_canonical_lattice():
     u = FracLattice.unit()
-    zero = FracLattice(1, ((0, 0), (0, 1)))  # member() divides by a*d = 0
-    with pytest.raises(DerivationError, match="c1 is not a canonical lattice"):
-        Derivation(1, zero, u, ()).to_json()
-    with pytest.raises(DerivationError, match="c1 is not a canonical lattice"):
-        Derivation(1, zero, u, ()).degree
+    for bad in (
+        FracLattice(1, ((0, 0), (0, 1))),  # member() divides by a*d = 0
+        FracLattice(2, ((2, 0), (0, 2))),  # the arithmetic succeeds: to_json wrote it out
+        FracLattice(1, ((1, 3), (0, 2))),  # b >= d: "index requested over a non-sublattice"
+    ):
+        with pytest.raises(DerivationError, match="c1 is not a canonical lattice"):
+            Derivation(1, bad, u, ()).to_json()
+        with pytest.raises(DerivationError, match="c1 is not a canonical lattice"):
+            Derivation(1, bad, u, ()).degree
+    zero = FracLattice(1, ((0, 0), (0, 1)))
     steps = ((1, QuotientRelation(u, zero, u, u)),)
     with pytest.raises(DerivationError, match="step 0: sub1 is not a canonical lattice"):
         Derivation(1, u, u, steps).to_json()
@@ -263,9 +279,7 @@ def test_lattice_json_round_trip():
 
 
 def test_quotient_relation_basic():
-    c1 = sub(6, (1, 0))
-    c2 = sub(6, (0, 1))
-    rel = quotient_relation(6, c1, c2)
+    rel = QuotientRelation.build(FracLattice.unit(), lattice(6, (1, 0)), lattice(6, (0, 1)))
     assert rel.base == FracLattice.unit()
     assert rel.to_json()["orders"] == [6, 6]
     assert rel.joint.index_over(rel.base) == 36
@@ -275,12 +289,15 @@ def test_quotient_relation_basic():
 
 
 def test_quotient_relation_rejects():
-    with pytest.raises(LevelMismatchError):
-        quotient_relation(6, sub(6, (1, 0)), sub(4, (0, 1)))
+    unit = FracLattice.unit()
     with pytest.raises(DerivationError, match="intersect nontrivially"):
-        quotient_relation(4, sub(4, (1, 0)), sub(4, (1, 0), (0, 2)))
+        QuotientRelation.build(unit, lattice(4, (1, 0)), lattice(4, (1, 0), (0, 2)))
+    with pytest.raises(DerivationError, match="contain the base"):
+        QuotientRelation.build(lattice(2, (1, 0)), unit, lattice(2, (1, 0)))
+    # subgroups of different levels are lattices like any other
+    assert QuotientRelation.build(unit, lattice(6, (1, 0)), lattice(4, (0, 1))).to_json()["orders"] == [6, 4]
     # trivial subgroups are allowed and give a degenerate relation
-    rel = quotient_relation(3, TorsionSubgroup.trivial(3), TorsionSubgroup.trivial(3))
+    rel = QuotientRelation.build(unit, unit, unit)
     assert rel.vector() == {}
 
 
@@ -292,15 +309,14 @@ def test_quotient_relation_degree_balance():
     for _ in range(100):
         n = rng.choice((2, 3, 4, 5, 6, 8, 9, 10, 12))
         groups = [
-            TorsionSubgroup.from_rows(n, ((x, b), (0, n // x)))
+            FracLattice.make(n, ((x, b), (0, n // x)))
             for x in (d for d in range(1, n + 1) if n % d == 0)
             for b in range(n // x)
         ]
-        c1, c2 = rng.choice(groups), rng.choice(groups)
-        l1, l2 = FracLattice.from_subgroup(c1), FracLattice.from_subgroup(c2)
+        l1, l2 = rng.choice(groups), rng.choice(groups)
         if (l1 & l2) != FracLattice.unit():
             continue
-        rel = quotient_relation(n, c1, c2)
+        rel = QuotientRelation.build(FracLattice.unit(), l1, l2)
         o1, o2 = rel.to_json()["orders"]
         assert rel.joint.index_over(rel.base) == o1 * o2
         lhs = ctx.degree_class(1) * ctx.degree_class(o1 * o2)
@@ -394,6 +410,11 @@ def test_index_subgroups_closed_form(monkeypatch):
             got = list(closed_form(base, m))
             assert got == list(_index_subgroups_by_make(base, m)), (base, m)
             assert len(got) == sum(divisors(m))
+    # FracLattice.from_subgroup is closed form too: every subgroup of every
+    # level <= 24 gives the lattice FracLattice.make reduces its basis to.
+    for n in range(1, 25):
+        for s in oracle.exhaustive_subgroups(n):
+            assert FracLattice.from_subgroup(s) == FracLattice.make(n, s.basis), s
 
 
 # ------------------------------------------------------------- derivations
@@ -425,14 +446,14 @@ def test_derive_order_six_cyclics():
     # every step stays inside the order-36 window: volumes between 1/36 and 1
     for _, rel in d.steps:
         for lat in (rel.base, rel.sub1, rel.sub2, rel.joint):
-            assert Fraction(1, 36) <= lat.vol <= 1
+            assert Fraction(1, 36) <= Fraction(*lat.covolume) <= 1
 
 
 def all_subgroups_of_order(n):
     out = []
     for x in (d for d in range(1, n + 1) if n % d == 0):
         for b in range(n // x):
-            out.append(TorsionSubgroup.from_rows(n, ((x, b), (0, n // x))))
+            out.append(TorsionSubgroup(n, ((x, b), (0, n // x))))
     return out
 
 

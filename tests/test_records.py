@@ -250,3 +250,9 @@ def test_cli_import_skips_dataclasses_and_oracle():
     assert [m for m in absent if loaded[m]] == []
     assert [m for m in TRACED_MODULES if not loaded[m]] == []
     assert loaded["oracle after import"]
+
+
+def test_every_export_resolves():
+    # A name left in __all__ after its definition is deleted breaks
+    # `from k0av import *` for users; catch it here instead.
+    assert [name for name in k0av.__all__ if not hasattr(k0av, name)] == []
