@@ -20,7 +20,7 @@ from .contexts import CM, IsogenyContext, make_context
 from .errors import K0Error, ParseError, excerpt
 from .expr import eval_expression, parse_expression, parse_kernel, parse_rational
 from .k0 import Derivation, derive_same_degree, k0_class, validate_derivation
-from .kernels import int_literal, kernel_from_counts, tokenize
+from .kernels import int_literal, tokenize
 from .quadforms import class_group, square_classes
 
 
@@ -107,14 +107,11 @@ def _cmd_structure(args) -> int:
 def _cmd_dist(args) -> int:
     ctx = _load_context(args.ctx)
     if args.kernel is not None:
-        p = getattr(ctx, "p", None)
-        if p is None:
-            raise K0Error("kernel input requires a characteristic-p context")
         try:
-            counts = parse_kernel(args.kernel)
+            spec = parse_kernel(args.kernel)
         except ParseError as exc:
             raise K0Error(f"bad kernel {excerpt(args.kernel)}: {exc}") from exc
-        cls = k0_class(ctx, 1, kernel_from_counts(p, counts)).deg
+        cls = k0_class(ctx, 1, spec).deg
     else:
         try:
             q = parse_rational(args.degree)

@@ -20,6 +20,10 @@ exposes the abelian group where isogeny degrees live once global squares
 
 Contexts are immutable; class-group data is computed once per context and
 cached on the instance.
+
+A context file is the JSON object `to_json` writes and `make_context` reads:
+`case` names the kind, and the other keys are its class's `_fields`, all
+integers, e.g. {"case": "ordinary_cm", "disc": -20, "p": 3}.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from ._record import Record, set_field
 from .arith import FactoredRational, is_prime, printable_int
 from .errors import ContextError, ContextMismatchError, KernelInputError
 from .quadforms import (
-    ClassGroup,
     SquareClasses,
     class_group,
     kronecker,
@@ -151,7 +154,7 @@ class DegreeClass(Record):
         return self.ctx._describe_class(self.data)
 
     def to_json(self) -> dict:
-        return self.ctx._class_json(self.data)
+        return {"case": self.ctx.case, **self.ctx._class_json(self.data)}
 
 
 _set_ctx = DegreeClass.ctx.__set__
@@ -180,7 +183,8 @@ class IsogenyContext(Record):
         raise NotImplementedError
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        """The context file's object: `case`, then `_fields` in order."""
+        return {"case": self.case, **dict(zip(self._fields, self._values(self._fields)))}
 
     # Kind-specific canonical-form plumbing.
     def _identity_data(self) -> tuple:
@@ -202,6 +206,7 @@ class IsogenyContext(Record):
         raise NotImplementedError
 
     def _class_json(self, x: tuple) -> dict:
+        """The class's JSON fields after `case`."""
         raise NotImplementedError
 
 
@@ -255,16 +260,13 @@ class EndZ(IsogenyContext):
         return f"exponents mod {self.modulus}: {body}"
 
     def _class_json(self, x: tuple) -> dict:
-        return {"case": self.case, "modulus": self.modulus, "exponents": [list(t) for t in x]}
+        return {"modulus": self.modulus, "exponents": [list(t) for t in x]}
 
     def structure(self) -> GroupStructure:
         return GroupStructure(0, (StructureFactor(self.modulus, None, "per prime"),))
 
     def describe(self) -> str:
         return f"dimension {self.g}, integer endomorphisms, characteristic 0"
-
-    def to_json(self) -> dict:
-        return {"case": self.case, "g": self.g}
 
 
 @lru_cache(maxsize=512)
@@ -285,10 +287,6 @@ class _WithClassGroup(IsogenyContext):
     stored as its representative form."""
 
     disc: int
-
-    @cached_property
-    def class_group(self) -> ClassGroup:
-        return class_group(self.disc)
 
     @cached_property
     def square_classes(self) -> SquareClasses:
@@ -338,11 +336,7 @@ class _WithClassGroup(IsogenyContext):
 
     def _class_json(self, x: tuple) -> dict:
         rep, inert = x
-        return {
-            "case": self.case,
-            "coset_rep": list(rep.triple()),
-            "inert_odd": list(inert),
-        }
+        return {"coset_rep": list(rep.triple()), "inert_odd": list(inert)}
 
     def structure(self) -> GroupStructure:
         t = self.square_classes.index.bit_length() - 1
@@ -367,9 +361,6 @@ class CM(_WithClassGroup):
 
     def describe(self) -> str:
         return f"elliptic, CM by the maximal order of discriminant {self.disc}, characteristic 0"
-
-    def to_json(self) -> dict:
-        return {"case": self.case, "disc": self.disc}
 
 
 class OrdinaryCM(_WithClassGroup):
@@ -398,9 +389,6 @@ class OrdinaryCM(_WithClassGroup):
             f"elliptic, ordinary, characteristic {self.p}, "
             f"CM by the maximal order of discriminant {self.disc}"
         )
-
-    def to_json(self) -> dict:
-        return {"case": self.case, "disc": self.disc, "p": self.p}
 
 
 class Supersingular(IsogenyContext):
@@ -435,16 +423,13 @@ class Supersingular(IsogenyContext):
         return "identity (trivial group)"
 
     def _class_json(self, x: tuple) -> dict:
-        return {"case": self.case}
+        return {}
 
     def structure(self) -> GroupStructure:
         return GroupStructure(0, ())
 
     def describe(self) -> str:
         return f"elliptic, supersingular, characteristic {self.p}"
-
-    def to_json(self) -> dict:
-        return {"case": self.case, "p": self.p}
 
 
 class CharPEndZ(IsogenyContext):
@@ -498,12 +483,7 @@ class CharPEndZ(IsogenyContext):
         return "; ".join(parts)
 
     def _class_json(self, x: tuple) -> dict:
-        return {
-            "case": self.case,
-            "p": self.p,
-            "p_degree": printable_int(x[0], "p-degree"),
-            "odd_primes": list(x[1]),
-        }
+        return {"p": self.p, "p_degree": printable_int(x[0], "p-degree"), "odd_primes": list(x[1])}
 
     def structure(self) -> GroupStructure:
         return GroupStructure(
@@ -515,21 +495,13 @@ class CharPEndZ(IsogenyContext):
     def describe(self) -> str:
         return f"elliptic, ordinary, characteristic {self.p}, integer endomorphisms"
 
-    def to_json(self) -> dict:
-        return {"case": self.case, "p": self.p}
 
-
-_CASE_FIELDS = {
-    "end_z": ("g",),
-    "cm": ("disc",),
-    "supersingular": ("p",),
-    "ordinary_cm": ("disc", "p"),
-    "char_p_end_z": ("p",),
-}
+# The context file format: each kind's `case` and `_fields`.
+_CONTEXTS = {kind.case: kind for kind in (EndZ, CM, Supersingular, OrdinaryCM, CharPEndZ)}
 
 
 def make_context(spec: Mapping) -> IsogenyContext:
-    """Build a context from a flat mapping with a `case` field.
+    """Build a context from a flat mapping: `case` and its class's `_fields`.
 
     Unknown cases and unknown or missing fields are rejected; only the five
     supported endomorphism types exist (general number-field centers are out
@@ -538,28 +510,23 @@ def make_context(spec: Mapping) -> IsogenyContext:
     if "case" not in spec:
         raise ContextError("missing field: case")
     case = spec["case"]
-    if case not in _CASE_FIELDS:
+    if not isinstance(case, str):
+        raise ContextError(f"field case must be a string, got {type(case).__name__}")
+    if case not in _CONTEXTS:
         raise ContextError(
-            f"unknown case {case!r}: supported cases are {sorted(_CASE_FIELDS)} "
+            f"unknown case {case!r}: supported cases are {sorted(_CONTEXTS)} "
             "(other endomorphism centers are unsupported)"
         )
-    fields = _CASE_FIELDS[case]
-    extra = set(spec) - {"case", *fields}
+    cls = _CONTEXTS[case]
+    extra = set(spec) - {"case", *cls._fields}
     if extra:
         raise ContextError(f"unknown fields for case {case!r}: {sorted(extra)}")
     values = {}
-    for name in fields:
+    for name in cls._fields:
         if name not in spec:
             raise ContextError(f"missing field for case {case!r}: {name}")
         value = spec[name]
         if not isinstance(value, int) or isinstance(value, bool):
             raise ContextError(f"field {name} must be an integer")
         values[name] = value
-    cls = {
-        "end_z": EndZ,
-        "cm": CM,
-        "supersingular": Supersingular,
-        "ordinary_cm": OrdinaryCM,
-        "char_p_end_z": CharPEndZ,
-    }[case]
     return cls(**values)

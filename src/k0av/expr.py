@@ -15,8 +15,9 @@ Grammar (whitespace insignificant):
 
 Literals are arbitrary precision.  One lexer (`kernels.tokenize`) reads
 every literal, kernel literals included, in one regex pass; token offsets
-are found only for an error message.  `print_expression` emits a
-canonical rendering; parse(print(parse(s))) = parse(s) for every valid s.
+are found only for an error message.  A kernel literal becomes a
+`kernels.KernelSpec`.  `print_expression` emits a canonical rendering;
+parse(print(parse(s))) = parse(s) for every valid s.
 """
 
 from __future__ import annotations
@@ -26,28 +27,9 @@ from typing import Union
 
 from ._record import Record, set_field
 from .contexts import IsogenyContext
-from .errors import ContextMismatchError, ParseError, excerpt
+from .errors import ParseError, excerpt
 from .k0 import K0Element, k0_class
-from .kernels import kernel_from_counts, parse_kernel_literal, tokenize
-
-
-class KernelSpec(Record):
-    """Kernel literal before a context supplies the characteristic."""
-
-    __slots__ = _fields = ("zp", "mup", "alphap", "coprime")
-    zp: int
-    mup: int
-    alphap: int
-    coprime: int
-
-    def __init__(self, zp: int = 0, mup: int = 0, alphap: int = 0, coprime: int = 1) -> None:
-        set_field(self, "zp", zp)
-        set_field(self, "mup", mup)
-        set_field(self, "alphap", alphap)
-        set_field(self, "coprime", coprime)
-
-    def counts(self) -> dict[str, int]:
-        return {"zp": self.zp, "mup": self.mup, "alphap": self.alphap, "coprime": self.coprime}
+from .kernels import KernelSpec, parse_kernel_literal, tokenize
 
 
 class ClassAtom(Record):
@@ -177,12 +159,12 @@ class _Parser:
         if t.isdigit():
             return self.rational()
         if t == "{":
-            return KernelSpec(**self.kernel())
+            return self.kernel()
         raise self.found("rational or kernel literal")
 
-    def kernel(self) -> dict[str, int]:
-        counts, self.i = parse_kernel_literal(self.toks, self.i)
-        return counts
+    def kernel(self) -> KernelSpec:
+        spec, self.i = parse_kernel_literal(self.toks, self.i)
+        return spec
 
     def whole(self, rule, expected: str = "end of input"):
         """`rule`'s value, when it reads all of the text."""
@@ -202,25 +184,16 @@ def parse_rational(text: str) -> Fraction:
     return _Parser(text).whole(_Parser.rational)
 
 
-def parse_kernel(text: str) -> dict[str, int]:
-    """Counts of a kernel literal by the `kernel` rule alone, e.g.
-    "{mup:1, coprime:12}"; fields default to zp=mup=alphap=0, coprime=1."""
+def parse_kernel(text: str) -> KernelSpec:
+    """A kernel literal by the `kernel` rule alone, e.g. "{mup:1, coprime:12}";
+    absent fields take `KernelSpec`'s defaults."""
     return _Parser(text).whole(_Parser.kernel)
 
 
 def _print_spec(spec: Union[Fraction, KernelSpec]) -> str:
-    if isinstance(spec, Fraction):
-        return str(spec.numerator) if spec.denominator == 1 else f"{spec.numerator}/{spec.denominator}"
-    fields = []
-    for key, val, default in (
-        ("zp", spec.zp, 0),
-        ("mup", spec.mup, 0),
-        ("alphap", spec.alphap, 0),
-        ("coprime", spec.coprime, 1),
-    ):
-        if val != default:
-            fields.append(f"{key}:{val}")
-    return "{" + ", ".join(fields) + "}"
+    if isinstance(spec, KernelSpec):
+        return spec.literal()
+    return str(spec.numerator) if spec.denominator == 1 else f"{spec.numerator}/{spec.denominator}"
 
 
 def _print_atom(node: Union[ClassAtom, Dual]) -> str:
@@ -255,10 +228,4 @@ def eval_expression(ctx: IsogenyContext, node: Node) -> K0Element:
         return acc
     if isinstance(node, Dual):
         return eval_expression(ctx, node.inner).dual()
-    spec = node.spec
-    if isinstance(spec, KernelSpec):
-        p = getattr(ctx, "p", None)
-        if p is None:
-            raise ContextMismatchError("kernel literal requires a characteristic-p context")
-        return k0_class(ctx, node.n, kernel_from_counts(p, spec.counts()))
-    return k0_class(ctx, node.n, spec)
+    return k0_class(ctx, node.n, node.spec)

@@ -64,7 +64,7 @@ from .arith import (
 )
 from .contexts import CharPEndZ, DegreeClass, IsogenyContext, Supersingular
 from .errors import ContextMismatchError, DerivationError, LevelMismatchError
-from .kernels import KernelMultiset, kernel_class
+from .kernels import KernelMultiset, KernelSpec, kernel_class
 
 
 class K0Element(Record):
@@ -120,16 +120,19 @@ _set_deg = K0Element.deg.__set__
 
 
 def k0_class(
-    ctx: IsogenyContext, n: int, degree: FactoredRational | Fraction | int | KernelMultiset
+    ctx: IsogenyContext, n: int, degree: FactoredRational | Fraction | int | KernelMultiset | KernelSpec
 ) -> K0Element:
     """Class of n copies of an object at isogeny distance `degree` from the
-    base object.  Kernel multisets are accepted in characteristic p."""
-    if isinstance(degree, KernelMultiset):
+    base object.  A kernel, as a multiset or a `KernelSpec` given the
+    context's p, is accepted in characteristic p only; nothing else decides."""
+    if isinstance(degree, (KernelMultiset, KernelSpec)):
+        if not isinstance(ctx, (Supersingular, CharPEndZ)):
+            raise ContextMismatchError("kernel input requires a characteristic-p context")
+        if isinstance(degree, KernelSpec):
+            degree = degree.multiset(ctx.p)
         if isinstance(ctx, Supersingular):
             return K0Element(n, ctx.identity())
-        if isinstance(ctx, CharPEndZ):
-            return K0Element(n, kernel_class(ctx, degree))
-        raise ContextMismatchError("kernel input requires a characteristic-p context")
+        return K0Element(n, kernel_class(ctx, degree))
     return K0Element(n, ctx.degree_class(degree))
 
 

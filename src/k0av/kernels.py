@@ -4,6 +4,10 @@ A finite group scheme killed by a power of p decomposes into copies of the
 constant scheme Z/p, its Cartier dual mu_p, and the self-dual alpha_p, plus a
 prime-to-p etale part recorded by its order.  Ordinary curves admit no
 alpha_p; it only occurs supersingularly, where degree classes vanish anyway.
+
+A kernel literal `{zp:2, mup:1, alphap:0, coprime:12}` is a `KernelSpec`,
+the one statement of its fields and defaults; `multiset(p)` gives the
+`KernelMultiset` once a context supplies p.
 """
 
 from __future__ import annotations
@@ -95,6 +99,34 @@ def kernel_of_matrix_endo(m: IntMatrix, ctx: CharPEndZ) -> KernelMultiset:
     return KernelMultiset(p, et_p=e, mu_p=e, coprime=FactoredRational.from_int(det) ** 2)
 
 
+class KernelSpec(Record):
+    """A kernel literal before a context supplies the characteristic: the
+    counts of Z/p, mu_p and alpha_p and the prime-to-p order.  The field
+    names and `__init__` defaults are the literal's keys and defaults."""
+
+    __slots__ = _fields = ("zp", "mup", "alphap", "coprime")
+    zp: int
+    mup: int
+    alphap: int
+    coprime: int
+
+    def __init__(self, zp: int = 0, mup: int = 0, alphap: int = 0, coprime: int = 1) -> None:
+        set_field(self, "zp", zp)
+        set_field(self, "mup", mup)
+        set_field(self, "alphap", alphap)
+        set_field(self, "coprime", coprime)
+
+    def literal(self) -> str:
+        """Canonical literal: the fields that differ from their defaults, in
+        field order; `parse_kernel` reads it back to an equal spec."""
+        values = zip(self._fields, self._values(self._fields), KernelSpec.__init__.__defaults__)
+        return "{" + ", ".join(f"{k}:{v}" for k, v, default in values if v != default) + "}"
+
+    def multiset(self, p: int) -> KernelMultiset:
+        """The kernel in characteristic p; a coprime part involving p is refused."""
+        return KernelMultiset(p, self.zp, self.mup, self.alphap, FactoredRational.from_int(self.coprime))
+
+
 def kernel_class(ctx: CharPEndZ, k: KernelMultiset) -> DegreeClass:
     """Degree class of an isogeny with kernel k: (deg_p, odd square classes
     of the prime-to-p order)."""
@@ -110,9 +142,6 @@ def class_in_image(p: int, a: int, q: FactoredRational | int) -> bool:
     invariant of some kernel: exactly when ord_p(q) is even."""
     q = FactoredRational.from_fraction(q)
     return q.exponent(p) % 2 == 0
-
-
-_KERNEL_DEFAULTS = {"zp": 0, "mup": 0, "alphap": 0, "coprime": 1}
 
 
 def int_literal(digits: str, pos: int) -> int:
@@ -179,10 +208,10 @@ def tokenize(text: str) -> Tokens:
 _ENDS_KERNEL = frozenset(_SYMBOLS).difference("{}:,").union([""])
 
 
-def parse_kernel_literal(toks: Tokens, i: int) -> tuple[dict[str, int], int]:
+def parse_kernel_literal(toks: Tokens, i: int) -> tuple[KernelSpec, int]:
     """Parse `{zp:2, mup:1, alphap:0, coprime:12}` starting at toks[i];
-    fields optional, at most once each.  Returns the counts, with defaults
-    zp=mup=alphap=0, coprime=1, and the index of the token after '}'."""
+    fields optional, at most once each.  Returns the `KernelSpec`, whose
+    defaults fill the absent fields, and the index of the token after '}'."""
     start = i
     if toks[i] != "{":
         raise ParseError("kernel literal must start with '{'", toks.pos(i), "'{'")
@@ -191,8 +220,9 @@ def parse_kernel_literal(toks: Tokens, i: int) -> tuple[dict[str, int], int]:
     while (key := toks[i]) != "}":
         if key in _ENDS_KERNEL:
             raise ParseError("unterminated kernel literal", toks.pos(start), "'}'")
-        if key not in _KERNEL_DEFAULTS:
-            raise ParseError(f"unknown kernel field {excerpt(key)}", toks.pos(i), "zp, mup, alphap or coprime")
+        if key not in KernelSpec._fields:
+            *first, last = KernelSpec._fields
+            raise ParseError(f"unknown kernel field {excerpt(key)}", toks.pos(i), f"{', '.join(first)} or {last}")
         if key in out:
             raise ParseError(f"duplicate kernel field {key!r}", toks.pos(i))
         # toks ends with "", so toks[i + 2] exists whenever toks[i + 1] is ':'.
@@ -208,16 +238,7 @@ def parse_kernel_literal(toks: Tokens, i: int) -> tuple[dict[str, int], int]:
         elif sep != "}" and sep not in _ENDS_KERNEL:
             raise ParseError("expected ',' or '}' after kernel field", toks.pos(i), "',' or '}'")
         # Any other token fails the next pass's first check: unterminated.
-    if out.get("coprime", 1) < 1:
+    spec = KernelSpec(**out)
+    if spec.coprime < 1:
         raise ParseError("coprime order must be positive", toks.pos(start))
-    return {**_KERNEL_DEFAULTS, **out}, i + 1
-
-
-def kernel_from_counts(p: int, counts: dict[str, int]) -> KernelMultiset:
-    return KernelMultiset(
-        p,
-        et_p=counts["zp"],
-        mu_p=counts["mup"],
-        alpha_p=counts["alphap"],
-        coprime=FactoredRational.from_int(counts["coprime"]),
-    )
+    return spec, i + 1

@@ -158,9 +158,6 @@ class ClassGroup(Record):
     def identity(self) -> QuadForm:
         return principal_form(self.disc)
 
-    def compose(self, f: QuadForm, g: QuadForm) -> QuadForm:
-        return compose(f, g)
-
 
 @lru_cache(maxsize=DISC_CACHE_SIZE)
 def class_group(d: int) -> ClassGroup:

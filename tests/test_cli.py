@@ -94,6 +94,19 @@ def test_dist_kernel_requires_char_p(capsys, ctx_file):
     assert "characteristic-p" in err
 
 
+def test_kernel_literal_is_read_before_the_context_decides(capsys, ctx_file):
+    # k0_class alone decides which contexts take kernels, so a malformed
+    # literal is named first, and ordinary_cm refuses even a literal whose
+    # coprime part involves p as a context error.
+    path = ctx_file({"case": "end_z", "g": 1})
+    code, _, err = run(capsys, ["dist", "--ctx", path, "--kernel", "{zp:%}"])
+    assert code == 2 and err.startswith("error: bad kernel '{zp:%}'")
+    path = ctx_file({"case": "ordinary_cm", "disc": -20, "p": 3})
+    for argv in (["dist", "--ctx", path, "--kernel", "{coprime:3}"], ["eval", "--ctx", path, "[1; {coprime:3}]"]):
+        code, _, err = run(capsys, argv)
+        assert code == 2 and "requires a characteristic-p context" in err, argv
+
+
 def test_dist_p_part_needs_kernel(capsys, ctx_file):
     path = ctx_file({"case": "char_p_end_z", "p": 5})
     code, _, err = run(capsys, ["dist", "--ctx", path, "--degree", "10"])
@@ -443,6 +456,10 @@ _REFUSED = [
         id="big-certificate",
     ),
     pytest.param(["structure", "--ctx", "{file}"], b"\xff\xfe{}", "not UTF-8", id="non-utf8-context"),
+    pytest.param(["structure", "--ctx", "{file}"], '{"case": ["x"]}', "field case must be a string", id="list-case"),
+    pytest.param(
+        ["structure", "--ctx", "{file}"], '{"case": {"a": 1}}', "field case must be a string", id="object-case"
+    ),
     pytest.param(["eval", "--ctx", "{ctx}", f"{_NEAR}*[{_NEAR}; 1]"], None, "limit of", id="big-result"),
     pytest.param(
         ["eval", "--json", "--ctx", "{ctx}", f"{_NEAR}*[{_NEAR}; 1]"], None, "limit of", id="big-result-json"

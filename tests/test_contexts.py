@@ -44,6 +44,9 @@ def test_make_context_rejects():
         make_context({"case": "ordinary_cm", "disc": -4, "p": 3})  # 3 inert in Q(i)
     with pytest.raises(Exception):
         make_context({"case": "cm", "disc": -12})  # non-maximal order
+    for case in (["x"], {"a": 1}):  # unhashable: refused by name, not by TypeError
+        with pytest.raises(ContextError, match="field case must be a string"):
+            make_context({"case": case})
 
 
 def test_ordinary_cm_split_requirement():
@@ -374,6 +377,9 @@ def test_ordinary_cm_p_is_split_prime():
 def test_context_json_round_trip():
     for ctx in (EndZ(2), CM(-20), Supersingular(7), OrdinaryCM(-20, 3), CharPEndZ(5)):
         assert make_context(ctx.to_json()) == ctx
+        assert list(ctx.to_json()) == ["case", *ctx._fields]
+        cls = ctx.degree_class(2)
+        assert cls.to_json()["case"] == ctx.case
 
 
 def test_degree_class_accepts_factored_rational():

@@ -12,8 +12,8 @@ import pytest
 
 from k0av import k0, oracle
 from k0av.arith import TorsionSubgroup, divisors
-from k0av.contexts import CM, CharPEndZ, EndZ, Supersingular
-from k0av.errors import ContextMismatchError, DerivationError, K0Error, LevelMismatchError
+from k0av.contexts import CM, CharPEndZ, EndZ, OrdinaryCM, Supersingular
+from k0av.errors import ContextMismatchError, DerivationError, K0Error, KernelInputError, LevelMismatchError
 from k0av.k0 import (
     Derivation,
     FracLattice,
@@ -23,7 +23,7 @@ from k0av.k0 import (
     k0_class,
     validate_derivation,
 )
-from k0av.kernels import KernelMultiset
+from k0av.kernels import KernelMultiset, KernelSpec
 
 
 def lattice(level, *gens):
@@ -105,6 +105,15 @@ def test_k0_class_kernel_dispatch():
     assert cls.deg.data == (-1, ())
     with pytest.raises(ContextMismatchError, match="characteristic-p"):
         k0_class(EndZ(2), 1, k)
+    # A literal's spec takes the context's p; only the char-p contexts accept it.
+    spec = KernelSpec(mup=1, coprime=12)
+    assert k0_class(CharPEndZ(5), 1, spec) == k0_class(CharPEndZ(5), 1, spec.multiset(5))
+    assert k0_class(Supersingular(5), 2, spec).deg.is_identity
+    with pytest.raises(KernelInputError, match="cannot involve p"):
+        k0_class(Supersingular(3), 1, spec)
+    for ctx in (EndZ(2), CM(-20), OrdinaryCM(-20, 3)):
+        with pytest.raises(ContextMismatchError, match="characteristic-p"):
+            k0_class(ctx, 1, spec)
 
 
 def test_decomposition_identity():

@@ -13,10 +13,10 @@ from k0av.errors import KernelInputError, ParseError, SingularMatrixError
 from k0av.expr import parse_expression, parse_kernel
 from k0av.kernels import (
     KernelMultiset,
+    KernelSpec,
     cartier_dual,
     class_in_image,
     kernel_class,
-    kernel_from_counts,
     kernel_of_matrix_endo,
     tokenize,
 )
@@ -209,14 +209,13 @@ def test_class_in_image_index_two():
 
 
 def test_parse_kernel_literal():
-    assert parse_kernel("{zp:2, mup:1, alphap:0, coprime:12}") == {
-        "zp": 2,
-        "mup": 1,
-        "alphap": 0,
-        "coprime": 12,
-    }
-    assert parse_kernel("{}") == {"zp": 0, "mup": 0, "alphap": 0, "coprime": 1}
-    assert parse_kernel("  { mup : 3 }  ")["mup"] == 3
+    spec = parse_kernel("{zp:2, mup:1, alphap:0, coprime:12}")
+    assert spec == KernelSpec(zp=2, mup=1, alphap=0, coprime=12)
+    assert spec.literal() == "{zp:2, mup:1, coprime:12}"
+    assert parse_kernel(spec.literal()) == spec
+    assert parse_kernel("{}") == KernelSpec(zp=0, mup=0, alphap=0, coprime=1)
+    assert parse_kernel("{}").literal() == "{}"
+    assert parse_kernel("  { mup : 3 }  ").mup == 3
 
 
 def test_parse_kernel_literal_errors():
@@ -244,7 +243,7 @@ def test_parse_error_position():
 
 
 def test_kernel_literal_in_an_expression_reads_as_alone():
-    # One lexer: a literal inside [1; K] gives the counts K gives alone, for
+    # One lexer: a literal inside [1; K] gives the spec K gives alone, for
     # every subset and order of fields, spaced or not.
     values = {"zp": 3, "mup": 0, "alphap": 12, "coprime": 35}
     for size in range(5):
@@ -252,10 +251,11 @@ def test_kernel_literal_in_an_expression_reads_as_alone():
             for sep, colon in ((",", ":"), (" , ", " : "), (",\n", ":\t")):
                 literal = "{" + sep.join(f"{k}{colon}{values[k]}" for k in keys) + "}"
                 alone = parse_kernel(f" {literal} ")
-                assert alone == {**{"zp": 0, "mup": 0, "alphap": 0, "coprime": 1}, **{k: values[k] for k in keys}}
+                assert alone == KernelSpec(**{k: values[k] for k in keys})
+                assert parse_kernel(alone.literal()) == alone
                 for text in (f"[1;{literal}]", f"[1 ; {literal} ] + [2; 3]"):
                     spec = parse_expression(text).terms[0][1].spec
-                    assert spec.counts() == alone, text
+                    assert spec == alone, text
 
 
 def test_kernel_literal_unterminated():
@@ -336,8 +336,8 @@ def test_bad_character_is_refused_before_the_grammar():
     assert exc.value.pos == 7
 
 
-def test_kernel_from_counts():
-    k = kernel_from_counts(5, {"zp": 1, "mup": 2, "alphap": 0, "coprime": 6})
+def test_kernel_spec_multiset():
+    k = KernelSpec(zp=1, mup=2, alphap=0, coprime=6).multiset(5)
     assert k == K(5, et=1, mu=2, coprime=6)
     with pytest.raises(KernelInputError):
-        kernel_from_counts(5, {"zp": 0, "mup": 0, "alphap": 0, "coprime": 10})
+        KernelSpec(zp=0, mup=0, alphap=0, coprime=10).multiset(5)
