@@ -1,7 +1,12 @@
-"""Exact integer arithmetic: factorization (trial division, then
-Pollard-Brent rho within a step budget), factored rationals, integer
+"""Exact integer arithmetic: factorization, factored rationals, integer
 matrices, and rank-2 lattices.  `is_prime` is written in `_primality`
 and used from here.
+
+Factoring takes one gcd of n with the product of the primes below 1024,
+divides out the primes that gcd names, and calls a cofactor below 1031^2
+(1031 is the least prime past 1024) prime without a test.  A larger
+cofactor is tested and, when composite, split by Pollard-Brent rho within
+a step budget.
 
 Conventions:
   * all arithmetic is arbitrary-precision; exactness is preferred over speed
@@ -23,7 +28,8 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from itertools import count
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 from ._primality import is_prime
@@ -54,10 +60,16 @@ def strict_int(value) -> int:
     return value
 
 
-# Trial division stops at this bound; a cofactor that is still composite is
-# split by Pollard-Brent rho, whose cost grows with the square root of a
-# prime factor rather than with the factor itself.
+# Trial division covers the primes below this bound.  `_TRIAL_PRIMES` are
+# those primes, and one gcd with their product names the ones dividing n.
+# A cofactor with no prime factor below the bound is prime when it is below
+# `_PRIME_BELOW`, the square of the least prime past the bound; a larger
+# composite cofactor is split by Pollard-Brent rho, whose cost grows with
+# the square root of a prime factor rather than with the factor itself.
 _TRIAL_BOUND = 1 << 10
+_TRIAL_PRIMES = tuple(p for p in range(2, _TRIAL_BOUND) if is_prime(p))
+_TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
+_PRIME_BELOW = next(q for q in count(_TRIAL_BOUND) if is_prime(q)) ** 2
 # Rho steps allowed for one integer.  Rho needs about sqrt(p) steps to find
 # a prime factor p, so factors up to 10^10, and so every integer below
 # 10^20, are found within it with overwhelming probability.
@@ -114,45 +126,43 @@ def _rho_exponents(n: int) -> list[tuple[int, int]]:
     return [(p, primes.count(p)) for p in sorted(set(primes))]
 
 
+def _refuse_non_positive(value: int | Fraction) -> KernelInputError:
+    """The error for factoring a non-positive `value`, which it names."""
+    shown = printable_int(value.numerator, "the number to factor")
+    if value.denominator != 1:
+        shown = f"{shown}/{printable_int(value.denominator, 'the number to factor')}"
+    return KernelInputError(f"can only factor positive numbers, got {shown}")
+
+
 # Bounded so a long-lived process does not grow without limit; 32,768
-# entries hold more than the ~23,800 distinct integers a full degree-query
-# benchmark pass factors.
+# entries hold more than the ~23,500 distinct integers a traced 12 s
+# degree-query benchmark run factors.
 @lru_cache(maxsize=1 << 15)
 def _factor_int(n: int) -> tuple[tuple[int, int], ...]:
-    # Trial division with a primality shortcut after each hit, then rho past
-    # _TRIAL_BOUND.
     if n <= 0:
-        raise ValueError("can only factor positive integers")
+        raise _refuse_non_positive(n)
     exps: list[tuple[int, int]] = []
-    for p in (2, 3):
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
+    # g is the product of the trial primes that divide n; walk them in
+    # ascending order, dividing each out of n and g, until g is spent.
+    g = gcd(n, _TRIAL_PRODUCT)
+    if g > 1:
+        for p in _TRIAL_PRIMES:
+            if g % p == 0:
                 n //= p
-                e += 1
-            exps.append((p, e))
-    if n > 1 and not is_prime(n):
-        q = 5
-        while q * q <= n:
-            if q > _TRIAL_BOUND:  # n is composite with no prime factor below q
-                exps += _rho_exponents(n)
-                n = 1
-                break
-            hit = False
-            for p in (q, q + 2):
-                if n % p == 0:
-                    e = 0
-                    while n % p == 0:
-                        n //= p
-                        e += 1
-                    exps.append((p, e))
-                    hit = True
-            if hit and (n == 1 or is_prime(n)):
-                break
-            q += 6
-    if n > 1:
+                e = 1
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                exps.append((p, e))
+                g //= p
+                if g == 1:
+                    break
+    # Every prime factor of the cofactor n is past _TRIAL_BOUND, so each
+    # sorts after the trial primes, and n below _PRIME_BELOW is prime.
+    if n >= _PRIME_BELOW and not is_prime(n):
+        exps += _rho_exponents(n)
+    elif n > 1:
         exps.append((n, 1))
-    exps.sort()
     return tuple(exps)
 
 
@@ -181,8 +191,6 @@ class FactoredRational(Record):
 
     @staticmethod
     def from_int(n: int) -> FactoredRational:
-        if n <= 0:
-            raise ValueError("positive integer required")
         return _trusted(_factor_int(n))
 
     @staticmethod
@@ -195,7 +203,7 @@ class FactoredRational(Record):
         if den == 1:
             return FactoredRational.from_int(num)
         if num <= 0:
-            raise ValueError("positive integer required")
+            raise _refuse_non_positive(q)
         # num and den are coprime, so their tables share no prime.
         exps = _factor_int(num) + tuple([(p, -e) for p, e in _factor_int(den)])
         return _trusted(tuple(sorted(exps)))
@@ -262,7 +270,7 @@ def _trusted(exps: tuple[tuple[int, int], ...]) -> FactoredRational:
 
 
 def factor(n: int) -> FactoredRational:
-    """Factor a positive integer."""
+    """Factor a positive integer; any other raises KernelInputError."""
     return FactoredRational.from_int(n)
 
 

@@ -18,8 +18,10 @@ exposes the abelian group where isogeny degrees live once global squares
                     classes away from p).  Degrees divisible by p carry kernel
                     data, so rational input must be prime to p.
 
-Contexts are immutable; class-group data is computed once per context and
-cached on the instance.
+Contexts are immutable; class-group data is computed once per context, on
+the first answer that needs it, and cached on the instance.  A CM context
+checks its discriminant by factoring alone, so a degree class with no split
+or ramified odd-exponent prime is answered without the class group.
 
 A context file is the JSON object `to_json` writes and `make_context` reads:
 `case` names the kind, and the other keys are its class's `_fields`, all
@@ -37,10 +39,12 @@ from ._record import Record, set_field
 from .arith import FactoredRational, is_prime, printable_int
 from .errors import ContextError, ContextMismatchError, KernelInputError
 from .quadforms import (
+    QuadForm,
     SquareClasses,
-    class_group,
+    _check_discriminant,
     kronecker,
     prime_class,
+    principal_form,
     square_classes,
 )
 
@@ -292,12 +296,18 @@ class _WithClassGroup(IsogenyContext):
     def square_classes(self) -> SquareClasses:
         return square_classes(self.disc)
 
+    @cached_property
+    def principal(self) -> QuadForm:
+        """The principal form: `square_classes.coset_reps[0]`, the mask-0
+        representative, found without enumerating the class group."""
+        return principal_form(self.disc)
+
     def is_norm(self, q: DegreeLike) -> bool:
         """Whether q is a norm from the CM field (i.e. a trivial degree class)."""
         return self.degree_class(q).is_identity
 
     def _identity_data(self) -> tuple:
-        return (self.square_classes.coset_reps[0], ())
+        return (self.principal, ())
 
     def _degree_data(self, q: FactoredRational) -> tuple:
         mask = 0
@@ -310,7 +320,8 @@ class _WithClassGroup(IsogenyContext):
                 inert.append(p)
             else:
                 mask ^= m
-        return (self.square_classes.reps[mask], tuple(inert))
+        rep = self.square_classes.reps[mask] if mask else self.principal
+        return (rep, tuple(inert))
 
     def _mul(self, x: tuple, y: tuple) -> tuple:
         sq = self.square_classes
@@ -356,7 +367,7 @@ class CM(_WithClassGroup):
     case = "cm"
 
     def __init__(self, disc: int) -> None:
-        class_group(disc)  # validates fundamental disc, warms the cache
+        _check_discriminant(disc)
         set_field(self, "disc", disc)
 
     def describe(self) -> str:
@@ -373,7 +384,7 @@ class OrdinaryCM(_WithClassGroup):
     case = "ordinary_cm"
 
     def __init__(self, disc: int, p: int) -> None:
-        class_group(disc)
+        _check_discriminant(disc)
         if not is_prime(p):
             raise ContextError(f"{p} is not prime")
         if kronecker(disc, p) != 1:

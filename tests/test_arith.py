@@ -3,7 +3,7 @@ torsion-subgroup lattices."""
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +65,75 @@ def test_factor_cache_is_bounded():
     # The benchmark tracer reads cache_info(), so it stays an lru_cache.
     maxsize = arith._factor_int.cache_parameters()["maxsize"]
     assert maxsize is not None and maxsize >= 1 << 15
+
+
+def _oracle_primes(lo, hi):
+    return [p for p in range(lo, hi) if oracle.prime_exponents(p) == {p: 1}]
+
+
+def _oracle_table(n):
+    return tuple(sorted(oracle.prime_exponents(n).items()))
+
+
+def test_trial_stage_matches_oracle():
+    near = _oracle_primes(1000, 1101)
+    limit = 1031 * 1031
+    ns = list(range(1, 5000))
+    ns += range(limit - 1000, limit + 1001)
+    ns += [p * q for p in near for q in near]
+    ns += [p * p * q for p in near for q in near]
+    ns += [1021**k * 1031**j for k in range(4) for j in range(4)]
+    for n in ns:
+        got = arith._factor_int(n)
+        assert got == _oracle_table(n), n
+        assert list(got) == sorted(got), n
+
+
+def test_trial_stage_on_the_product_of_all_trial_primes():
+    # Trial division by the oracle would take too long on these.
+    primes = _oracle_primes(2, 1024)
+    product = prod(primes)
+    table = tuple((p, 1) for p in primes)
+    assert arith._factor_int(product) == table
+    assert arith._factor_int(product * (2**61 - 1)) == table + ((2**61 - 1, 1),)
+    assert arith._factor_int(product**2 * 1031) == tuple((p, 2) for p in primes) + ((1031, 1),)
+
+
+def test_trial_primes_are_the_primes_below_the_bound():
+    assert arith._TRIAL_BOUND == 1024
+    assert arith._TRIAL_PRIMES == tuple(_oracle_primes(2, 1024))
+    assert len(arith._TRIAL_PRIMES) == 172
+
+
+def test_no_primality_test_below_the_square_of_the_next_prime(monkeypatch):
+    nxt = next(q for q in range(1022, 2048) if oracle.prime_exponents(q) == {q: 1})
+    assert arith._PRIME_BELOW == nxt * nxt
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(arith, "is_prime", counting_is_prime)
+    factor_uncached = arith._factor_int.__wrapped__
+    for n in (1, 2, 1021, 1031, 1021 * 1031, 2**10 * 3**5 * 1033, 7 * (nxt * nxt - 2)):
+        assert factor_uncached(n) == _oracle_table(n)
+    assert calls == []
+    assert factor_uncached(nxt * nxt) == ((nxt, 2),)
+    assert calls[0] == nxt * nxt
+
+
+def test_factoring_refuses_non_positive_input_with_a_library_error():
+    for fn in (factor, FactoredRational.from_int, FactoredRational.from_fraction, arith._factor_int):
+        for n in (0, -1, -12):
+            with pytest.raises(KernelInputError, match=f"positive numbers, got {n}$"):
+                fn(n)
+    for q in (Fraction(-3, 4), Fraction(0), Fraction(-5)):
+        with pytest.raises(KernelInputError, match=f"got {q}$"):
+            FactoredRational.from_fraction(q)
+    if arith.int_digit_limit():  # a value too long to print names the limit
+        with pytest.raises(K0Error, match="limit"):
+            factor(-(10 ** (arith.int_digit_limit() + 1)))
 
 
 def test_is_prime_includes_all_witness_bases():

@@ -520,7 +520,7 @@ _REFUSED = [
     # class groups are enumerated in time linear in |d|
     pytest.param(["classgroup", "--disc", "-100000000003"], None, _DISC_LIMIT, id="classgroup-big-disc"),
     pytest.param(["structure", "--ctx", "{file}"], _BIG_CM, _DISC_LIMIT, id="structure-big-disc"),
-    pytest.param(["dist", "--ctx", "{file}", "--degree", "3"], _BIG_CM, _DISC_LIMIT, id="dist-big-disc"),
+    pytest.param(["dist", "--ctx", "{file}", "--degree", "11"], _BIG_CM, _DISC_LIMIT, id="dist-big-disc"),
     # selftest walks every discriminant and level up to its bounds
     pytest.param(
         ["selftest", "--max-disc", str(MAX_SELFTEST_DISC + 1)],
@@ -565,6 +565,21 @@ def test_refused_inputs_exit_2_without_traceback(tmp_path, argv, contents, fragm
     assert code == 2, err[-300:]
     assert err.startswith("error:") and fragment in err, err[-300:]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "degree, answer",
+    [("4", "identity"), ("3", "coset (1, 1, 25000000001); odd inert exponents at 3")],
+    ids=["norm", "inert"],
+)
+def test_dist_past_the_class_group_limit(tmp_path, degree, answer):
+    # 4 is a norm and 3 is inert in Q(sqrt(-100000000003)), so neither
+    # answer needs the class group the split prime 11 would.
+    file = tmp_path / "big.json"
+    file.write_text(_BIG_CM)
+    code, out, err = _cli(["dist", "--ctx", str(file), "--degree", degree])
+    assert code == 0, err
+    assert out == answer + "\n"
 
 
 def _main_captured(argv):

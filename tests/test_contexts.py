@@ -16,7 +16,7 @@ from k0av.contexts import (
     make_context,
 )
 from k0av.errors import ContextError, ContextMismatchError, KernelInputError
-from k0av.quadforms import QuadForm, prime_class
+from k0av.quadforms import QuadForm, is_fundamental_discriminant, prime_class, square_classes
 
 
 def test_make_context_cases():
@@ -393,3 +393,12 @@ def test_degree_class_rejects_nonpositive():
         for q in (0, -3, Fraction(-1, 2)):
             with pytest.raises(KernelInputError, match="positive"):
                 ctx.degree_class(q)
+
+
+def test_cm_identity_is_the_first_coset_rep():
+    for d in range(-400, -2):
+        if is_fundamental_discriminant(d):
+            ctx = CM(d)
+            assert ctx.principal == square_classes(d).coset_reps[0]
+            assert ctx.identity().data == (square_classes(d).coset_reps[0], ())
+
