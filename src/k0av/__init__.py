@@ -50,7 +50,6 @@ from .k0 import (
 )
 from .kernels import (
     KernelMultiset,
-    cartier_dual,
     class_in_image,
     kernel_class,
     kernel_of_matrix_endo,
@@ -100,7 +99,6 @@ __all__ = [
     "Supersingular",
     "TorsionSubgroup",
     "backend_name",
-    "cartier_dual",
     "class_group",
     "class_in_image",
     "compose",

@@ -28,13 +28,13 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import compress, count
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 from ._primality import is_prime
 from ._record import Record, set_field
-from .errors import DerivationError, K0Error, KernelInputError, SingularMatrixError
+from .errors import ContextError, DerivationError, K0Error, KernelInputError, SingularMatrixError
 
 # Python 3.10 before 3.10.7 has no int-conversion limit.
 int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -67,7 +67,17 @@ def strict_int(value) -> int:
 # composite cofactor is split by Pollard-Brent rho, whose cost grows with
 # the square root of a prime factor rather than with the factor itself.
 _TRIAL_BOUND = 1 << 10
-_TRIAL_PRIMES = tuple(p for p in range(2, _TRIAL_BOUND) if is_prime(p))
+
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n >= 2, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for p in compress(range(isqrt(n - 1) + 1), sieve):  # reads each flag after smaller p struck it
+        sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(compress(range(n), sieve))
+
+
+_TRIAL_PRIMES = _primes_below(_TRIAL_BOUND)
 _TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 _PRIME_BELOW = next(q for q in count(_TRIAL_BOUND) if is_prime(q)) ** 2
 # Rho steps allowed for one integer.  Rho needs about sqrt(p) steps to find
@@ -174,7 +184,7 @@ class FactoredRational(Record):
 
     def __init__(self, exps: tuple[tuple[int, int], ...]) -> None:
         if list(exps) != sorted(exps) or any(e == 0 for _, e in exps):
-            raise ValueError("exponent table must be sorted with nonzero exponents")
+            raise KernelInputError("exponent table must be sorted with nonzero exponents")
         _set_exps(self, exps)
 
     def __eq__(self, other):
@@ -286,10 +296,10 @@ class IntMatrix(Record):
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> IntMatrix:
         if not rows:
-            raise ValueError("empty matrix")
+            raise KernelInputError("empty matrix")
         width = len(rows[0])
         if width == 0 or any(len(r) != width for r in rows):
-            raise ValueError("ragged matrix")
+            raise KernelInputError("ragged matrix")
         return IntMatrix(tuple(tuple(int(x) for x in r) for r in rows))
 
     @staticmethod
@@ -311,7 +321,7 @@ class IntMatrix(Record):
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
         if not self.is_square:
-            raise ValueError("determinant of a non-square matrix")
+            raise KernelInputError("determinant of a non-square matrix")
         n = self.nrows
         a = [list(r) for r in self.rows]
         sign = 1
@@ -350,7 +360,7 @@ def matrix_isogeny_degree(m: IntMatrix, g: int) -> FactoredRational:
     """Degree of the isogeny an integer matrix induces on a dimension-g
     product: |det m|^(2g), as a factored integer."""
     if g < 1:
-        raise ValueError("dimension must be positive")
+        raise ContextError("dimension must be positive")
     d = m.det()
     if d == 0:
         raise SingularMatrixError("singular matrix")

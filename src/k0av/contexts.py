@@ -7,8 +7,8 @@ exposes the abelian group where isogeny degrees live once global squares
   * EndZ(g):        integer endomorphisms in dimension g; a degree q maps to
                     its prime exponents mod 2g, so the group is Z/2g per prime.
   * CM(disc):       elliptic with CM by the maximal order of a fundamental
-                    discriminant; degrees map to (class-group coset mod
-                    squares, parity of inert-prime exponents).
+                    discriminant; degrees map to (bit mask of a coset of
+                    C/C^2, primes of odd inert exponent).
   * Supersingular(p): characteristic p, quaternionic endomorphisms; every
                     degree class is trivial.
   * OrdinaryCM(disc, p): ordinary reduction at a split prime p; same value
@@ -19,9 +19,11 @@ exposes the abelian group where isogeny degrees live once global squares
                     data, so rational input must be prime to p.
 
 Contexts are immutable; class-group data is computed once per context, on
-the first answer that needs it, and cached on the instance.  A CM context
-checks its discriminant by factoring alone, so a degree class with no split
-or ramified odd-exponent prime is answered without the class group.
+the first answer that needs it, and cached on the instance.  A CM class is
+(mask, inert primes), multiplied by XOR; a form is looked up only to render
+it.  A CM context checks its discriminant by factoring alone, and mask 0
+renders as the principal form, so a degree class with no split or ramified
+odd-exponent prime is answered without the class group.
 
 A context file is the JSON object `to_json` writes and `make_context` reads:
 `case` names the kind, and the other keys are its class's `_fields`, all
@@ -42,9 +44,9 @@ from .quadforms import (
     QuadForm,
     SquareClasses,
     _check_discriminant,
+    _principal,
     kronecker,
     prime_class,
-    principal_form,
     square_classes,
 )
 
@@ -285,10 +287,14 @@ def _prime_mask(p: int, disc: int) -> int | None:
     return sq.mask_of[sq.rep(pc.form)]
 
 
+def _odd_primes_product(x: tuple, y: tuple) -> tuple:
+    """Product of two sorted odd-exponent prime tuples: the primes in one only."""
+    return tuple(sorted(set(x) ^ set(y)))
+
+
 class _WithClassGroup(IsogenyContext):
-    """Mixin for contexts whose value group involves a class group.  A coset
-    of C/C^2 is combined as its bit mask (see `SquareClasses.reps`) and
-    stored as its representative form."""
+    """Mixin for contexts whose value group is C/C^2 (+) Z/2 per inert prime.  A class
+    is (mask, inert): its coset's mask in `SquareClasses` and its sorted odd inert primes."""
 
     disc: int
 
@@ -298,16 +304,15 @@ class _WithClassGroup(IsogenyContext):
 
     @cached_property
     def principal(self) -> QuadForm:
-        """The principal form: `square_classes.coset_reps[0]`, the mask-0
-        representative, found without enumerating the class group."""
-        return principal_form(self.disc)
+        """The mask-0 representative `square_classes.coset_reps[0]`, without the class group."""
+        return _principal(self.disc)
 
     def is_norm(self, q: DegreeLike) -> bool:
         """Whether q is a norm from the CM field (i.e. a trivial degree class)."""
         return self.degree_class(q).is_identity
 
     def _identity_data(self) -> tuple:
-        return (self.principal, ())
+        return (0, ())
 
     def _degree_data(self, q: FactoredRational) -> tuple:
         mask = 0
@@ -320,15 +325,10 @@ class _WithClassGroup(IsogenyContext):
                 inert.append(p)
             else:
                 mask ^= m
-        rep = self.square_classes.reps[mask] if mask else self.principal
-        return (rep, tuple(inert))
+        return (mask, tuple(inert))
 
     def _mul(self, x: tuple, y: tuple) -> tuple:
-        sq = self.square_classes
-        mask_of = sq.mask_of
-        rep = sq.reps[mask_of[x[0]] ^ mask_of[y[0]]]
-        inert = tuple(sorted(set(x[1]) ^ set(y[1])))
-        return (rep, inert)
+        return (x[0] ^ y[0], _odd_primes_product(x[1], y[1]))
 
     def _inv(self, x: tuple) -> tuple:
         return x  # C/C^2 and the inert parities have exponent 2
@@ -336,18 +336,21 @@ class _WithClassGroup(IsogenyContext):
     def _class_order(self, x: tuple) -> int:
         return 1 if x == self._identity_data() else 2
 
+    def _coset_rep(self, mask: int) -> QuadForm:
+        """The representative form of coset `mask`; mask 0 needs no class group."""
+        return self.square_classes.reps[mask] if mask else self.principal
+
     def _describe_class(self, x: tuple) -> str:
-        rep, inert = x
+        mask, inert = x
         if x == self._identity_data():
             return "identity"
-        parts = [f"coset {rep}"]
+        parts = [f"coset {self._coset_rep(mask)}"]
         if inert:
             parts.append("odd inert exponents at " + ", ".join(map(str, inert)))
         return "; ".join(parts)
 
     def _class_json(self, x: tuple) -> dict:
-        rep, inert = x
-        return {"coset_rep": list(rep.triple()), "inert_odd": list(inert)}
+        return {"coset_rep": list(self._coset_rep(x[0]).triple()), "inert_odd": list(x[1])}
 
     def structure(self) -> GroupStructure:
         t = self.square_classes.index.bit_length() - 1
@@ -474,7 +477,7 @@ class CharPEndZ(IsogenyContext):
         return (p_degree, tuple(p for p, e in coprime.exps if e % 2))
 
     def _mul(self, x: tuple, y: tuple) -> tuple:
-        return (x[0] + y[0], tuple(sorted(set(x[1]) ^ set(y[1]))))
+        return (x[0] + y[0], _odd_primes_product(x[1], y[1]))
 
     def _inv(self, x: tuple) -> tuple:
         return (-x[0], x[1])

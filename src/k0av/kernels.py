@@ -77,10 +77,6 @@ class KernelMultiset(Record):
         return KernelMultiset(self.p, self.mu_p, self.et_p, self.alpha_p, self.coprime)
 
 
-def cartier_dual(k: KernelMultiset) -> KernelMultiset:
-    return k.cartier_dual()
-
-
 def kernel_of_matrix_endo(m: IntMatrix, ctx: CharPEndZ) -> KernelMultiset:
     """Kernel multiset of the endomorphism an integer matrix induces on a
     power of an ordinary curve: each elementary divisor d contributes

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 from . import _backend
 from ._record import Record, set_field
 from .arith import _factor_int, is_prime
-from .errors import DiscriminantError
+from .errors import DiscriminantError, KernelInputError
 
 kronecker = _backend.kronecker
 
@@ -114,9 +114,12 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
 
 def principal_form(d: int) -> QuadForm:
     _check_discriminant(d)
-    if d % 4 == 0:
-        return QuadForm(1, 0, -d // 4)
-    return QuadForm(1, 1, (1 - d) // 4)
+    return _principal(d)
+
+
+def _principal(d: int) -> QuadForm:
+    """The principal form of a discriminant already checked."""
+    return QuadForm(1, 0, -d // 4) if d % 4 == 0 else QuadForm(1, 1, (1 - d) // 4)
 
 
 def _squarefree(n: int) -> bool:
@@ -156,7 +159,7 @@ class ClassGroup(Record):
 
     @property
     def identity(self) -> QuadForm:
-        return principal_form(self.disc)
+        return _principal(self.disc)
 
 
 @lru_cache(maxsize=DISC_CACHE_SIZE)
@@ -169,17 +172,13 @@ def class_group(d: int) -> ClassGroup:
 
 
 class SquareClasses(Record):
-    """The subgroup of squares and canonical coset representatives of C/C^2.
+    """The subgroup of squares and canonical coset representatives of C/C^2:
+    each the (a, b)-least reduced form in its coset, the principal form first.
 
-    Each coset representative is the (a, b)-least reduced form in its coset;
-    the identity coset is always represented by the principal form.  `rep`
-    looks forms up in a table built on its first call, not at construction,
-    so a cached instance that never answers `rep` never holds the table.
-
-    C/C^2 is elementary abelian, (Z/2)^k, so its cosets are also numbered by
-    k-bit masks with the group law XOR: `reps` maps a mask to its coset
-    representative and `mask_of` maps back.  The principal form is mask 0.
-    Both tables are likewise built on first use.
+    C/C^2 is (Z/2)^k, so cosets are numbered by k-bit masks with the group
+    law XOR, the principal coset 0.  `mask_of` maps every reduced form to its
+    coset's mask and `reps` a mask to its representative; both are built on
+    first use, so a cached instance that never answers `rep` holds neither.
     """
 
     _fields = ("disc", "squares", "coset_reps")
@@ -199,53 +198,46 @@ class SquareClasses(Record):
         return len(self.coset_reps)
 
     @cached_property
-    def _rep_of(self) -> dict[QuadForm, QuadForm]:
-        """Every reduced form mapped to its coset's representative: h compositions."""
-        return {compose(r, s): r for r in self.coset_reps for s in self.squares}
+    def mask_of(self) -> dict[QuadForm, int]:
+        """Every reduced form mapped to its coset's bit mask."""
+        return _coset_masks(self.squares, self.coset_reps)
+
+    @cached_property
+    def reps(self) -> tuple[QuadForm, ...]:
+        """Coset representatives indexed by bit mask."""
+        return tuple(sorted(self.coset_reps, key=self.mask_of.__getitem__))
 
     def rep(self, f: QuadForm) -> QuadForm:
         """Canonical representative of f * C^2."""
         if not f.is_reduced:
             f = reduce_form(f)
         try:
-            return self._rep_of[f]
+            return self.reps[self.mask_of[f]]
         except KeyError:
             raise DiscriminantError(f"form {f} is not of discriminant {self.disc}") from None
 
-    @cached_property
-    def reps(self) -> tuple[QuadForm, ...]:
-        """Coset representatives indexed by bit mask: 2^k - 1 compositions.
 
-        Walking the representatives in (a, b) order, each one not yet in the
-        span becomes the next basis bit, and the span doubles."""
-        reps = [self.coset_reps[0]]
-        reached = {reps[0]}
-        for f in self.coset_reps:
-            if f not in reached:
-                new = [self.rep(compose(f, r)) for r in reps]
-                reached.update(new)
-                reps += new
-        return tuple(reps)
-
-    @cached_property
-    def mask_of(self) -> dict[QuadForm, int]:
-        """Each coset representative mapped to its bit mask."""
-        return {r: mask for mask, r in enumerate(self.reps)}
+def _coset_masks(squares, forms) -> dict[QuadForm, int]:
+    """Every form of the group C^2 and `forms` generate, mapped to its coset's
+    bit mask.  The squares get mask 0; walking `forms` in order, each form
+    not yet reached takes the next bit, and its products with the forms
+    reached so far take their masks with that bit."""
+    mask_of = dict.fromkeys(squares, 0)
+    bit = 1
+    for f in forms:
+        if f not in mask_of:
+            mask_of.update([(compose(f, g), m | bit) for g, m in mask_of.items()])
+            bit <<= 1
+    return mask_of
 
 
 @lru_cache(maxsize=DISC_CACHE_SIZE)
 def square_classes(d: int) -> SquareClasses:
-    group = class_group(d)
-    squares = sorted({compose(f, f) for f in group.elements})
-    seen: set[QuadForm] = set()
-    reps = []
-    for f in group.elements:  # (a, b)-ascending, so the first hit is the least
-        if f in seen:
-            continue
-        coset = {compose(f, s) for s in squares}
-        seen |= coset
-        reps.append(min(coset))
-    return SquareClasses(d, tuple(squares), tuple(sorted(reps)))
+    elements = class_group(d).elements
+    squares = sorted({compose(f, f) for f in elements})
+    mask_of = _coset_masks(squares, elements)
+    least = {mask_of[f]: f for f in reversed(elements)}  # the last write is the (a, b)-least
+    return SquareClasses(d, tuple(squares), tuple(sorted(least.values())))
 
 
 class PrimeClass(Record):
@@ -294,7 +286,7 @@ def prime_class(ell: int, d: int) -> PrimeClass:
     """Class of a prime ideal above ell in the maximal order of disc d."""
     _check_discriminant(d)
     if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
+        raise KernelInputError(f"{ell} is not prime")
     symbol = kronecker(d, ell)
     if symbol == -1:
         return PrimeClass("inert", None)

@@ -103,6 +103,8 @@ def test_trial_primes_are_the_primes_below_the_bound():
     assert arith._TRIAL_BOUND == 1024
     assert arith._TRIAL_PRIMES == tuple(_oracle_primes(2, 1024))
     assert len(arith._TRIAL_PRIMES) == 172
+    for n in range(2, 300):
+        assert arith._primes_below(n) == tuple(_oracle_primes(2, n)), n
 
 
 def test_no_primality_test_below_the_square_of_the_next_prime(monkeypatch):

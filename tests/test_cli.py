@@ -582,6 +582,18 @@ def test_dist_past_the_class_group_limit(tmp_path, degree, answer):
     assert out == answer + "\n"
 
 
+def test_eval_sum_past_the_class_group_limit(tmp_path):
+    # A sum of inert-only classes XORs masks 0 and needs no class group;
+    # adding the split prime 11 does.
+    file = tmp_path / "big.json"
+    file.write_text(_BIG_CM)
+    code, out, err = _cli(["eval", "--ctx", str(file), "[1; 3] + [2; 4]"])
+    assert code == 0, err
+    assert out == "(3, coset (1, 1, 25000000001); odd inert exponents at 3)\n"
+    code, out, err = _cli(["eval", "--ctx", str(file), "[1; 3] + [1; 11]"])
+    assert code == 2 and _DISC_LIMIT in err
+
+
 def _main_captured(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -16,7 +16,7 @@ from k0av.contexts import (
     make_context,
 )
 from k0av.errors import ContextError, ContextMismatchError, KernelInputError
-from k0av.quadforms import QuadForm, is_fundamental_discriminant, prime_class, square_classes
+from k0av.quadforms import is_fundamental_discriminant, prime_class, square_classes
 
 
 def test_make_context_cases():
@@ -100,13 +100,17 @@ def test_cm_distance_frozen():
     assert ctx.degree_class(29).is_identity
     assert ctx.degree_class(21).is_identity  # 3 and 7 both map to (2,2,3)
     cls3 = ctx.degree_class(3)
-    assert cls3.data == (QuadForm(2, 2, 3), ())
+    assert cls3.to_json() == {"case": "cm", "coset_rep": [2, 2, 3], "inert_odd": []}
+    assert cls3.describe() == "coset (2, 2, 3)"
     assert cls3.order() == 2
     cls11 = ctx.degree_class(11)
-    assert cls11.data == (QuadForm(1, 0, 5), (11,))
+    assert cls11.to_json() == {"case": "cm", "coset_rep": [1, 0, 5], "inert_odd": [11]}
+    assert cls11.describe() == "coset (1, 0, 5); odd inert exponents at 11"
     assert (cls11 * cls11).is_identity
     assert ctx.degree_class(Fraction(1, 3)) == cls3  # inverse = itself mod squares
-    assert ctx.degree_class(33).data == (QuadForm(2, 2, 3), (11,))
+    cls33 = ctx.degree_class(33)
+    assert cls33.to_json() == {"case": "cm", "coset_rep": [2, 2, 3], "inert_odd": [11]}
+    assert cls33.describe() == "coset (2, 2, 3); odd inert exponents at 11"
 
 
 def test_cm_identity_kernel_is_norm_group():
@@ -215,15 +219,16 @@ def test_prime_mask_memo_is_bounded_and_caches_no_raise():
     size = _prime_mask.cache_info().currsize
     assert size > 0
     for fn in (prime_class, _prime_mask):
-        with pytest.raises(ValueError, match="not prime"):
+        with pytest.raises(KernelInputError, match="4 is not prime"):
             fn(4, -84)
         with pytest.raises(DiscriminantError):
             fn(5, -12)
     assert _prime_mask.cache_info().currsize == size
 
 
-# The degree-class arithmetic that bit masks replaced: one Gauss composition
-# per split prime and per product, then a coset lookup.
+# The degree-class arithmetic that bit masks replaced: a class is (coset
+# representative form, inert primes), with one Gauss composition per split
+# prime and per product, then a coset lookup.
 def _reference_degree_data(ctx, q):
     from k0av.quadforms import compose, principal_form
 
@@ -249,6 +254,20 @@ def _reference_mul(ctx, x, y):
     return (rep, tuple(sorted(set(x[1]) ^ set(y[1]))))
 
 
+def _reference_rendering(ctx, x):
+    """A reference class as `to_json` and `describe` render it."""
+    from k0av.quadforms import principal_form
+
+    rep, inert = x
+    parts = [f"coset {rep}"] + (["odd inert exponents at " + ", ".join(map(str, inert))] if inert else [])
+    text = "identity" if (rep, inert) == (principal_form(ctx.disc), ()) else "; ".join(parts)
+    return {"case": ctx.case, "coset_rep": list(rep.triple()), "inert_odd": list(inert)}, text
+
+
+def _rendering(cls):
+    return cls.to_json(), cls.describe()
+
+
 def _seeded_degrees(rng):
     primes = [q for q in range(2, 400) if oracle.prime_exponents(q) == {q: 1}]
     for _ in range(60):
@@ -261,28 +280,25 @@ def _seeded_degrees(rng):
 
 
 def test_masks_agree_with_composition_reference():
-    from k0av.contexts import DegreeClass
-
     rng = random.Random(20261018)
     for ctx in [CM(d) for d in (-4, -20, -84, -1671, -3315, -5291)] + [OrdinaryCM(-84, 5)]:
         degrees = list(_seeded_degrees(rng))
-        classes = []
+        classes = []  # (class, its reference data)
         for q in degrees:
             got = ctx.degree_class(q)
-            want = DegreeClass(ctx, _reference_degree_data(ctx, FactoredRational.from_fraction(q)))
-            assert got.data == want.data, (ctx, q)
-            assert got.to_json() == want.to_json() and got.describe() == want.describe(), (ctx, q)
-            classes.append(got)
+            want = _reference_degree_data(ctx, FactoredRational.from_fraction(q))
+            assert _rendering(got) == _reference_rendering(ctx, want), (ctx, q)
+            classes.append((got, want))
         for _ in range(200):
-            x, y = rng.choice(classes), rng.choice(classes)
+            (x, rx), (y, ry) = rng.choice(classes), rng.choice(classes)
             k = rng.randint(-4, 5)
-            want = DegreeClass(ctx, _reference_mul(ctx, x.data, y.data))
-            assert (x * y).data == want.data, (ctx, x, y)
-            assert (x * y).to_json() == want.to_json() and (x * y).describe() == want.describe()
-            power = DegreeClass(ctx, _reference_degree_data(ctx, FactoredRational.from_int(1)))
+            want = _reference_mul(ctx, rx, ry)
+            assert _rendering(x * y) == _reference_rendering(ctx, want), (ctx, x, y)
+            assert (x * y == ctx.identity()) == (_reference_rendering(ctx, want)[1] == "identity")
+            power = _reference_degree_data(ctx, FactoredRational.from_int(1))
             for _ in range(abs(k)):
-                power = DegreeClass(ctx, _reference_mul(ctx, power.data, x.data))
-            assert (x**k).data == power.data and (x**k).describe() == power.describe(), (ctx, x, k)
+                power = _reference_mul(ctx, power, rx)
+            assert _rendering(x**k) == _reference_rendering(ctx, power), (ctx, x, k)
 
 
 def test_common_factor_cancellation():
@@ -370,7 +386,8 @@ def test_is_norm_requires_cm_context():
 def test_ordinary_cm_p_is_split_prime():
     ctx = OrdinaryCM(-20, 3)
     cls = ctx.degree_class(3)
-    assert cls.data == (QuadForm(2, 2, 3), ())
+    assert cls.to_json() == {"case": "ordinary_cm", "coset_rep": [2, 2, 3], "inert_odd": []}
+    assert cls.describe() == "coset (2, 2, 3)"
     assert ctx.degree_class(9).is_identity
 
 
@@ -395,10 +412,23 @@ def test_degree_class_rejects_nonpositive():
                 ctx.degree_class(q)
 
 
+def test_principal_form_checks_the_discriminant_once():
+    from k0av.arith import _factor_int
+    from k0av.quadforms import class_group
+
+    ctx, group = CM(-20), class_group(-20)
+    before = _factor_int.cache_info()
+    assert ctx.principal.triple() == group.identity.triple() == (1, 0, 5)
+    after = _factor_int.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 def test_cm_identity_is_the_first_coset_rep():
     for d in range(-400, -2):
         if is_fundamental_discriminant(d):
             ctx = CM(d)
-            assert ctx.principal == square_classes(d).coset_reps[0]
-            assert ctx.identity().data == (square_classes(d).coset_reps[0], ())
+            first = square_classes(d).coset_reps[0]
+            assert ctx.principal == first
+            assert ctx.identity().to_json() == {"case": "cm", "coset_rep": list(first.triple()), "inert_odd": []}
+            assert ctx.identity().describe() == "identity"
 

@@ -14,7 +14,6 @@ from k0av.expr import parse_expression, parse_kernel
 from k0av.kernels import (
     KernelMultiset,
     KernelSpec,
-    cartier_dual,
     class_in_image,
     kernel_class,
     kernel_of_matrix_endo,
@@ -50,13 +49,13 @@ def test_validation():
 
 def test_cartier_dual():
     k = K(5, et=2, mu=1, al=3, coprime=7)
-    d = cartier_dual(k)
+    d = k.cartier_dual()
     assert (d.et_p, d.mu_p, d.alpha_p) == (1, 2, 3)
     assert d.coprime == k.coprime
-    assert cartier_dual(d) == k
+    assert d.cartier_dual() == k
     assert d.deg_p == -k.deg_p
     # alpha_p and the etale-away-from-p part are self-dual
-    assert cartier_dual(K(3, al=1, coprime=4)) == K(3, al=1, coprime=4)
+    assert K(3, al=1, coprime=4).cartier_dual() == K(3, al=1, coprime=4)
 
 
 def test_combine():
@@ -176,7 +175,7 @@ def test_kernel_class_additivity_and_duality():
         a = K(3, rng.randint(0, 4), rng.randint(0, 4), 0, rng.choice((1, 2, 5, 10, 14)))
         b = K(3, rng.randint(0, 4), rng.randint(0, 4), 0, rng.choice((1, 2, 5, 10, 14)))
         assert kernel_class(ctx, a.combine(b)) == kernel_class(ctx, a) * kernel_class(ctx, b)
-        assert kernel_class(ctx, cartier_dual(a)) == kernel_class(ctx, a).inverse()
+        assert kernel_class(ctx, a.cartier_dual()) == kernel_class(ctx, a).inverse()
 
 
 def test_class_in_image_frozen():

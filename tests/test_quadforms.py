@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k0av import _formcore, oracle
-from k0av.errors import DiscriminantError
+from k0av.errors import DiscriminantError, KernelInputError
 from k0av.quadforms import (
     DISC_CACHE_SIZE,
     MAX_CLASS_GROUP_DISC,
@@ -188,11 +188,13 @@ def test_square_rep_is_least_form_of_coset():
 def test_masks_are_an_isomorphism_onto_xor():
     for d in fundamental_discs(1000):
         sq = square_classes(d)
-        assert sorted(sq.mask_of.values()) == list(range(sq.index)), d
+        elements = class_group(d).elements
+        assert set(sq.mask_of.values()) == set(range(sq.index)), d
+        assert len(sq.mask_of) == len(elements), d
         assert sorted(sq.reps) == list(sq.coset_reps), d
         assert sq.mask_of[principal_form(d)] == 0 and sq.reps[0] == principal_form(d), d
-        elements = class_group(d).elements
         masks = [sq.mask_of[sq.rep(f)] for f in elements]
+        assert masks == [sq.mask_of[f] for f in elements], d
         for f, mf in zip(elements, masks):
             for g, mg in zip(elements, masks):
                 assert sq.reps[mf ^ mg] == sq.rep(compose(f, g)), (d, f, g)
@@ -256,7 +258,7 @@ def test_prime_class_well_defined_mod_squares():
 
 
 def test_prime_class_rejects_composite():
-    with pytest.raises(ValueError):
+    with pytest.raises(KernelInputError, match="6 is not prime"):
         prime_class(6, -20)
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import k0av
-from k0av.arith import FactoredRational, FracLattice, IntMatrix, TorsionSubgroup, factor
+from k0av.arith import FactoredRational, FracLattice, IntMatrix, TorsionSubgroup, factor, matrix_isogeny_degree
 from k0av.contexts import (
     CM,
     CharPEndZ,
@@ -25,11 +25,19 @@ from k0av.contexts import (
     StructureFactor,
     Supersingular,
 )
-from k0av.errors import ContextError, DiscriminantError, KernelInputError
+from k0av.errors import ContextError, DiscriminantError, K0Error, KernelInputError
 from k0av.expr import ClassAtom, Dual, KernelSpec, Sum
 from k0av.k0 import Derivation, DerivationCheck, K0Element, QuotientRelation, derive_same_degree
 from k0av.kernels import KernelMultiset
-from k0av.quadforms import ClassGroup, PrimeClass, QuadForm, SquareClasses, class_group, square_classes
+from k0av.quadforms import (
+    ClassGroup,
+    PrimeClass,
+    QuadForm,
+    SquareClasses,
+    class_group,
+    prime_class,
+    square_classes,
+)
 
 _B = ((1, 0), (0, 6))
 _LINE1 = TorsionSubgroup(2, ((1, 0), (0, 2)))
@@ -173,8 +181,10 @@ def test_quad_form_order_is_triple_order():
 @pytest.mark.parametrize(
     "build,error",
     [
-        (lambda: FactoredRational(((3, 1), (2, 1))), ValueError),
-        (lambda: FactoredRational(((2, 0),)), ValueError),
+        # These two raised a bare ValueError before every library error became
+        # a K0Error; their ids keep the names the suite has always reported.
+        pytest.param(lambda: FactoredRational(((3, 1), (2, 1))), KernelInputError, id="<lambda>-ValueError0"),
+        pytest.param(lambda: FactoredRational(((2, 0),)), KernelInputError, id="<lambda>-ValueError1"),
         (lambda: TorsionSubgroup(0, ((1, 0), (0, 1))), KernelInputError),
         (lambda: TorsionSubgroup(6, ((1, 6), (0, 6))), KernelInputError),
         (lambda: TorsionSubgroup(6, ((4, 0), (0, 6))), KernelInputError),
@@ -201,6 +211,26 @@ def test_constructors_raise_the_same_errors(build, error):
         build()
 
 
+# Every library error derives from K0Error (errors.py), including these
+# refusals of malformed arguments.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: prime_class(4, -20), "4 is not prime"),
+        (lambda: IntMatrix.from_rows([]), "empty matrix"),
+        (lambda: IntMatrix.from_rows([[1, 2], [3]]), "ragged matrix"),
+        (lambda: IntMatrix.from_rows([[1, 2]]).det(), "determinant of a non-square matrix"),
+        (lambda: FactoredRational(((3, 1), (2, 1))), "exponent table must be sorted with nonzero exponents"),
+        (lambda: matrix_isogeny_degree(IntMatrix.from_rows([[2]]), 0), "dimension must be positive"),
+    ],
+    ids=["prime_class", "empty_matrix", "ragged_matrix", "non_square_det", "unsorted_table", "dimension_0"],
+)
+def test_library_errors_are_k0_errors(call, message):
+    with pytest.raises(K0Error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_defaults():
     assert KernelSpec() == KernelSpec(0, 0, 0, 1)
     assert KernelMultiset(5) == KernelMultiset(5, 0, 0, 0, FactoredRational.one())
@@ -213,8 +243,9 @@ def test_cached_properties_still_cache():
     assert ctx.square_classes is ctx.square_classes
     assert "square_classes" in vars(ctx)
     sq = _square_classes()
+    assert "mask_of" not in vars(sq)
     assert sq.rep(QuadForm(2, 2, 3)) == QuadForm(2, 2, 3)
-    assert "_rep_of" in vars(sq)
+    assert "mask_of" in vars(sq) and sq.mask_of is sq.mask_of
 
 
 # Modules whose functions perfbench's tracer rebinds at install time; they
