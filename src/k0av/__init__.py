@@ -49,7 +49,7 @@ from .k0 import (
     validate_derivation,
 )
 from .kernels import (
-    KernelMultiset,
+    KernelSpec,
     class_in_image,
     kernel_class,
     kernel_of_matrix_endo,
@@ -88,7 +88,7 @@ __all__ = [
     "K0Element",
     "K0Error",
     "KernelInputError",
-    "KernelMultiset",
+    "KernelSpec",
     "LevelMismatchError",
     "OrdinaryCM",
     "ParseError",

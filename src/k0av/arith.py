@@ -228,9 +228,6 @@ class FactoredRational(Record):
                 return e
         return 0
 
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.exps)
-
     def __mul__(self, other: FactoredRational) -> FactoredRational:
         m = dict(self.exps)
         for p, e in other.exps:
@@ -247,10 +244,6 @@ class FactoredRational(Record):
 
     def __truediv__(self, other: FactoredRational) -> FactoredRational:
         return self * other.inverse()
-
-    @property
-    def is_one(self) -> bool:
-        return not self.exps
 
     @property
     def is_integer(self) -> bool:

@@ -469,13 +469,6 @@ class CharPEndZ(IsogenyContext):
             raise KernelInputError("use kernel input for p-part")
         return (0, tuple(p for p, e in q.exps if e % 2))
 
-    def kernel_data(self, p_degree: int, coprime: FactoredRational) -> tuple:
-        """Canonical data for a kernel with the given p-degree and prime-to-p
-        order; used by the kernel-class constructor."""
-        if coprime.exponent(self.p) != 0:
-            raise KernelInputError("coprime part of a kernel cannot involve p")
-        return (p_degree, tuple(p for p, e in coprime.exps if e % 2))
-
     def _mul(self, x: tuple, y: tuple) -> tuple:
         return (x[0] + y[0], _odd_primes_product(x[1], y[1]))
 

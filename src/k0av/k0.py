@@ -62,9 +62,9 @@ from .arith import (
     printable_int,
     strict_int,
 )
-from .contexts import CharPEndZ, DegreeClass, IsogenyContext, Supersingular
-from .errors import ContextMismatchError, DerivationError, LevelMismatchError
-from .kernels import KernelMultiset, KernelSpec, kernel_class
+from .contexts import DegreeClass, IsogenyContext
+from .errors import DerivationError, LevelMismatchError
+from .kernels import KernelSpec, kernel_class
 
 
 class K0Element(Record):
@@ -104,10 +104,6 @@ class K0Element(Record):
         """Class of the dual object: same multiplicity, inverted degree."""
         return K0Element(self.n, self.deg.inverse())
 
-    @property
-    def is_zero(self) -> bool:
-        return self.n == 0 and self.deg.is_identity
-
     def describe(self) -> str:
         return f"({printable_int(self.n, 'multiplicity')}, {self.deg.describe()})"
 
@@ -120,18 +116,12 @@ _set_deg = K0Element.deg.__set__
 
 
 def k0_class(
-    ctx: IsogenyContext, n: int, degree: FactoredRational | Fraction | int | KernelMultiset | KernelSpec
+    ctx: IsogenyContext, n: int, degree: FactoredRational | Fraction | int | KernelSpec
 ) -> K0Element:
     """Class of n copies of an object at isogeny distance `degree` from the
-    base object.  A kernel, as a multiset or a `KernelSpec` given the
-    context's p, is accepted in characteristic p only; nothing else decides."""
-    if isinstance(degree, (KernelMultiset, KernelSpec)):
-        if not isinstance(ctx, (Supersingular, CharPEndZ)):
-            raise ContextMismatchError("kernel input requires a characteristic-p context")
-        if isinstance(degree, KernelSpec):
-            degree = degree.multiset(ctx.p)
-        if isinstance(ctx, Supersingular):
-            return K0Element(n, ctx.identity())
+    base object.  A `KernelSpec` goes to `kernel_class`, which alone decides
+    which contexts take a kernel."""
+    if isinstance(degree, KernelSpec):
         return K0Element(n, kernel_class(ctx, degree))
     return K0Element(n, ctx.degree_class(degree))
 

@@ -5,9 +5,10 @@ constant scheme Z/p, its Cartier dual mu_p, and the self-dual alpha_p, plus a
 prime-to-p etale part recorded by its order.  Ordinary curves admit no
 alpha_p; it only occurs supersingularly, where degree classes vanish anyway.
 
-A kernel literal `{zp:2, mup:1, alphap:0, coprime:12}` is a `KernelSpec`,
-the one statement of its fields and defaults; `multiset(p)` gives the
-`KernelMultiset` once a context supplies p.
+A kernel is a `KernelSpec`: the three counts and the prime-to-p order, with
+no p.  The literal `{zp:2, mup:1, alphap:0, coprime:12}` reads as one, with
+the constructor's defaults for absent fields.  The context supplies p, and
+`kernel_class` is the one place where a kernel meets it.
 """
 
 from __future__ import annotations
@@ -17,88 +18,14 @@ from itertools import islice
 
 from ._record import Record, set_field
 from .arith import FactoredRational, IntMatrix, int_digit_limit
-from .contexts import CharPEndZ, DegreeClass
-from .errors import KernelInputError, ParseError, SingularMatrixError, excerpt
-
-_ONE = FactoredRational.one()
-
-
-class KernelMultiset(Record):
-    """Multiset of simple constituents of a p-power-torsion kernel together
-    with the order of its prime-to-p part."""
-
-    __slots__ = _fields = ("p", "et_p", "mu_p", "alpha_p", "coprime")
-    p: int
-    et_p: int
-    mu_p: int
-    alpha_p: int
-    coprime: FactoredRational
-
-    def __init__(
-        self, p: int, et_p: int = 0, mu_p: int = 0, alpha_p: int = 0, coprime: FactoredRational = _ONE
-    ) -> None:
-        if min(et_p, mu_p, alpha_p) < 0:
-            raise KernelInputError("constituent counts must be nonnegative")
-        if not coprime.is_integer:
-            raise KernelInputError("coprime part must be a positive integer")
-        if coprime.exponent(p) != 0:
-            raise KernelInputError("coprime part of a kernel cannot involve p")
-        set_field(self, "p", p)
-        set_field(self, "et_p", et_p)
-        set_field(self, "mu_p", mu_p)
-        set_field(self, "alpha_p", alpha_p)
-        set_field(self, "coprime", coprime)
-
-    @property
-    def deg_p(self) -> int:
-        """Etale-minus-multiplicative count; isogeny-multiplicative and
-        negated by duality."""
-        return self.et_p - self.mu_p
-
-    @property
-    def order(self) -> FactoredRational:
-        total = self.et_p + self.mu_p + self.alpha_p
-        return FactoredRational.from_int(self.p) ** total * self.coprime if total else self.coprime
-
-    def combine(self, other: KernelMultiset) -> KernelMultiset:
-        """Multiset union: the kernel of a composite of the two isogenies."""
-        if self.p != other.p:
-            raise KernelInputError("kernels live over different characteristics")
-        return KernelMultiset(
-            self.p,
-            self.et_p + other.et_p,
-            self.mu_p + other.mu_p,
-            self.alpha_p + other.alpha_p,
-            self.coprime * other.coprime,
-        )
-
-    def cartier_dual(self) -> KernelMultiset:
-        """Dual isogeny's kernel: swaps etale and multiplicative parts."""
-        return KernelMultiset(self.p, self.mu_p, self.et_p, self.alpha_p, self.coprime)
-
-
-def kernel_of_matrix_endo(m: IntMatrix, ctx: CharPEndZ) -> KernelMultiset:
-    """Kernel multiset of the endomorphism an integer matrix induces on a
-    power of an ordinary curve: each elementary divisor d contributes
-    ord_p(d) copies of both Z/p and mu_p and a (prime-to-p part)^2 etale
-    factor away from p.  Summed over the divisors, that is ord_p(det m)
-    copies of each and the square of the prime-to-p part of |det m|, so
-    only the determinant is needed."""
-    det = abs(m.det()) if m.is_square else 0
-    if det == 0:
-        raise SingularMatrixError("singular matrix")
-    p = ctx.p
-    e = 0
-    while det % p == 0:
-        det //= p
-        e += 1
-    return KernelMultiset(p, et_p=e, mu_p=e, coprime=FactoredRational.from_int(det) ** 2)
+from .contexts import CharPEndZ, DegreeClass, IsogenyContext, Supersingular
+from .errors import ContextMismatchError, KernelInputError, ParseError, SingularMatrixError, excerpt
 
 
 class KernelSpec(Record):
-    """A kernel literal before a context supplies the characteristic: the
-    counts of Z/p, mu_p and alpha_p and the prime-to-p order.  The field
-    names and `__init__` defaults are the literal's keys and defaults."""
+    """A kernel up to Jordan-Holder multiset: the counts of Z/p, mu_p and
+    alpha_p and the order of the prime-to-p part.  The field names and
+    `__init__` defaults are the kernel literal's keys and defaults."""
 
     __slots__ = _fields = ("zp", "mup", "alphap", "coprime")
     zp: int
@@ -107,10 +34,20 @@ class KernelSpec(Record):
     coprime: int
 
     def __init__(self, zp: int = 0, mup: int = 0, alphap: int = 0, coprime: int = 1) -> None:
+        if min(zp, mup, alphap) < 0:
+            raise KernelInputError("constituent counts must be nonnegative")
+        if coprime < 1:
+            raise KernelInputError("coprime part must be a positive integer")
         set_field(self, "zp", zp)
         set_field(self, "mup", mup)
         set_field(self, "alphap", alphap)
         set_field(self, "coprime", coprime)
+
+    @property
+    def deg_p(self) -> int:
+        """Etale-minus-multiplicative count; isogeny-multiplicative and
+        negated by Cartier duality, which swaps zp and mup."""
+        return self.zp - self.mup
 
     def literal(self) -> str:
         """Canonical literal: the fields that differ from their defaults, in
@@ -118,19 +55,41 @@ class KernelSpec(Record):
         values = zip(self._fields, self._values(self._fields), KernelSpec.__init__.__defaults__)
         return "{" + ", ".join(f"{k}:{v}" for k, v, default in values if v != default) + "}"
 
-    def multiset(self, p: int) -> KernelMultiset:
-        """The kernel in characteristic p; a coprime part involving p is refused."""
-        return KernelMultiset(p, self.zp, self.mup, self.alphap, FactoredRational.from_int(self.coprime))
+
+def kernel_of_matrix_endo(m: IntMatrix, ctx: CharPEndZ) -> KernelSpec:
+    """Kernel of the endomorphism an integer matrix induces on a power of an
+    ordinary curve: each elementary divisor d contributes ord_p(d) copies of
+    both Z/p and mu_p and a (prime-to-p part)^2 etale factor away from p.
+    Summed over the divisors, that is ord_p(det m) copies of each and the
+    square of the prime-to-p part of |det m|, so only the determinant is
+    needed."""
+    det = abs(m.det()) if m.is_square else 0
+    if det == 0:
+        raise SingularMatrixError("singular matrix")
+    p = ctx.p
+    e = 0
+    while det % p == 0:
+        det //= p
+        e += 1
+    return KernelSpec(zp=e, mup=e, coprime=det * det)
 
 
-def kernel_class(ctx: CharPEndZ, k: KernelMultiset) -> DegreeClass:
-    """Degree class of an isogeny with kernel k: (deg_p, odd square classes
-    of the prime-to-p order)."""
-    if k.p != ctx.p:
-        raise KernelInputError("kernel characteristic differs from context")
-    if k.alpha_p > 0:
+def kernel_class(ctx: IsogenyContext, k: KernelSpec) -> DegreeClass:
+    """Degree class of an isogeny with kernel k, the one place a kernel meets
+    a characteristic: only `Supersingular` and `CharPEndZ` take one, and the
+    coprime order must be prime to their p.  Supersingular classes are
+    trivial, so only `CharPEndZ` factors the coprime order: its class is
+    (deg_p, odd-exponent primes of that order), and alpha_p is refused."""
+    if not isinstance(ctx, (Supersingular, CharPEndZ)):
+        raise ContextMismatchError("kernel input requires a characteristic-p context")
+    if k.coprime % ctx.p == 0:
+        raise KernelInputError("coprime part of a kernel cannot involve p")
+    if isinstance(ctx, Supersingular):
+        return ctx.identity()
+    if k.alphap > 0:
         raise KernelInputError("ordinary curve has no alpha_p constituents")
-    return DegreeClass(ctx, ctx.kernel_data(k.deg_p, k.coprime))
+    odd = tuple(q for q, e in FactoredRational.from_int(k.coprime).exps if e % 2)
+    return DegreeClass(ctx, (k.deg_p, odd))
 
 
 def class_in_image(p: int, a: int, q: FactoredRational | int) -> bool:
@@ -234,7 +193,7 @@ def parse_kernel_literal(toks: Tokens, i: int) -> tuple[KernelSpec, int]:
         elif sep != "}" and sep not in _ENDS_KERNEL:
             raise ParseError("expected ',' or '}' after kernel field", toks.pos(i), "',' or '}'")
         # Any other token fails the next pass's first check: unterminated.
-    spec = KernelSpec(**out)
-    if spec.coprime < 1:
+    # Checked before the constructor, whose refusal carries no position.
+    if out.get("coprime", 1) < 1:
         raise ParseError("coprime order must be positive", toks.pos(start))
-    return spec, i + 1
+    return KernelSpec(**out), i + 1

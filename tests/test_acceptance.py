@@ -14,7 +14,7 @@ from k0av.arith import IntMatrix, TorsionSubgroup, matrix_isogeny_degree
 from k0av.cli import main
 from k0av.contexts import CM, CharPEndZ, EndZ, Supersingular, make_context
 from k0av.k0 import Derivation, derive_same_degree, k0_class, validate_derivation
-from k0av.kernels import KernelMultiset, class_in_image, kernel_class, kernel_of_matrix_endo
+from k0av.kernels import KernelSpec, class_in_image, kernel_class, kernel_of_matrix_endo
 from k0av.quadforms import class_group, compose, prime_class, principal_form, reduce_form
 
 from conftest import fundamental_discs
@@ -120,9 +120,9 @@ def test_criterion_4_supersingular_collapse():
         ctx = Supersingular(p)
         degrees = [1, 2, p, p * p, 91, Fraction(3, 11), Fraction(1, p)]
         kernels = [
-            KernelMultiset(p),
-            KernelMultiset(p, mu_p=1),
-            KernelMultiset(p, et_p=2, alpha_p=1),
+            KernelSpec(),
+            KernelSpec(mup=1),
+            KernelSpec(zp=2, alphap=1),
         ]
         for n in (1, 2, 5):
             classes = [k0_class(ctx, n, q) for q in degrees]
@@ -135,7 +135,7 @@ def test_criterion_4_supersingular_collapse():
 def test_criterion_5_frobenius_and_image():
     started = time.perf_counter()
     ctx = CharPEndZ(5)
-    frob = kernel_class(ctx, KernelMultiset(5, mu_p=1))
+    frob = kernel_class(ctx, KernelSpec(mup=1))
     assert frob.data == (-1, ())
     acc = frob
     for _ in range(100):

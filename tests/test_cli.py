@@ -493,6 +493,32 @@ _REFUSED = [
         "error: bad kernel '{zp:%}': at position 4",
         id="bad-kernel-named",
     ),
+    # A kernel literal's own checks are positioned parse errors; the checks
+    # that need the context's p come after.
+    pytest.param(
+        ["dist", "--ctx", "{file}", "--kernel", "{coprime:0}"],
+        _CHAR_P,
+        "error: bad kernel '{coprime:0}': at position 0: coprime order must be positive",
+        id="kernel-coprime-zero",
+    ),
+    pytest.param(
+        ["eval", "--ctx", "{file}", "[1; {coprime:0}]"],
+        _CHAR_P,
+        "error: at position 4: coprime order must be positive",
+        id="eval-kernel-coprime-zero",
+    ),
+    pytest.param(
+        ["dist", "--ctx", "{file}", "--kernel", "{coprime:10}"], _CHAR_P, "cannot involve p", id="kernel-coprime-p"
+    ),
+    pytest.param(
+        ["dist", "--ctx", "{file}", "--kernel", "{coprime:10}"],
+        '{"case": "supersingular", "p": 5}',
+        "cannot involve p",
+        id="supersingular-kernel-coprime-p",
+    ),
+    pytest.param(
+        ["dist", "--ctx", "{file}", "--kernel", "{alphap:1}"], _CHAR_P, "no alpha_p constituents", id="kernel-alphap"
+    ),
     pytest.param(
         ["derive", "--n", "2", "--c1", "\u0661,0,0,2", "--c2", "2,0,0,1"],
         None,
@@ -704,5 +730,61 @@ def test_literal_fuzz_exit_contract(tmp_path):
         assert code in (0, 1, 2), (argv, code)
         assert ("error:" in err) == (code == 2), (argv, err)
         assert "Traceback" not in err, argv
+
+    check()
+
+
+# Context files as a user might get them wrong: a field dropped, a key added,
+# a value of the wrong type or out of range, or no object at all.  Drawn
+# integers stay within 5000 in size, so no class group or factorization is
+# large enough to dominate.
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-5000, 5000), st.floats(), st.text(max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=5,
+)
+_CONTEXT_KEYS = st.sampled_from(["case", "g", "disc", "p", "P", ""])
+# Small integers are often primes and fundamental discriminants, so some
+# mutated files still name a valid context and reach an answer.
+_FIELD_VALUE = st.one_of(st.integers(-60, 60), st.integers(-5000, 5000), _JSON)
+
+
+@st.composite
+def _mutated_context(draw):
+    spec = dict(draw(st.sampled_from(_FUZZ_CONTEXTS)))
+    kind = draw(st.sampled_from(["drop", "add", "value", "case", "non-object"]))
+    if kind == "drop":
+        spec.pop(draw(st.sampled_from(sorted(spec))))
+    elif kind == "add":
+        spec[draw(st.one_of(_CONTEXT_KEYS, st.text(max_size=6)))] = draw(_JSON)
+    elif kind == "value":
+        spec[draw(st.sampled_from(sorted(set(spec) - {"case"})))] = draw(_FIELD_VALUE)
+    elif kind == "case":
+        spec["case"] = draw(st.one_of(st.sampled_from([c["case"] for c in _FUZZ_CONTEXTS]), _JSON))
+    else:
+        return draw(st.one_of(st.lists(_JSON, max_size=3), st.none(), st.integers(-5000, 5000), st.text(max_size=6)))
+    return spec
+
+
+def test_context_file_fuzz_exit_contract(tmp_path):
+    path = tmp_path / "ctx.json"
+    commands = st.sampled_from(
+        [
+            ["structure"],
+            ["dist", "--degree", "6"],
+            ["dist", "--degree", "35/3"],
+            ["dist", "--kernel", "{mup:1, coprime:3}"],
+        ]
+    )
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(_mutated_context(), commands)
+    def check(spec, command):
+        path.write_text(json.dumps(spec))
+        argv = [command[0], "--ctx", str(path), *command[1:]]
+        code, _, err = _main_captured(argv)
+        assert code in (0, 1, 2), (spec, argv, code)
+        assert ("error:" in err) == (code == 2), (spec, argv, err)
+        assert "Traceback" not in err, (spec, argv)
 
     check()

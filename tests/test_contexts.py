@@ -187,7 +187,7 @@ def _naive_power(cls, k):
 
 
 def test_power_matches_repeated_product():
-    from k0av.kernels import KernelMultiset, kernel_class
+    from k0av.kernels import KernelSpec, kernel_class
 
     cases = {
         EndZ(3): [2, 12, Fraction(5, 9), 2**5 * 7],
@@ -199,7 +199,7 @@ def test_power_matches_repeated_product():
     for ctx, degrees in cases.items():
         classes = [ctx.degree_class(q) for q in degrees]
         if isinstance(ctx, CharPEndZ):
-            kernel = KernelMultiset(7, et_p=3, mu_p=1, coprime=FactoredRational.from_int(6))
+            kernel = KernelSpec(zp=3, mup=1, coprime=6)
             classes.append(kernel_class(ctx, kernel))
         for cls in classes:
             for k in range(-6, 7):

@@ -23,7 +23,7 @@ from k0av.k0 import (
     k0_class,
     validate_derivation,
 )
-from k0av.kernels import KernelMultiset, KernelSpec
+from k0av.kernels import KernelSpec, kernel_class
 
 
 def lattice(level, *gens):
@@ -50,7 +50,7 @@ def test_element_algebra_frozen():
     assert x.n == 1 and x.deg == ctx.degree_class(3)
     assert x.dual() != x
     assert x + x.dual() == K0Element(2, ctx.identity())
-    assert (x - x).is_zero
+    assert x - x == K0Element(0, ctx.identity())
     assert x.scale(4) == K0Element(4, ctx.identity())
     assert x.describe() == "(1, exponents mod 4: 3^1)"
     assert x.to_json() == {
@@ -60,7 +60,7 @@ def test_element_algebra_frozen():
 
 
 def test_scale_matches_repeated_sum():
-    cases = ((EndZ(2), Fraction(3, 10)), (CM(-20), 33), (CharPEndZ(5), KernelMultiset(5, et_p=2)))
+    cases = ((EndZ(2), Fraction(3, 10)), (CM(-20), 33), (CharPEndZ(5), KernelSpec(zp=2)))
     for ctx, degree in cases:
         x = k0_class(ctx, 3, degree)
         assert x.scale(1) is x
@@ -82,7 +82,7 @@ def test_element_past_digit_limit_raises_k0error():
     for show in (x.describe, x.to_json):
         with pytest.raises(K0Error, match=f"multiplicity has more digits than the limit of {limit}"):
             show()
-    y = k0_class(CharPEndZ(5), 1, KernelMultiset(5, et_p=near)).scale(near)
+    y = k0_class(CharPEndZ(5), 1, KernelSpec(zp=near)).scale(near)
     for show in (y.describe, y.to_json):
         with pytest.raises(K0Error, match=f"p-degree has more digits than the limit of {limit}"):
             show()
@@ -99,15 +99,15 @@ def test_element_self_dual_in_two_torsion_contexts():
 
 
 def test_k0_class_kernel_dispatch():
-    k = KernelMultiset(5, mu_p=1)
+    k = KernelSpec(mup=1)
     assert k0_class(Supersingular(5), 1, k).deg.is_identity
     cls = k0_class(CharPEndZ(5), 1, k)
     assert cls.deg.data == (-1, ())
     with pytest.raises(ContextMismatchError, match="characteristic-p"):
         k0_class(EndZ(2), 1, k)
-    # A literal's spec takes the context's p; only the char-p contexts accept it.
+    # The spec takes the context's p; only the char-p contexts accept it.
     spec = KernelSpec(mup=1, coprime=12)
-    assert k0_class(CharPEndZ(5), 1, spec) == k0_class(CharPEndZ(5), 1, spec.multiset(5))
+    assert k0_class(CharPEndZ(5), 1, spec) == K0Element(1, kernel_class(CharPEndZ(5), spec))
     assert k0_class(Supersingular(5), 2, spec).deg.is_identity
     with pytest.raises(KernelInputError, match="cannot involve p"):
         k0_class(Supersingular(3), 1, spec)

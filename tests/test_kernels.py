@@ -1,18 +1,16 @@
-"""Kernel multisets, Cartier duality, and the characteristic-p class map."""
+"""Kernels, Cartier duality, and the characteristic-p class map."""
 
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from k0av.arith import FactoredRational, IntMatrix
-from k0av.contexts import CharPEndZ
-from k0av.errors import KernelInputError, ParseError, SingularMatrixError
+from k0av.contexts import CM, CharPEndZ, EndZ, Supersingular
+from k0av.errors import ContextMismatchError, KernelInputError, ParseError, SingularMatrixError
 from k0av.expr import parse_expression, parse_kernel
 from k0av.kernels import (
-    KernelMultiset,
     KernelSpec,
     class_in_image,
     kernel_class,
@@ -21,65 +19,38 @@ from k0av.kernels import (
 )
 
 
-def K(p, et=0, mu=0, al=0, coprime=1):
-    return KernelMultiset(p, et, mu, al, FactoredRational.from_int(coprime))
-
-
 def test_deg_p_frozen():
-    assert K(5, et=2, mu=1).deg_p == 1
-    assert K(5).deg_p == 0
-    assert K(5, mu=1).deg_p == -1
-    assert K(7, et=3, mu=3, coprime=12).deg_p == 0
-
-
-def test_order():
-    assert K(5, et=2, mu=1, coprime=6).order.as_fraction() == 5**3 * 6
-    assert K(5).order.as_fraction() == 1
-    assert K(3, al=2).order.as_fraction() == 9
+    assert KernelSpec(zp=2, mup=1).deg_p == 1
+    assert KernelSpec().deg_p == 0
+    assert KernelSpec(mup=1).deg_p == -1
+    assert KernelSpec(zp=3, mup=3, coprime=12).deg_p == 0
 
 
 def test_validation():
-    with pytest.raises(KernelInputError):
-        K(5, et=-1)
-    with pytest.raises(KernelInputError, match="cannot involve p"):
-        K(5, coprime=10)
-    with pytest.raises(KernelInputError, match="positive integer"):
-        KernelMultiset(5, coprime=FactoredRational.from_fraction(Fraction(1, 2)))
-
-
-def test_cartier_dual():
-    k = K(5, et=2, mu=1, al=3, coprime=7)
-    d = k.cartier_dual()
-    assert (d.et_p, d.mu_p, d.alpha_p) == (1, 2, 3)
-    assert d.coprime == k.coprime
-    assert d.cartier_dual() == k
-    assert d.deg_p == -k.deg_p
-    # alpha_p and the etale-away-from-p part are self-dual
-    assert K(3, al=1, coprime=4).cartier_dual() == K(3, al=1, coprime=4)
-
-
-def test_combine():
-    a = K(5, et=1, coprime=3)
-    b = K(5, mu=2, coprime=7)
-    c = a.combine(b)
-    assert (c.et_p, c.mu_p, c.coprime.as_fraction()) == (1, 2, 21)
-    assert c.deg_p == a.deg_p + b.deg_p
-    with pytest.raises(KernelInputError, match="different characteristics"):
-        a.combine(K(7))
+    for counts in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+        with pytest.raises(KernelInputError, match="nonnegative"):
+            KernelSpec(*counts)
+    for coprime in (0, -3):
+        with pytest.raises(KernelInputError, match="positive integer"):
+            KernelSpec(coprime=coprime)
+    # p is the context's, so a coprime part involving it is refused there.
+    for ctx in (CharPEndZ(5), Supersingular(5)):
+        with pytest.raises(KernelInputError, match="cannot involve p"):
+            kernel_class(ctx, KernelSpec(coprime=10))
 
 
 def test_kernel_of_matrix_endo_frozen():
     ctx = CharPEndZ(5)
     k = kernel_of_matrix_endo(IntMatrix.from_rows([[5]]), ctx)
-    assert (k.et_p, k.mu_p, k.alpha_p) == (1, 1, 0)
-    assert k.coprime.as_fraction() == 1
+    assert (k.zp, k.mup, k.alphap) == (1, 1, 0)
+    assert k.coprime == 1
 
     k = kernel_of_matrix_endo(IntMatrix.identity(3), ctx)
-    assert k == K(5)
+    assert k == KernelSpec()
 
     k = kernel_of_matrix_endo(IntMatrix.from_rows([[1, 0], [0, 6]]), CharPEndZ(3))
-    assert (k.et_p, k.mu_p) == (1, 1)
-    assert k.coprime.as_fraction() == 4  # square of the prime-to-p part
+    assert (k.zp, k.mup) == (1, 1)
+    assert k.coprime == 4  # square of the prime-to-p part
 
 
 def _elementary_divisors(rows):
@@ -114,7 +85,7 @@ def test_kernel_of_matrix_endo_is_the_determinant_formula():
                 d //= p
                 e += 1
             coprime *= d * d
-        assert kernel_of_matrix_endo(IntMatrix.from_rows(rows), CharPEndZ(p)) == K(p, e, e, 0, coprime)
+        assert kernel_of_matrix_endo(IntMatrix.from_rows(rows), CharPEndZ(p)) == KernelSpec(e, e, 0, coprime)
         done += 1
     for singular in ([[1, 2], [2, 4]], [[0]], [[1, 2, 3]]):
         with pytest.raises(SingularMatrixError, match="singular matrix"):
@@ -136,24 +107,25 @@ def test_matrix_endo_kernels_have_trivial_class():
             k = kernel_of_matrix_endo(m, ctx)
             assert k.deg_p == 0
             assert kernel_class(ctx, k).is_identity
-            assert k.order.as_fraction() == m.det() ** 2
+            # the kernel's order p^(zp + mup + alphap) * coprime is det(m)^2
+            assert p ** (k.zp + k.mup + k.alphap) * k.coprime == m.det() ** 2
             done += 1
 
 
 def test_kernel_class_frozen():
     ctx = CharPEndZ(5)
-    frob = kernel_class(ctx, K(5, mu=1))  # kernel of Frobenius
+    frob = kernel_class(ctx, KernelSpec(mup=1))  # kernel of Frobenius
     assert frob.data == (-1, ())
     assert frob.order() is None
-    assert kernel_class(ctx, K(5, coprime=12)).data == (0, (3,))
-    assert kernel_class(ctx, K(5, et=1, mu=1)).is_identity
-    ver = kernel_class(ctx, K(5, et=1))  # Verschiebung
+    assert kernel_class(ctx, KernelSpec(coprime=12)).data == (0, (3,))
+    assert kernel_class(ctx, KernelSpec(zp=1, mup=1)).is_identity
+    ver = kernel_class(ctx, KernelSpec(zp=1))  # Verschiebung
     assert ver == frob.inverse()
 
 
 def test_frobenius_class_has_infinite_order():
     ctx = CharPEndZ(5)
-    frob = kernel_class(ctx, K(5, mu=1))
+    frob = kernel_class(ctx, KernelSpec(mup=1))
     acc = frob
     for _ in range(100):
         assert not acc.is_identity
@@ -163,19 +135,35 @@ def test_frobenius_class_has_infinite_order():
 def test_kernel_class_rejects():
     ctx = CharPEndZ(5)
     with pytest.raises(KernelInputError, match="no alpha_p"):
-        kernel_class(ctx, K(5, al=1))
-    with pytest.raises(KernelInputError, match="differs from context"):
-        kernel_class(ctx, K(7, et=1))
+        kernel_class(ctx, KernelSpec(alphap=1))
+    # alpha_p is supersingular, where every class is trivial.
+    assert kernel_class(Supersingular(5), KernelSpec(alphap=1)).is_identity
+    for other in (CM(-20), EndZ(1)):
+        with pytest.raises(ContextMismatchError, match="characteristic-p context"):
+            kernel_class(other, KernelSpec())
+
+
+def test_supersingular_kernel_is_not_factored():
+    # Every supersingular class is trivial, so a coprime order past the
+    # factoring budget still gets its answer; only its p-part is checked.
+    semiprime = (10**19 + 51) * (10**19 + 169)
+    assert kernel_class(Supersingular(5), KernelSpec(coprime=semiprime)).is_identity
+    with pytest.raises(KernelInputError, match="cannot involve p"):
+        kernel_class(Supersingular(5), KernelSpec(coprime=5 * semiprime))
 
 
 def test_kernel_class_additivity_and_duality():
     ctx = CharPEndZ(3)
     rng = random.Random(2)
     for _ in range(300):
-        a = K(3, rng.randint(0, 4), rng.randint(0, 4), 0, rng.choice((1, 2, 5, 10, 14)))
-        b = K(3, rng.randint(0, 4), rng.randint(0, 4), 0, rng.choice((1, 2, 5, 10, 14)))
-        assert kernel_class(ctx, a.combine(b)) == kernel_class(ctx, a) * kernel_class(ctx, b)
-        assert kernel_class(ctx, a.cartier_dual()) == kernel_class(ctx, a).inverse()
+        a = KernelSpec(rng.randint(0, 4), rng.randint(0, 4), 0, rng.choice((1, 2, 5, 10, 14)))
+        b = KernelSpec(rng.randint(0, 4), rng.randint(0, 4), 0, rng.choice((1, 2, 5, 10, 14)))
+        # A composite's kernel adds the counts and multiplies the coprime
+        # orders; the Cartier dual swaps Z/p and mu_p.
+        composite = KernelSpec(a.zp + b.zp, a.mup + b.mup, 0, a.coprime * b.coprime)
+        dual = KernelSpec(a.mup, a.zp, a.alphap, a.coprime)
+        assert kernel_class(ctx, composite) == kernel_class(ctx, a) * kernel_class(ctx, b)
+        assert kernel_class(ctx, dual) == kernel_class(ctx, a).inverse()
 
 
 def test_class_in_image_frozen():
@@ -336,7 +324,9 @@ def test_bad_character_is_refused_before_the_grammar():
 
 
 def test_kernel_spec_multiset():
-    k = KernelSpec(zp=1, mup=2, alphap=0, coprime=6).multiset(5)
-    assert k == K(5, et=1, mu=2, coprime=6)
-    with pytest.raises(KernelInputError):
-        KernelSpec(zp=0, mup=0, alphap=0, coprime=10).multiset(5)
+    # The spec is the kernel: p comes from the context it meets.
+    spec = KernelSpec(zp=1, mup=2, alphap=0, coprime=6)
+    assert kernel_class(CharPEndZ(5), spec).data == (-1, (2, 3))
+    assert kernel_class(CharPEndZ(7), spec).data == (-1, (2, 3))
+    with pytest.raises(KernelInputError, match="cannot involve p"):
+        kernel_class(CharPEndZ(3), spec)

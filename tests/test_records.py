@@ -28,7 +28,7 @@ from k0av.contexts import (
 from k0av.errors import ContextError, DiscriminantError, K0Error, KernelInputError
 from k0av.expr import ClassAtom, Dual, KernelSpec, Sum
 from k0av.k0 import Derivation, DerivationCheck, K0Element, QuotientRelation, derive_same_degree
-from k0av.kernels import KernelMultiset
+from k0av.kernels import kernel_class
 from k0av.quadforms import (
     ClassGroup,
     PrimeClass,
@@ -80,7 +80,6 @@ RECORDS = [
     (lambda: OrdinaryCM(-20, 29), ("disc", "p"), ()),
     (lambda: Supersingular(5), ("p",), ()),
     (lambda: CharPEndZ(5), ("p",), ()),
-    (lambda: KernelMultiset(5, 1, 2, 0, factor(12)), ("p", "et_p", "mu_p", "alpha_p", "coprime"), ()),
     (lambda: K0Element(3, EndZ(1).degree_class(2)), ("n", "deg"), ()),
     (lambda: _relation((2, 2)), ("base", "sub1", "sub2", "joint"), ("stated_orders",)),
     (lambda: _derivation(2), ("level", "c1", "c2", "steps"), ("stated_degree",)),
@@ -94,7 +93,7 @@ IDS = [type(make()).__name__ for make, _, _ in RECORDS]
 
 
 def test_every_former_dataclass_is_listed():
-    assert len(set(IDS)) == len(RECORDS) == 25
+    assert len(set(IDS)) == len(RECORDS) == 24
 
 
 @pytest.mark.parametrize("make,fields,extra", RECORDS, ids=IDS)
@@ -197,9 +196,9 @@ def test_quad_form_order_is_triple_order():
         (lambda: OrdinaryCM(-20, 13), ContextError),
         (lambda: Supersingular(4), ContextError),
         (lambda: CharPEndZ(9), ContextError),
-        (lambda: KernelMultiset(5, -1), KernelInputError),
-        (lambda: KernelMultiset(5, coprime=FactoredRational.from_fraction(Fraction(1, 2))), KernelInputError),
-        (lambda: KernelMultiset(5, coprime=factor(10)), KernelInputError),
+        (lambda: KernelSpec(-1), KernelInputError),
+        (lambda: KernelSpec(coprime=0), KernelInputError),
+        (lambda: KernelSpec(0, 0, -1, 12), KernelInputError),
         (lambda: QuadForm(1, 2), TypeError),
         (lambda: FracLattice(1, _B, 3), TypeError),
         (lambda: EndZ(g=1, p=2), TypeError),
@@ -222,8 +221,19 @@ def test_constructors_raise_the_same_errors(build, error):
         (lambda: IntMatrix.from_rows([[1, 2]]).det(), "determinant of a non-square matrix"),
         (lambda: FactoredRational(((3, 1), (2, 1))), "exponent table must be sorted with nonzero exponents"),
         (lambda: matrix_isogeny_degree(IntMatrix.from_rows([[2]]), 0), "dimension must be positive"),
+        (lambda: kernel_class(CM(-20), KernelSpec()), "kernel input requires a characteristic-p context"),
+        (lambda: kernel_class(EndZ(1), KernelSpec()), "kernel input requires a characteristic-p context"),
     ],
-    ids=["prime_class", "empty_matrix", "ragged_matrix", "non_square_det", "unsorted_table", "dimension_0"],
+    ids=[
+        "prime_class",
+        "empty_matrix",
+        "ragged_matrix",
+        "non_square_det",
+        "unsorted_table",
+        "dimension_0",
+        "kernel_in_cm",
+        "kernel_in_end_z",
+    ],
 )
 def test_library_errors_are_k0_errors(call, message):
     with pytest.raises(K0Error) as info:
@@ -233,7 +243,6 @@ def test_library_errors_are_k0_errors(call, message):
 
 def test_defaults():
     assert KernelSpec() == KernelSpec(0, 0, 0, 1)
-    assert KernelMultiset(5) == KernelMultiset(5, 0, 0, 0, FactoredRational.one())
     assert GroupStructure(0, ()).note is None
     assert QuotientRelation(*([FracLattice.unit()] * 4)).stated_orders is None
 

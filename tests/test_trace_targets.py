@@ -2,8 +2,8 @@
 target would stop every traced benchmark run.  These tests read
 `perfbench/spans.py` (compiled from its text, so no bytecode is written
 next to it) and check that each name still resolves the way
-`Tracer.install` needs, and that a traced degree_query run still sees the
-calls `spans.PREDICTIONS` expects."""
+`Tracer.install` needs, and that traced degree_query and certify runs still
+see the calls `spans.PREDICTIONS` expects."""
 
 import json
 import os
@@ -42,15 +42,22 @@ def test_trace_cache_has_cache_info(prefix, module, attr):
     assert hasattr(getattr(owner, name, None), "cache_info"), f"{prefix}: {module}.{attr} is not an lru cache"
 
 
-# The worker's order for a traced degree_query run: build the contexts and
-# call `structure()` on each, install the tracer, then time the queries.
-# `Tracer.install` rebinds package attributes for good, so it runs in a
-# fresh interpreter; -B keeps bytecode out of perfbench/.
+# Each traced run follows the worker's order: set up, install the tracer,
+# then run the operations and print the misses of the workload's
+# predictions.  `Tracer.install` rebinds package attributes for good, so a
+# run takes a fresh interpreter; -B keeps bytecode out of perfbench/.
+_REPORT = """
+snap = tracer.snapshot()
+print(json.dumps({"misses": spans.prediction_misses(WORKLOAD, snap), "missing": snap["missing"]}))
+"""
+
+# degree_query: build the contexts and call `structure()` on each first.
 _DEGREE_QUERY_TRACE = """
 import json, sys
 import spans, workloads
 import k0av
 
+WORKLOAD = "degree_query"
 state = [k0av.make_context(spec) for spec in workloads.QUERY_CONTEXTS]
 for ctx in state:
     ctx.structure()
@@ -59,24 +66,47 @@ tracer.install()
 parse, evaluate = k0av.parse_expression, k0av.eval_expression
 for ci, left, right, _ in workloads.make_degree_query(1)["queries"][:400]:
     evaluate(state[ci], parse(left)) == evaluate(state[ci], parse(right))
-snap = tracer.snapshot()
-print(json.dumps({"misses": spans.prediction_misses("degree_query", snap), "missing": snap["missing"]}))
-"""
+""" + _REPORT
+
+# certify: derive each pair's certificate, write it out, read it back and
+# validate it, as the worker's derive and check phases do.
+_CERTIFY_TRACE = """
+import json
+import spans, workloads
+import k0av
+
+WORKLOAD = "certify"
+pairs = workloads.make_certify(1)["pairs"][:60]
+tracer = spans.Tracer()
+tracer.install()
+for n, (a, b, d), (a2, b2, d2) in pairs:
+    der = k0av.derive_same_degree(
+        n, k0av.TorsionSubgroup(n, ((a, b), (0, d))), k0av.TorsionSubgroup(n, ((a2, b2), (0, d2)))
+    )
+    text = json.dumps(der.to_json())
+    assert k0av.validate_derivation(k0av.Derivation.from_json(json.loads(text)))
+""" + _REPORT
 
 
-def test_degree_query_trace_predictions_hold():
+def _traced(script):
     import k0av
 
     src = os.path.dirname(os.path.dirname(k0av.__file__))
     path = os.pathsep.join(filter(None, (str(SPANS.parent), src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", _DEGREE_QUERY_TRACE],
+        [sys.executable, "-B", "-c", script],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert out["misses"] == []
-    assert out["missing"] == []
+    return json.loads(proc.stdout)
+
+
+def test_degree_query_trace_predictions_hold():
+    assert _traced(_DEGREE_QUERY_TRACE) == {"misses": [], "missing": []}
+
+
+def test_certify_trace_predictions_hold():
+    assert _traced(_CERTIFY_TRACE) == {"misses": [], "missing": []}
