@@ -6,7 +6,7 @@ a > 0 and b^2 - 4ac < 0.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd
 
 from ._primality import jacobi
 from .arith import xgcd

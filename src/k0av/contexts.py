@@ -25,6 +25,9 @@ it.  A CM context checks its discriminant by factoring alone, and mask 0
 renders as the principal form, so a degree class with no split or ramified
 odd-exponent prime is answered without the class group.
 
+Each kind states its group law in closed form, so a power is one step:
+`k*[...]` costs about one product however many digits k has.
+
 A context file is the JSON object `to_json` writes and `make_context` reads:
 `case` names the kind, and the other keys are its class's `_fields`, all
 integers, e.g. {"case": "ordinary_cm", "disc": -20, "p": 3}.
@@ -129,28 +132,14 @@ class DegreeClass(Record):
         return DegreeClass(self.ctx, self.ctx._mul(self.data, other.data))
 
     def inverse(self) -> DegreeClass:
-        return DegreeClass(self.ctx, self.ctx._inv(self.data))
+        return DegreeClass(self.ctx, self.ctx._pow(self.data, -1))
 
     def __pow__(self, k: int) -> DegreeClass:
-        if k == 0:
-            return self.ctx.identity()
-        base = self.inverse() if k < 0 else self
-        e = abs(k)
-        while not e & 1:
-            base = base * base
-            e >>= 1
-        out = base
-        e >>= 1
-        while e:
-            base = base * base
-            if e & 1:
-                out = out * base
-            e >>= 1
-        return out
+        return DegreeClass(self.ctx, self.ctx._pow(self.data, k))
 
     @property
     def is_identity(self) -> bool:
-        return self.data == self.ctx._identity_data()
+        return self.data == self.ctx._identity
 
     def order(self) -> int | None:
         """Order in the class group; None when infinite."""
@@ -169,12 +158,14 @@ _set_data = DegreeClass.data.__set__
 
 class IsogenyContext(Record):
     """Shared surface of the five context kinds.  Contexts keep a
-    `__dict__`, where `cached_property` stores class-group data."""
+    `__dict__`, where `cached_property` stores class-group data.  A kind's
+    group law is `_identity` (data), `_mul`, and `_pow` for any integer k."""
 
     case: str
+    _identity: tuple = ()
 
     def identity(self) -> DegreeClass:
-        return DegreeClass(self, self._identity_data())
+        return DegreeClass(self, self._identity)
 
     def degree_class(self, q: DegreeLike) -> DegreeClass:
         """Canonical class of a positive rational isogeny degree."""
@@ -193,16 +184,13 @@ class IsogenyContext(Record):
         return {"case": self.case, **dict(zip(self._fields, self._values(self._fields)))}
 
     # Kind-specific canonical-form plumbing.
-    def _identity_data(self) -> tuple:
-        raise NotImplementedError
-
     def _degree_data(self, q: FactoredRational) -> tuple:
         raise NotImplementedError
 
     def _mul(self, x: tuple, y: tuple) -> tuple:
         raise NotImplementedError
 
-    def _inv(self, x: tuple) -> tuple:
+    def _pow(self, x: tuple, k: int) -> tuple:
         raise NotImplementedError
 
     def _class_order(self, x: tuple) -> int | None:
@@ -233,9 +221,6 @@ class EndZ(IsogenyContext):
     def modulus(self) -> int:
         return 2 * self.g
 
-    def _identity_data(self) -> tuple:
-        return ()
-
     def _degree_data(self, q: FactoredRational) -> tuple:
         m = self.modulus
         return tuple((p, e % m) for p, e in q.exps if e % m)
@@ -247,9 +232,9 @@ class EndZ(IsogenyContext):
             acc[p] = (acc.get(p, 0) + e) % m
         return tuple(sorted((p, e) for p, e in acc.items() if e))
 
-    def _inv(self, x: tuple) -> tuple:
+    def _pow(self, x: tuple, k: int) -> tuple:
         m = self.modulus
-        return tuple((p, (-e) % m) for p, e in x)
+        return tuple([(p, e * k % m) for p, e in x if e * k % m])
 
     def _class_order(self, x: tuple) -> int:
         m = self.modulus
@@ -297,6 +282,7 @@ class _WithClassGroup(IsogenyContext):
     is (mask, inert): its coset's mask in `SquareClasses` and its sorted odd inert primes."""
 
     disc: int
+    _identity = (0, ())
 
     @cached_property
     def square_classes(self) -> SquareClasses:
@@ -310,9 +296,6 @@ class _WithClassGroup(IsogenyContext):
     def is_norm(self, q: DegreeLike) -> bool:
         """Whether q is a norm from the CM field (i.e. a trivial degree class)."""
         return self.degree_class(q).is_identity
-
-    def _identity_data(self) -> tuple:
-        return (0, ())
 
     def _degree_data(self, q: FactoredRational) -> tuple:
         mask = 0
@@ -330,11 +313,11 @@ class _WithClassGroup(IsogenyContext):
     def _mul(self, x: tuple, y: tuple) -> tuple:
         return (x[0] ^ y[0], _odd_primes_product(x[1], y[1]))
 
-    def _inv(self, x: tuple) -> tuple:
-        return x  # C/C^2 and the inert parities have exponent 2
+    def _pow(self, x: tuple, k: int) -> tuple:
+        return x if k % 2 else self._identity  # C/C^2 and the inert parities have exponent 2
 
     def _class_order(self, x: tuple) -> int:
-        return 1 if x == self._identity_data() else 2
+        return 1 if x == self._identity else 2
 
     def _coset_rep(self, mask: int) -> QuadForm:
         """The representative form of coset `mask`; mask 0 needs no class group."""
@@ -342,7 +325,7 @@ class _WithClassGroup(IsogenyContext):
 
     def _describe_class(self, x: tuple) -> str:
         mask, inert = x
-        if x == self._identity_data():
+        if x == self._identity:
             return "identity"
         parts = [f"coset {self._coset_rep(mask)}"]
         if inert:
@@ -418,16 +401,13 @@ class Supersingular(IsogenyContext):
             raise ContextError(f"{p} is not prime")
         set_field(self, "p", p)
 
-    def _identity_data(self) -> tuple:
-        return ()
-
     def _degree_data(self, q: FactoredRational) -> tuple:
         return ()
 
     def _mul(self, x: tuple, y: tuple) -> tuple:
         return ()
 
-    def _inv(self, x: tuple) -> tuple:
+    def _pow(self, x: tuple, k: int) -> tuple:
         return ()
 
     def _class_order(self, x: tuple) -> int:
@@ -455,14 +435,12 @@ class CharPEndZ(IsogenyContext):
     p: int
 
     case = "char_p_end_z"
+    _identity = (0, ())
 
     def __init__(self, p: int) -> None:
         if not is_prime(p):
             raise ContextError(f"{p} is not prime")
         set_field(self, "p", p)
-
-    def _identity_data(self) -> tuple:
-        return (0, ())
 
     def _degree_data(self, q: FactoredRational) -> tuple:
         if q.exponent(self.p) != 0:
@@ -472,8 +450,8 @@ class CharPEndZ(IsogenyContext):
     def _mul(self, x: tuple, y: tuple) -> tuple:
         return (x[0] + y[0], _odd_primes_product(x[1], y[1]))
 
-    def _inv(self, x: tuple) -> tuple:
-        return (-x[0], x[1])
+    def _pow(self, x: tuple, k: int) -> tuple:
+        return (x[0] * k, x[1] if k % 2 else ())
 
     def _class_order(self, x: tuple) -> int | None:
         if x[0] != 0:
@@ -482,7 +460,7 @@ class CharPEndZ(IsogenyContext):
 
     def _describe_class(self, x: tuple) -> str:
         a, primes = x
-        if x == self._identity_data():
+        if x == self._identity:
             return "identity"
         parts = [f"p-degree {printable_int(a, 'p-degree')}"]
         if primes:

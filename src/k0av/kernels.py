@@ -56,6 +56,13 @@ class KernelSpec(Record):
         return "{" + ", ".join(f"{k}:{v}" for k, v, default in values if v != default) + "}"
 
 
+def _characteristic(ctx: IsogenyContext) -> int:
+    """The p of a context that takes kernels: `Supersingular` or `CharPEndZ`."""
+    if not isinstance(ctx, (Supersingular, CharPEndZ)):
+        raise ContextMismatchError("kernel input requires a characteristic-p context")
+    return ctx.p
+
+
 def kernel_of_matrix_endo(m: IntMatrix, ctx: CharPEndZ) -> KernelSpec:
     """Kernel of the endomorphism an integer matrix induces on a power of an
     ordinary curve: each elementary divisor d contributes ord_p(d) copies of
@@ -63,10 +70,10 @@ def kernel_of_matrix_endo(m: IntMatrix, ctx: CharPEndZ) -> KernelSpec:
     Summed over the divisors, that is ord_p(det m) copies of each and the
     square of the prime-to-p part of |det m|, so only the determinant is
     needed."""
+    p = _characteristic(ctx)
     det = abs(m.det()) if m.is_square else 0
     if det == 0:
         raise SingularMatrixError("singular matrix")
-    p = ctx.p
     e = 0
     while det % p == 0:
         det //= p
@@ -76,13 +83,11 @@ def kernel_of_matrix_endo(m: IntMatrix, ctx: CharPEndZ) -> KernelSpec:
 
 def kernel_class(ctx: IsogenyContext, k: KernelSpec) -> DegreeClass:
     """Degree class of an isogeny with kernel k, the one place a kernel meets
-    a characteristic: only `Supersingular` and `CharPEndZ` take one, and the
-    coprime order must be prime to their p.  Supersingular classes are
+    a characteristic: the context must take kernels (`_characteristic`),
+    and the coprime order must be prime to its p.  Supersingular classes are
     trivial, so only `CharPEndZ` factors the coprime order: its class is
     (deg_p, odd-exponent primes of that order), and alpha_p is refused."""
-    if not isinstance(ctx, (Supersingular, CharPEndZ)):
-        raise ContextMismatchError("kernel input requires a characteristic-p context")
-    if k.coprime % ctx.p == 0:
+    if k.coprime % _characteristic(ctx) == 0:
         raise KernelInputError("coprime part of a kernel cannot involve p")
     if isinstance(ctx, Supersingular):
         return ctx.identity()

@@ -593,6 +593,28 @@ def test_refused_inputs_exit_2_without_traceback(tmp_path, argv, contents, fragm
     assert "Traceback" not in err
 
 
+# k*[1; q] is (k, class(q)^k): a coefficient of thousands of digits is one
+# closed-form power, and the right side keeps the multiplicity.  In end_z g=2
+# class(6)^k depends on k mod 4; in the exponent-2 groups, on k mod 2.
+@pytest.mark.parametrize(
+    "spec, right, code",
+    [
+        ({"case": "end_z", "g": 2}, f"[{_NEAR}; {6 ** (int(_NEAR) % 4)}]", 0),
+        ({"case": "end_z", "g": 2}, f"[{_NEAR}; {6 ** (int(_NEAR) % 4 + 1)}]", 1),
+        ({"case": "cm", "disc": -5291}, f"[{_NEAR}; {6 ** (int(_NEAR) % 2)}]", 0),
+        ({"case": "char_p_end_z", "p": 7}, f"[{_NEAR}; {6 ** (int(_NEAR) % 2)}]", 0),
+        ({"case": "char_p_end_z", "p": 7}, f"[{_NEAR}; {6 ** (int(_NEAR) % 2 + 1)}]", 1),
+    ],
+    ids=["end_z", "end_z-unequal", "cm", "char_p_end_z", "char_p_end_z-unequal"],
+)
+def test_large_coefficient_answers(tmp_path, spec, right, code):
+    file = tmp_path / "ctx.json"
+    file.write_text(json.dumps(spec))
+    got, out, err = _main_captured(["eval", "--ctx", str(file), f"{_NEAR}*[1; 6]", "--equals", right])
+    assert (got, err) == (code, "")
+    assert out.count(f"({_NEAR}, ") == 2
+
+
 @pytest.mark.parametrize(
     "degree, answer",
     [("4", "identity"), ("3", "coset (1, 1, 25000000001); odd inert exponents at 3")],
@@ -786,5 +808,72 @@ def test_context_file_fuzz_exit_contract(tmp_path):
         assert code in (0, 1, 2), (spec, argv, code)
         assert ("error:" in err) == (code == 2), (spec, argv, err)
         assert "Traceback" not in err, (spec, argv)
+
+    check()
+
+
+def _json_paths(value, path=()):
+    """Every position in a JSON value, the root included, as key/index paths."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, (*path, key))
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+# Real certificates, then one mutation each: a key dropped or added at any
+# depth, a value replaced, a step dropped or duplicated, or no object at all.
+_CERT_KEYS = st.sampled_from(["format", "level", "degree", "c1", "c2", "steps", "sign", "base", "sub1", "sub2",
+                              "sum", "orders", "den", "basis", ""])
+
+
+@st.composite
+def _mutated_certificate(draw, certs):
+    cert = json.loads(json.dumps(draw(st.sampled_from(certs))))
+    kind = draw(st.sampled_from(["drop", "add", "value", "step", "non-object"]))
+    if kind == "non-object":
+        return draw(st.one_of(st.lists(_JSON, max_size=3), st.none(), st.integers(-5000, 5000), st.text(max_size=6)))
+    if kind == "step":
+        steps = cert["steps"]
+        i = draw(st.integers(0, len(steps) - 1))
+        steps[i:i + 1] = [steps[i]] * draw(st.sampled_from([0, 2]))
+        return cert
+    paths = list(_json_paths(cert))
+    if kind == "drop":
+        path = draw(st.sampled_from([p for p in paths if p and isinstance(_at(cert, p[:-1]), dict)]))
+        del _at(cert, path[:-1])[path[-1]]
+    elif kind == "add":
+        target = _at(cert, draw(st.sampled_from([p for p in paths if isinstance(_at(cert, p), dict)])))
+        target[draw(st.one_of(_CERT_KEYS, st.text(max_size=6)))] = draw(_JSON)
+    else:
+        path = draw(st.sampled_from(paths[1:]))
+        _at(cert, path[:-1])[path[-1]] = draw(st.one_of(st.integers(-5000, 5000), _JSON))
+    return cert
+
+
+def test_certificate_fuzz_exit_contract(tmp_path):
+    from k0av.arith import TorsionSubgroup
+    from k0av.k0 import derive_same_degree
+
+    certs = []
+    for n in range(2, 13):
+        # The cyclic subgroups generated by (1/n, 0), (0, 1/n) and (1/n, 1/n).
+        cyclic = [TorsionSubgroup(n, basis) for basis in (((1, 0), (0, n)), ((n, 0), (0, 1)), ((1, 1), (0, n)))]
+        certs += [derive_same_degree(n, c1, c2).to_json() for c1, c2 in zip(cyclic, cyclic[1:])]
+    path = tmp_path / "cert.json"
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(_mutated_certificate(certs))
+    def check(cert):
+        path.write_text(json.dumps(cert))
+        code, _, err = _main_captured(["check", "--cert", str(path)])
+        assert code in (0, 1, 2), (cert, code)
+        assert ("error:" in err) == (code == 2), (cert, err)
+        assert "Traceback" not in err, cert
 
     check()

@@ -178,12 +178,15 @@ def test_cm_inverse_is_self():
             assert (cls * cls).is_identity
 
 
-def _naive_power(cls, k):
+def _naive_power(cls, inv, k):
+    """cls^k as |k| products of cls, or of inv, a reference inverse, for k < 0."""
     out = cls.ctx.identity()
-    step = cls if k >= 0 else cls.inverse()
     for _ in range(abs(k)):
-        out = out * step
+        out = out * (cls if k >= 0 else inv)
     return out
+
+
+_HUGE = 10**4000 - 1  # odd, and 3 mod 4 and mod 6
 
 
 def test_power_matches_repeated_product():
@@ -197,15 +200,28 @@ def test_power_matches_repeated_product():
         CharPEndZ(7): [3, Fraction(2, 15)],
     }
     for ctx, degrees in cases.items():
-        classes = [ctx.degree_class(q) for q in degrees]
+        # (class, its inverse built without `inverse`, its p-degree)
+        classes = [(ctx.degree_class(q), ctx.degree_class(1 / Fraction(q)), 0) for q in degrees]
         if isinstance(ctx, CharPEndZ):
-            kernel = KernelSpec(zp=3, mup=1, coprime=6)
-            classes.append(kernel_class(ctx, kernel))
-        for cls in classes:
+            kernel, dual = KernelSpec(zp=3, mup=1, coprime=6), KernelSpec(zp=1, mup=3, coprime=6)
+            classes.append((kernel_class(ctx, kernel), kernel_class(ctx, dual), kernel.deg_p))
+        for cls, inv, a in classes:
+            assert cls.inverse() == inv, (ctx, cls)
             for k in range(-6, 7):
                 got = cls**k
-                assert got == _naive_power(cls, k), (ctx, cls, k)
-                assert got.to_json() == _naive_power(cls, k).to_json(), (ctx, cls, k)
+                assert got == _naive_power(cls, inv, k), (ctx, cls, k)
+                assert got.to_json() == _naive_power(cls, inv, k).to_json(), (ctx, cls, k)
+            for k in (_HUGE, -_HUGE):
+                got = cls**k
+                if isinstance(ctx, EndZ):
+                    assert got == _naive_power(cls, inv, k % ctx.modulus), (ctx, cls, k)
+                elif isinstance(ctx, Supersingular):
+                    assert got == _naive_power(cls, inv, 0) == ctx.identity(), (ctx, cls, k)
+                elif isinstance(ctx, CharPEndZ):
+                    assert got.data[0] == k * a, (ctx, cls, k)
+                    assert got.data[1] == _naive_power(cls, inv, k % 2).data[1], (ctx, cls, k)
+                else:
+                    assert got == _naive_power(cls, inv, k % 2), (ctx, cls, k)
 
 
 def test_prime_mask_memo_is_bounded_and_caches_no_raise():

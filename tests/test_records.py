@@ -3,6 +3,7 @@ dataclass (equality and hashing over the field tuple, fields left out of
 comparison, refused assignment, the repr), and importing the CLI loads
 neither `dataclasses` nor the oracle."""
 
+import ast
 import copy
 import json
 import os
@@ -28,7 +29,7 @@ from k0av.contexts import (
 from k0av.errors import ContextError, DiscriminantError, K0Error, KernelInputError
 from k0av.expr import ClassAtom, Dual, KernelSpec, Sum
 from k0av.k0 import Derivation, DerivationCheck, K0Element, QuotientRelation, derive_same_degree
-from k0av.kernels import kernel_class
+from k0av.kernels import kernel_class, kernel_of_matrix_endo
 from k0av.quadforms import (
     ClassGroup,
     PrimeClass,
@@ -210,6 +211,9 @@ def test_constructors_raise_the_same_errors(build, error):
         build()
 
 
+_M = IntMatrix.from_rows([[2, 1], [0, 3]])  # nonsingular
+
+
 # Every library error derives from K0Error (errors.py), including these
 # refusals of malformed arguments.
 @pytest.mark.parametrize(
@@ -223,6 +227,8 @@ def test_constructors_raise_the_same_errors(build, error):
         (lambda: matrix_isogeny_degree(IntMatrix.from_rows([[2]]), 0), "dimension must be positive"),
         (lambda: kernel_class(CM(-20), KernelSpec()), "kernel input requires a characteristic-p context"),
         (lambda: kernel_class(EndZ(1), KernelSpec()), "kernel input requires a characteristic-p context"),
+        (lambda: kernel_of_matrix_endo(_M, CM(-20)), "kernel input requires a characteristic-p context"),
+        (lambda: kernel_of_matrix_endo(_M, EndZ(1)), "kernel input requires a characteristic-p context"),
     ],
     ids=[
         "prime_class",
@@ -233,6 +239,8 @@ def test_constructors_raise_the_same_errors(build, error):
         "dimension_0",
         "kernel_in_cm",
         "kernel_in_end_z",
+        "matrix_kernel_in_cm",
+        "matrix_kernel_in_end_z",
     ],
 )
 def test_library_errors_are_k0_errors(call, message):
@@ -296,3 +304,28 @@ def test_every_export_resolves():
     # A name left in __all__ after its definition is deleted breaks
     # `from k0av import *` for users; catch it here instead.
     assert [name for name in k0av.__all__ if not hasattr(k0av, name)] == []
+
+
+# `__init__` and `_backend` import names to export them.
+_REEXPORTING = ("__init__.py", "_backend.py")
+
+
+def test_every_import_is_used():
+    # An import no code reads is dead weight at every `k0` start; a module's
+    # imported names must each occur as a name in that module.
+    pkg = os.path.dirname(os.path.abspath(k0av.__file__))
+    unused = []
+    for fname in sorted(os.listdir(pkg)):
+        if not fname.endswith(".py") or fname in _REEXPORTING:
+            continue
+        with open(os.path.join(pkg, fname), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{fname[:-3]}.{name}" for name in sorted(imported - used)]
+    assert unused == []
