@@ -15,7 +15,8 @@ Conventions:
     with a, d > 0 and 0 <= b < d, which is a unique representative
 
 Rank-2 lattice arithmetic is closed-form and lives in one place: `row_hnf`
-folds in one generator row at a time with an extended gcd, `left_kernel`
+folds in one generator row at a time with an extended gcd, starting from
+zero or from a Hermite basis already in hand, `left_kernel`
 reduces two columns the same way while keeping the row operations, and
 FracLattice builds sum, intersection, membership and containment on them.
 It is the one rank-2 lattice type: TorsionSubgroup, a finite subgroup of
@@ -245,10 +246,6 @@ class FactoredRational(Record):
     def __truediv__(self, other: FactoredRational) -> FactoredRational:
         return self * other.inverse()
 
-    @property
-    def is_integer(self) -> bool:
-        return all(e > 0 for _, e in self.exps)
-
     def as_fraction(self) -> Fraction:
         out = Fraction(1)
         for p, e in self.exps:
@@ -360,14 +357,16 @@ def matrix_isogeny_degree(m: IntMatrix, g: int) -> FactoredRational:
     return factor(abs(d)) ** (2 * g)
 
 
-def row_hnf(rows: Iterable[Sequence[int]]) -> tuple[tuple[int, int], tuple[int, int]]:
+def row_hnf(
+    rows: Iterable[Sequence[int]], start: tuple[int, int, int] = (0, 0, 0)
+) -> tuple[tuple[int, int], tuple[int, int]]:
     """Hermite basis [[a, b], [0, d]] of the lattice spanned by the integer
-    rows (x, y); rows that do not span a full-rank lattice raise
-    SingularMatrixError."""
+    rows (x, y) and by `start`, a Hermite basis (a, b, d) or zero; rows that
+    do not span a full-rank lattice raise SingularMatrixError."""
     # Fold the rows into (a, b), (0, d) one at a time.  With
     # g = u*a + v*x = gcd(a, x), the unimodular [[u, v], [-x/g, a/g]]
     # sends (a, b), (x, y) to (g, u*b + v*y), (0, (a*y - x*b)/g).
-    a = b = d = 0
+    a, b, d = start
     for x, y in rows:
         g, u, v = xgcd(a, x)
         if g:
@@ -415,11 +414,15 @@ class FracLattice(Record):
     With `row_hnf` and `left_kernel` this is the package's one
     implementation of rank-2 lattice arithmetic: Hermite reduction (`make`),
     sum, intersection (through the kernel of the stacked bases), membership
-    and containment.
+    and containment.  A sum folds the other lattice's two rows into this
+    one's Hermite basis, both scaled to the common denominator, in one
+    `row_hnf` pass that starts from that basis.
 
     The constructor stores its arguments unchecked, since the package's own
-    callers build canonical data; `make` and `from_json` reduce any rows,
-    and `is_canonical` tests a lattice built by hand.
+    callers build canonical data; `make` reduces any rows, and
+    `is_canonical` tests a lattice built by hand.  `from_json` keeps a
+    lattice that passes `is_canonical` (every lattice `to_json` writes
+    does) as it is, and sends any other input through `make`.
     """
 
     __slots__ = _fields = ("den", "basis")
@@ -439,12 +442,13 @@ class FracLattice(Record):
         return hash((self.den, self.basis))
 
     @staticmethod
-    def make(den: int, rows: Iterable[Sequence[int]]) -> FracLattice:
-        """Lattice spanned by the integer rows (x, y), divided by den; rows
-        that do not span a full-rank lattice raise SingularMatrixError."""
+    def make(den: int, rows: Iterable[Sequence[int]], start: tuple[int, int, int] = (0, 0, 0)) -> FracLattice:
+        """Lattice spanned by the integer rows (x, y) and `row_hnf`'s
+        `start`, divided by den; rows that do not span a full-rank lattice
+        raise SingularMatrixError."""
         if den < 1:
             raise DerivationError("lattice denominator must be positive")
-        (a, b), (_, d) = row_hnf(rows)
+        (a, b), (_, d) = row_hnf(rows, start)
         g = gcd(den, a, b, d)
         return FracLattice(den // g, ((a // g, b // g), (0, d // g)))
 
@@ -504,8 +508,11 @@ class FracLattice(Record):
         return num * my_den // (den * my_num)
 
     def __add__(self, other: FracLattice) -> FracLattice:
+        # Fold other's rows into self's Hermite basis, both over the common den.
         d = lcm(self.den, other.den)
-        return FracLattice.make(d, self._scaled_rows(d) + other._scaled_rows(d))
+        k = d // self.den
+        (a, b), (_, e) = self.basis
+        return FracLattice.make(d, other._scaled_rows(d), (a * k, b * k, e * k))
 
     def __and__(self, other: FracLattice) -> FracLattice:
         # c @ [mine; theirs] == 0 exactly when c[:2] @ mine == -c[2:] @ theirs
@@ -532,7 +539,8 @@ class FracLattice(Record):
             rows = [(strict_int(x), strict_int(y)) for x, y in data["basis"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise DerivationError(f"malformed lattice: {exc}") from exc
-        return FracLattice.make(den, rows)
+        lat = FracLattice(den, tuple(rows))
+        return lat if lat.is_canonical else FracLattice.make(den, rows)
 
 
 _set_den = FracLattice.den.__set__

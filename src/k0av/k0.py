@@ -29,7 +29,16 @@ Certificate format (JSON, stable, tag "k0-derivation/1"):
 where LAT = {"den": d, "basis": [[a, b], [0, c]]} encodes the lattice spanned
 by the basis rows divided by d.  Validation recomputes every containment,
 intersection, join, order, and the telescoping sum; a stated step `orders`
-or top-level `degree` must match the recomputed one.
+or top-level `degree` must match the recomputed one.  The level must be
+positive and kill c1 and c2: (1/level)Z^2 contains both.
+
+Reading and checking a certificate do no more work than the checks need.
+`Derivation.from_json` keeps each lattice that is already canonical (every
+lattice `to_json` writes is) as it is, and reduces any other through
+`FracLattice.make`.  Each recomputed sum D1+D2 folds D2's two rows into
+D1's Hermite basis (`FracLattice.__add__`).  The telescoping sum adds
+each step's four signed lattices into one dict, keyed by (den, basis),
+which names a canonical lattice.
 
 Trivial intersection is decided by the index identity, not by
 intersecting.  For D1, D2 >= B the second isomorphism theorem gives
@@ -47,7 +56,6 @@ written out or crashed on.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, Mapping
@@ -184,13 +192,12 @@ class QuotientRelation(Record):
             raise DerivationError("subgroups intersect nontrivially")
         return QuotientRelation(base, sub1, sub2, joint)
 
-    def vector(self) -> Counter:
-        v: Counter = Counter()
-        v[self.base] += 1
-        v[self.joint] += 1
-        v[self.sub1] -= 1
-        v[self.sub2] -= 1
-        return Counter({lat: mult for lat, mult in v.items() if mult})
+    def vector(self) -> dict:
+        """[base] + [sum] - [sub1] - [sub2] as lattice -> nonzero multiplicity."""
+        v: dict = {}
+        for lat, mult in ((self.base, 1), (self.joint, 1), (self.sub1, -1), (self.sub2, -1)):
+            v[lat] = v.get(lat, 0) + mult
+        return {lat: mult for lat, mult in v.items() if mult}
 
     def to_json(self) -> dict:
         return {
@@ -321,6 +328,16 @@ def validate_derivation(d: Derivation) -> DerivationCheck:
     A lattice that is not canonical raises DerivationError instead."""
     _check_canonical(d)
     failures: list[str] = []
+    level = d.level
+    if level < 1:
+        failures.append(f"level {level} is not positive")
+    else:
+        for name, lat in (("c1", d.c1), ("c2", d.c2)):
+            # (1/level)Z^2 contains [[a, b], [0, c]]/den when den divides
+            # level*a, level*b and level*c; den is prime to gcd(a, b, c),
+            # so exactly when den divides level.
+            if level % lat.den:
+                failures.append(f"{name} is not killed by the level {level}")
     for i, (sign, rel) in enumerate(d.steps):
         if sign not in (1, -1):
             failures.append(f"step {i}: sign {sign} is not +1/-1")
@@ -350,16 +367,15 @@ def validate_derivation(d: Derivation) -> DerivationCheck:
             failures.append(
                 f"step {i}: stated orders {list(stated)} are not the indices {orders} over the base"
             )
-    goal: Counter = Counter()
-    if d.c1 != d.c2:
-        goal[d.c1] += 1
-        goal[d.c2] -= 1
-    total: Counter = Counter()
+    # The steps telescope when their signed sum less [c1] - [c2] is zero.
+    signed = [(d.c1, -1), (d.c2, 1)]
     for sign, rel in d.steps:
-        for lat, mult in rel.vector().items():
-            total[lat] += sign * mult
-    total = Counter({k: v for k, v in total.items() if v})
-    if total != goal:
+        signed += ((rel.base, sign), (rel.joint, sign), (rel.sub1, -sign), (rel.sub2, -sign))
+    total: dict = {}
+    for lat, mult in signed:
+        key = lat.den, lat.basis
+        total[key] = total.get(key, 0) + mult
+    if any(total.values()):
         failures.append("steps do not telescope to [c1] - [c2]")
     num1, den1 = d.c1.covolume
     num2, den2 = d.c2.covolume
@@ -442,8 +458,8 @@ def _derive(base: FracLattice, l1: FracLattice, l2: FracLattice, m: int):
 
 # Largest order derive_same_degree accepts.  Its work grows with the
 # divisors of the order: on 2 vCPUs with Python 3.11, the slowest pair
-# measured at or under the limit (order 48048) derives in about 0.5 s, and
-# order 2^20 takes about 3 s.
+# measured at or under the limit (order 48048) derives in about 0.4 s, and
+# pairs at order 2^20 take 4 to 8 s.
 MAX_DERIVE_ORDER = 50_000
 
 

@@ -222,3 +222,124 @@ def square_class_triples(d: int) -> set[tuple[int, int, int]]:
     """The square subgroup of the class group as reduced triples, via ideal
     squaring only (no composition)."""
     return {ideal_square_class(d, f.triple()) for f in enumerate_reduced_forms(d)}
+
+
+def _cert_int(value) -> int:
+    """An integer of certificate JSON; a bool or float raises TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
+def _span(points: set | frozenset, gens: list[tuple[int, int]], mod: int) -> frozenset:
+    """The subgroup of (Z/mod)^2 generated by the subgroup `points` and
+    `gens`."""
+    found = set(points)
+    for gx, gy in gens:
+        # Add the cosets grown + t*(gx, gy) until t*(gx, gy) is in found.
+        grown = frozenset(found)
+        x, y = gx % mod, gy % mod
+        while (x, y) not in found:
+            found.update([((u + x) % mod, (v + y) % mod) for u, v in grown])
+            x, y = (x + gx) % mod, (y + gy) % mod
+    return frozenset(found)
+
+
+def check_certificate(payload) -> list[str]:
+    """Check a k0-derivation/1 certificate (its JSON, as loaded) by explicit
+    point sets, sharing no code with `k0.validate_derivation`; an empty list
+    accepts it.
+
+    Every lattice L, the span of its rows over its den, becomes its point
+    set L/Z^2: the points (x/mod, y/mod) mod 1, kept as the pairs (x, y)
+    mod `mod`, the least common multiple of the level and of every den.  A
+    set stands for its lattice only when Z^2 <= L, so that is checked of
+    every lattice: the set has [L + Z^2 : Z^2] points, which is den^2 / m
+    exactly when Z^2 <= L, with m the gcd of the 2x2 minors of the rows
+    (the covolume of their span).
+    Then, as sets: each step's containments, trivial intersection, stored
+    sum and stated orders, the telescoping of the signed steps to
+    [c1] - [c2], and that c1 and c2 have equal size, the stated degree,
+    and are killed by the level.
+    """
+    failures: list[str] = []
+    try:
+        if payload.get("format") != "k0-derivation/1":
+            return ["not a k0-derivation/1 certificate"]
+        level = _cert_int(payload["level"])
+        degree = payload.get("degree")
+        lattices = {"c1": payload["c1"], "c2": payload["c2"]}
+        steps = []
+        for i, step in enumerate(payload["steps"]):
+            for name in ("base", "sub1", "sub2", "sum"):
+                lattices[f"step {i}: {name}"] = step[name]
+            orders = step.get("orders")
+            if orders is not None:
+                orders = [_cert_int(o) for o in orders]
+            steps.append((_cert_int(step["sign"]), orders))
+        shapes = {}
+        for name, lat in lattices.items():
+            rows = [(_cert_int(x), _cert_int(y)) for x, y in lat["basis"]]
+            shapes[name] = (_cert_int(lat["den"]), rows)
+        if degree is not None:
+            degree = _cert_int(degree)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return [f"malformed certificate: {exc!r}"]
+    if level < 1:
+        failures.append(f"level {level} is not positive")
+    mod = max(level, 1)
+    for name, (den, rows) in shapes.items():
+        if den < 1:
+            return [f"{name}: denominator {den} is not positive"]
+        mod = mod * den // gcd(mod, den)
+
+    # A lattice repeats across steps: each distinct (den, rows) is
+    # enumerated once, and a failure names its first place.
+    known: dict[tuple, tuple[list[tuple[int, int]], frozenset]] = {}
+    gens: dict[str, list[tuple[int, int]]] = {}
+    points: dict[str, frozenset] = {}
+    for name, (den, rows) in shapes.items():
+        key = den, tuple(rows)
+        if key not in known:
+            covol = 0
+            for i in range(len(rows)):
+                for j in range(i + 1, len(rows)):
+                    (x0, y0), (x1, y1) = rows[i], rows[j]
+                    covol = gcd(covol, x0 * y1 - x1 * y0)
+            if covol == 0:
+                return [f"{name}: the rows do not span a full-rank lattice"]
+            scaled = [(x * (mod // den) % mod, y * (mod // den) % mod) for x, y in rows]
+            known[key] = scaled, _span({(0, 0)}, scaled, mod)
+            if len(known[key][1]) * covol != den * den:
+                failures.append(f"{name} does not contain Z^2")
+        gens[name], points[name] = known[key]
+
+    total: dict[frozenset, int] = {}
+    for i, (sign, orders) in enumerate(steps):
+        base, sub1, sub2, joint = (points[f"step {i}: {name}"] for name in ("base", "sub1", "sub2", "sum"))
+        if sign not in (1, -1):
+            failures.append(f"step {i}: sign {sign} is not +1/-1")
+        if not (base <= sub1 and base <= sub2):
+            failures.append(f"step {i}: a subgroup does not contain the base")
+        elif orders is not None and orders != [len(sub1) // len(base), len(sub2) // len(base)]:
+            failures.append(f"step {i}: stated orders {orders} are not the indices over the base")
+        if sub1 & sub2 != base:
+            failures.append(f"step {i}: the subgroups do not meet in the base")
+        if _span(sub1, gens[f"step {i}: sub2"], mod) != joint:
+            failures.append(f"step {i}: the stored sum is not sub1 + sub2")
+        for lat, mult in ((base, sign), (joint, sign), (sub1, -sign), (sub2, -sign)):
+            total[lat] = total.get(lat, 0) + mult
+    c1, c2 = points["c1"], points["c2"]
+    total[c1] = total.get(c1, 0) - 1
+    total[c2] = total.get(c2, 0) + 1
+    if any(total.values()):
+        failures.append("the steps do not telescope to [c1] - [c2]")
+    if len(c1) != len(c2):
+        failures.append(f"c1 has {len(c1)} points and c2 has {len(c2)}")
+    elif degree is not None and degree != len(c1):
+        failures.append(f"stated degree {degree} is not the size {len(c1)} of c1")
+    if level >= 1:
+        for name, pts in (("c1", c1), ("c2", c2)):
+            if any(x * level % mod or y * level % mod for x, y in pts):
+                failures.append(f"{name} is not killed by the level {level}")
+    return failures

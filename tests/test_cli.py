@@ -349,6 +349,70 @@ def test_check_failure_lists_pinned(capsys, tmp_path):
     assert digest.hexdigest() == FAILURES_SHA256
 
 
+def _goal_only(level, den, basis, degree=None):
+    """A certificate with no steps and c1 = c2 = span(basis)/den."""
+    lat = {"den": den, "basis": basis}
+    cert = {"format": "k0-derivation/1", "level": level, "c1": lat, "c2": lat, "steps": []}
+    return cert if degree is None else dict(cert, degree=degree)
+
+
+# Certificates that are wrong only in their level: the goal subgroups of
+# order 3 are not killed by the level 2, and no level below 1 kills anything.
+BAD_LEVEL_CERTS = [
+    (_goal_only(2, 3, [[1, 0], [0, 3]], degree=3), ["c1 is not killed by the level 2", "c2 is not killed by the level 2"]),
+    (_goal_only(0, 1, [[1, 0], [0, 1]]), ["level 0 is not positive"]),
+    (_goal_only(-5, 1, [[1, 0], [0, 1]]), ["level -5 is not positive"]),
+]
+
+
+def test_check_rejects_bad_level_and_unkilled_goals(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    for cert, failures in BAD_LEVEL_CERTS:
+        path.write_text(json.dumps(cert))
+        code, out, _ = run(capsys, ["check", "--json", "--cert", str(path)])
+        assert code == 1
+        assert json.loads(out)["failures"] == failures
+    # The same goals at a level that kills them are valid.
+    path.write_text(json.dumps(_goal_only(3, 3, [[1, 0], [0, 3]], degree=3)))
+    assert run(capsys, ["check", "--cert", str(path)])[0] == 0
+
+
+def test_certificate_oracle_agrees_with_check():
+    """oracle.check_certificate, which shares no code with
+    validate_derivation, accepts and rejects the same certificates: those
+    of every same-order pair at levels 1..8, each under every corruption
+    that applies to it, and the certificates wrong only in their level."""
+    from k0av import oracle
+    from k0av.errors import K0Error
+    from k0av.k0 import Derivation, derive_same_degree, validate_derivation
+
+    def check(cert):
+        try:
+            return validate_derivation(Derivation.from_json(cert)).ok
+        except K0Error:
+            return False
+
+    certs = []
+    for n in range(1, 9):
+        by_order = {}
+        for s in oracle.exhaustive_subgroups(n):
+            by_order.setdefault(s.order, []).append(s)
+        for order, group in by_order.items():
+            certs += [derive_same_degree(order, c1, c2).to_json() for c1 in group for c2 in group]
+    assert len(certs) == 744
+    verdicts = []
+    for cert in certs:
+        # A certificate with no steps (c1 = c2) has only c1 to corrupt.
+        kinds = ("sign_flipped", "step_dropped", "c1_doubled", "sum_replaced", "sub1_doubled")
+        for bad in [cert] + [_corrupt(cert, kind) for kind in (kinds if cert["steps"] else ("c1_doubled",))]:
+            verdicts.append((check(bad), not oracle.check_certificate(bad), bad is cert))
+    for cert, _ in BAD_LEVEL_CERTS:
+        verdicts.append((check(cert), not oracle.check_certificate(cert), False))
+    assert all(mine == theirs for mine, theirs, _ in verdicts)
+    assert all(ok == original for ok, _, original in verdicts)
+    assert len(verdicts) == 4019
+
+
 def test_check_rejects_stated_numbers(capsys, tmp_path):
     cert = tmp_path / "cert.json"
     run(capsys, ["derive", "--n", "6", "--c1", "1,0,0,6", "--c2", "6,0,0,1", "--out", str(cert)])

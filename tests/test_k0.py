@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -176,6 +177,20 @@ def test_lattice_sum_intersect_extend():
     assert FracLattice.unit().extended_by([1, 0], 6) == a
     # extending by a member changes nothing
     assert a.extended_by([1, 0], 6) == a
+    # A sum folds the other's rows into this Hermite basis; it is the
+    # lattice of the four stacked rows reduced from zero.
+    rng = random.Random(11)
+    for _ in range(300):
+        lats = []
+        for _ in range(2):
+            rows = [(0, 0)] * 3
+            while all(p * s == q * r for (p, q), (r, s) in zip(rows, rows[1:] + rows[:1])):
+                rows = [(rng.randrange(-30, 31), rng.randrange(-30, 31)) for _ in range(3)]
+            lats.append(FracLattice.make(rng.choice((1, 2, 3, 4, 6, 9, 10, 12, 35)), rows))
+        x, y = lats
+        d = math.lcm(x.den, y.den)
+        stacked = [[v * (d // lat.den) for v in row] for lat in (x, y) for row in lat.basis]
+        assert x + y == FracLattice.make(d, stacked)  # row_hnf from zero
 
 
 def _span(n, gens):
@@ -282,6 +297,30 @@ def test_lattice_json_round_trip():
         FracLattice.from_json({"den": 2, "basis": [[1, 2, 3], [0, 1]]})
     with pytest.raises(DerivationError, match="denominator"):
         FracLattice.make(0, [[1, 0], [0, 1]])
+    # A canonical lattice is stored as it is and any other input is reduced:
+    # both give what make gives, or raise what it raises.
+    for den, rows in (
+        (12, [[2, 1], [0, 3]]),  # canonical
+        (1, [[1, 0], [0, 1]]),  # canonical
+        (12, [[-2, 1], [0, 3]]),  # negative a
+        (12, [[2, 4], [0, 3]]),  # b >= d
+        (12, [[2, -1], [0, 3]]),  # negative b
+        (12, [[2, 2], [0, 4]]),  # common factor 2 with den
+        (12, [[0, 3], [2, 1]]),  # swapped rows
+        (12, [[2, 1], [0, 3], [4, 5]]),  # three rows
+        (12, [[2, 1]]),  # one row: singular
+        (12, [[2, 1], [4, 2]]),  # singular rows
+        (0, [[1, 0], [0, 1]]),  # canonical basis, zero denominator
+        (-3, [[1, 0], [0, 1]]),  # negative denominator
+    ):
+        try:
+            want = FracLattice.make(den, rows)
+        except K0Error as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                FracLattice.from_json({"den": den, "basis": rows})
+        else:
+            got = FracLattice.from_json({"den": den, "basis": rows})
+            assert got == want and got.is_canonical
 
 
 # ------------------------------------------------------ quotient relations

@@ -150,3 +150,34 @@ def test_oracle_module_shares_no_algorithm_code():
                        or "_formcore" in name or "_backend" in name}
     assert package_imports == {"k0av.arith.TorsionSubgroup", "k0av.quadforms.QuadForm"} or \
         package_imports == {"arith.TorsionSubgroup", "quadforms.QuadForm"}
+
+
+def test_check_certificate_frozen():
+    z2 = {"den": 1, "basis": [[1, 0], [0, 1]]}
+    half = {"den": 2, "basis": [[1, 0], [0, 2]]}  # the points (0, 0), (1/2, 0)
+    other = {"den": 2, "basis": [[2, 0], [0, 1]]}  # the points (0, 0), (0, 1/2)
+    both = {"den": 2, "basis": [[1, 0], [0, 1]]}
+    # [half] - [other] = -([Z^2] + [both] - [half] - [third]) + ([Z^2] + [both] - [other] - [third])
+    third = {"den": 2, "basis": [[1, 1], [0, 2]]}  # the points (0, 0), (1/2, 1/2)
+    steps = [
+        {"sign": -1, "base": z2, "sub1": half, "sub2": third, "sum": both, "orders": [2, 2]},
+        {"sign": 1, "base": z2, "sub1": other, "sub2": third, "sum": both, "orders": [2, 2]},
+    ]
+    cert = {"format": "k0-derivation/1", "level": 2, "degree": 2, "c1": half, "c2": other, "steps": steps}
+    assert oracle.check_certificate(cert) == []
+    assert oracle.check_certificate(dict(cert, level=1)) == [
+        "c1 is not killed by the level 1", "c2 is not killed by the level 1"
+    ]
+    assert oracle.check_certificate(dict(cert, degree=4)) == ["stated degree 4 is not the size 2 of c1"]
+    assert oracle.check_certificate(dict(cert, steps=steps[:1])) == ["the steps do not telescope to [c1] - [c2]"]
+    # 2Z x Z has the same points mod Z^2 as Z^2, but is not Z^2.
+    sub_z2 = {"den": 1, "basis": [[2, 0], [0, 1]]}
+    assert oracle.check_certificate(dict(cert, c1=sub_z2, c2=sub_z2, steps=[])) == [
+        "c1 does not contain Z^2", "stated degree 2 is not the size 1 of c1"
+    ]
+    assert oracle.check_certificate(dict(cert, c1={"den": 2, "basis": [[1, 0], [2, 0]]})) == [
+        "c1: the rows do not span a full-rank lattice"
+    ]
+    assert oracle.check_certificate(dict(cert, c1={"den": 2, "basis": [[1.0, 0], [0, 2]]}))[0].startswith(
+        "malformed certificate"
+    )
