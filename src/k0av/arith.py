@@ -523,12 +523,6 @@ class FracLattice(Record):
         kernel = left_kernel(mine + other._scaled_rows(d))
         return FracLattice.make(d, [(c0 * a, c0 * b + c1 * e) for c0, c1, _, _ in kernel])
 
-    def extended_by(self, vec: Sequence[int], vec_den: int) -> FracLattice:
-        """Lattice generated by self and vec/vec_den."""
-        d = lcm(self.den, vec_den)
-        k = d // vec_den
-        return FracLattice.make(d, self._scaled_rows(d) + [[vec[0] * k, vec[1] * k]])
-
     def to_json(self) -> dict:
         return {"den": self.den, "basis": [list(r) for r in self.basis]}
 

@@ -49,6 +49,17 @@ relation anyway.  `arith.left_kernel` still serves `&`: for the point
 lattices of the construction, for the public API, and for a step whose
 containment check already failed, so its failure lines stay the same.
 
+A derivation (`_derive`) of two index-m lattices over a base extends the
+base by a point of prime order l1 of the one and of order l2 of the
+other, l1 and l2 the least prime factors of m and of m with l1 divided
+out, and recurses through `middle`: the first index-m overlattice of the
+base, in `_index_subgroups`' order, that holds both points.  `_middle`
+solves for it.  A candidate is a divisor x of m and a t below z = m/x,
+and it holds the points exactly when one linear congruence in t mod z*d
+does, so the first x whose congruence is solvable, with its least
+solution, is the pick: a gcd per divisor of m, not a containment test
+for each of the sigma(m) candidates.
+
 A certificate is written (`Derivation.to_json`) only after every lattice
 of it is checked canonical, so a hand-built lattice is named rather than
 written out or crashed on.
@@ -57,7 +68,7 @@ written out or crashed on.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 from typing import Iterator, Mapping
 
 from ._record import Record, set_field
@@ -331,13 +342,17 @@ def validate_derivation(d: Derivation) -> DerivationCheck:
     level = d.level
     if level < 1:
         failures.append(f"level {level} is not positive")
-    else:
-        for name, lat in (("c1", d.c1), ("c2", d.c2)):
-            # (1/level)Z^2 contains [[a, b], [0, c]]/den when den divides
-            # level*a, level*b and level*c; den is prime to gcd(a, b, c),
-            # so exactly when den divides level.
-            if level % lat.den:
-                failures.append(f"{name} is not killed by the level {level}")
+    for name, lat in (("c1", d.c1), ("c2", d.c2)):
+        den, ((a, b), (_, c)) = lat.den, lat.basis
+        # (1/level)Z^2 contains [[a, b], [0, c]]/den when den divides
+        # level*a, level*b and level*c; den is prime to gcd(a, b, c),
+        # so exactly when den divides level.
+        if level >= 1 and level % den:
+            failures.append(f"{name} is not killed by the level {level}")
+        # Z^2 <= [[a, b], [0, c]]/den: (den, 0) is (den/a)*(a, b) less a
+        # multiple of (0, c), and (0, den) a multiple of (0, c).
+        if den % a or den % c or den // a * b % c:
+            failures.append(f"{name} does not contain Z^2")
     for i, (sign, rel) in enumerate(d.steps):
         if sign not in (1, -1):
             failures.append(f"step {i}: sign {sign} is not +1/-1")
@@ -396,7 +411,8 @@ def _index_subgroups(base: FracLattice, m: int) -> Iterator[FracLattice]:
     (x*a, x*b + t*d), (0, z*d) over den*m, for x*z = m and 0 <= t < z.
     The rows are already triangular, so their Hermite form only reduces
     x*b + t*d mod z*d; dividing out the gcd with den*m then gives what
-    `FracLattice.make` would return.
+    `FracLattice.make` would return.  `_middle` solves for the first of
+    them that contains a given lattice instead of walking all sigma(m).
     """
     (a, b), (_, d) = base.basis
     den = base.den * m
@@ -410,14 +426,58 @@ def _index_subgroups(base: FracLattice, m: int) -> Iterator[FracLattice]:
             yield FracLattice(den // g, ((xa // g, y // g), (0, zd // g)))
 
 
+def _middle(base: FracLattice, span: FracLattice, m: int) -> FracLattice | None:
+    """The first of `_index_subgroups(base, m)` that contains span, or None.
+
+    Over den*m, span is the rows (w0, w1), (0, e).  The candidate (x, t)
+    holds (0, e) when z*d divides e, and (w0, w1) when x*a divides w0 and,
+    with alpha = w0/(x*a), alpha*d*t = w1 - alpha*x*b (mod z*d): one
+    linear congruence, solved with a gcd.  Its modulus z*d/gcd(alpha*d,
+    z*d) divides z, so its least solution is below z and is the scan's t.
+    """
+    (a, b), (_, d) = base.basis
+    den = base.den * m
+    k, r = divmod(den, span.den)
+    if r:  # every candidate lies in (1/den)Z^2, and span does not
+        return None
+    (w0, w1), (_, e) = span.basis
+    w0, w1, e = w0 * k, w1 * k, e * k
+    for x in divisors(m):
+        z = m // x
+        xa, zd = x * a, z * d
+        alpha, r = divmod(w0, xa)
+        if r or e % zd:
+            continue
+        coef, rhs = alpha * d, w1 - alpha * x * b
+        g = gcd(coef, zd)
+        if rhs % g:
+            continue
+        mod = zd // g
+        t = rhs // g * pow(coef // g, -1, mod) % mod
+        y = (x * b + t * d) % zd
+        g = gcd(den, xa, zd, y)
+        return FracLattice(den // g, ((xa // g, y // g), (0, zd // g)))
+    return None
+
+
+def _least_prime_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division."""
+    return next((p for p in range(2, isqrt(n) + 1) if n % p == 0), n)
+
+
 def _point_lattice(base: FracLattice, sub: FracLattice, ell: int) -> FracLattice:
     """base extended by a point of order ell of the subgroup sub/base
     (first suitable Hermite basis vector; deterministic)."""
-    ell_torsion = FracLattice.make(base.den * ell, base.basis)  # (1/ell) * base
+    (a, b), (_, d) = base.basis
+    g = gcd(base.den * ell, a, b, d)  # (1/ell) * base, reduced as `make` would
+    ell_torsion = FracLattice(base.den * ell // g, ((a // g, b // g), (0, d // g)))
     tor = sub & ell_torsion
     for row in tor.basis:
         if not base.member(row, tor.den):
-            return base.extended_by(row, tor.den)
+            # Fold the point into base's Hermite basis, both over the common den.
+            den = lcm(base.den, tor.den)
+            k, j = den // base.den, den // tor.den
+            return FracLattice.make(den, [(row[0] * j, row[1] * j)], (a * k, b * k, d * k))
     raise DerivationError(f"subgroup has no point of order {ell}")
 
 
@@ -435,20 +495,14 @@ def _derive(base: FracLattice, l1: FracLattice, l2: FracLattice, m: int):
             (-1, QuotientRelation.build(base, l1, third)),
             (1, QuotientRelation.build(base, l2, third)),
         ]
-    # The smallest divisor above 1 is the least prime factor.
-    ell1 = divisors(m)[1]
+    ell1 = _least_prime_factor(m)
     rest = m
     while rest % ell1 == 0:
         rest //= ell1
-    ell2 = ell1 if rest == 1 else divisors(rest)[1]
+    ell2 = ell1 if rest == 1 else _least_prime_factor(rest)
     p1 = _point_lattice(base, l1, ell1)
     p2 = _point_lattice(base, l2, ell2)
-    span = p1 + p2
-    middle = None
-    for cand in _index_subgroups(base, m):
-        if cand.contains(span):
-            middle = cand
-            break
+    middle = _middle(base, p1 + p2, m)
     if middle is None:
         raise DerivationError(
             f"no index-{m} subgroup over the base contains the selected points"
@@ -456,10 +510,13 @@ def _derive(base: FracLattice, l1: FracLattice, l2: FracLattice, m: int):
     return _derive(p1, l1, middle, m // ell1) + _derive(p2, middle, l2, m // ell2)
 
 
-# Largest order derive_same_degree accepts.  Its work grows with the
-# divisors of the order: on 2 vCPUs with Python 3.11, the slowest pair
-# measured at or under the limit (order 48048) derives in about 0.4 s, and
-# pairs at order 2^20 take 4 to 8 s.
+# Largest order derive_same_degree accepts.  The step count bounds it,
+# not the time per step: a certificate can take up to 2^Omega(m) steps
+# (562 for the cyclic pair (1/n, 1/n), (1/n, 0) at n = 45360), and the
+# construction has no bound on them yet.  On 2 vCPUs with Python 3.11 the
+# slowest pair measured at or under the limit (order 46080, 528 steps)
+# derives in about 56 ms; cyclic pairs at order 2^20, past the limit, take
+# 10 to 20 ms.
 MAX_DERIVE_ORDER = 50_000
 
 

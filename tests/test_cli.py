@@ -318,7 +318,12 @@ def _corrupt(cert, kind):
 # SHA-256 of the `failures` lists `k0 check --json` printed, one JSON line
 # per corrupted certificate, before trivial intersections were decided by
 # the index identity; the failure lists are part of the check contract.
+# The goals' Z^2 check came later, so this digest is taken over the lists
+# with its lines removed (no other line moved), and
+# FAILURES_WITH_Z2_SHA256 over the full lists.
 FAILURES_SHA256 = "08ae5ea75e8cb8cc42a2ba6886fc5262bb43258f752359f47807eba36a0b2a88"
+FAILURES_WITH_Z2_SHA256 = "ed18aa44c78a72b8b61df81878f6ed068d51f054f54714d13d9c4444f48808a1"
+Z2_FAILURES = ("c1 does not contain Z^2", "c2 does not contain Z^2")
 
 
 def test_check_failure_lists_pinned(capsys, tmp_path):
@@ -338,15 +343,19 @@ def test_check_failure_lists_pinned(capsys, tmp_path):
         cyclic = [TorsionSubgroup(n, basis) for basis in (((1, 0), (0, n)), ((n, 0), (0, 1)), ((1, 1), (0, n)))]
         certs += [derive_same_degree(n, c1, c2).to_json() for c1, c2 in zip(cyclic, cyclic[1:])]
     path = tmp_path / "bad.json"
-    digest = hashlib.sha256()
+    digest, full_digest = hashlib.sha256(), hashlib.sha256()
     for cert in certs:
         for kind in ("sign_flipped", "step_dropped", "c1_doubled", "sum_replaced", "sub1_doubled"):
             path.write_text(json.dumps(_corrupt(cert, kind)))
             code, out, _ = run(capsys, ["check", "--json", "--cert", str(path)])
             assert code == 1, kind
-            digest.update(json.dumps(json.loads(out)["failures"]).encode() + b"\n")
+            failures = json.loads(out)["failures"]
+            full_digest.update(json.dumps(failures).encode() + b"\n")
+            kept = [line for line in failures if line not in Z2_FAILURES]
+            digest.update(json.dumps(kept).encode() + b"\n")
     assert len(certs) == 110
     assert digest.hexdigest() == FAILURES_SHA256
+    assert full_digest.hexdigest() == FAILURES_WITH_Z2_SHA256
 
 
 def _goal_only(level, den, basis, degree=None):
@@ -356,12 +365,15 @@ def _goal_only(level, den, basis, degree=None):
     return cert if degree is None else dict(cert, degree=degree)
 
 
-# Certificates that are wrong only in their level: the goal subgroups of
-# order 3 are not killed by the level 2, and no level below 1 kills anything.
+# Certificates that are wrong only in their level or goals: the goal
+# subgroups of order 3 are not killed by the level 2, no level below 1
+# kills anything, and span((2, 0), (0, 1)) does not contain Z^2, so it
+# stands for no subgroup.
 BAD_LEVEL_CERTS = [
     (_goal_only(2, 3, [[1, 0], [0, 3]], degree=3), ["c1 is not killed by the level 2", "c2 is not killed by the level 2"]),
     (_goal_only(0, 1, [[1, 0], [0, 1]]), ["level 0 is not positive"]),
     (_goal_only(-5, 1, [[1, 0], [0, 1]]), ["level -5 is not positive"]),
+    (_goal_only(2, 1, [[2, 0], [0, 1]]), ["c1 does not contain Z^2", "c2 does not contain Z^2"]),
 ]
 
 
@@ -381,7 +393,7 @@ def test_certificate_oracle_agrees_with_check():
     """oracle.check_certificate, which shares no code with
     validate_derivation, accepts and rejects the same certificates: those
     of every same-order pair at levels 1..8, each under every corruption
-    that applies to it, and the certificates wrong only in their level."""
+    that applies to it, and the certificates wrong only in their goals."""
     from k0av import oracle
     from k0av.errors import K0Error
     from k0av.k0 import Derivation, derive_same_degree, validate_derivation
@@ -410,7 +422,7 @@ def test_certificate_oracle_agrees_with_check():
         verdicts.append((check(cert), not oracle.check_certificate(cert), False))
     assert all(mine == theirs for mine, theirs, _ in verdicts)
     assert all(ok == original for ok, _, original in verdicts)
-    assert len(verdicts) == 4019
+    assert len(verdicts) == 4020
 
 
 def test_check_rejects_stated_numbers(capsys, tmp_path):

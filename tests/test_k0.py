@@ -1,11 +1,14 @@
 """Grothendieck-group classes, quotient relations, and derivation certificates."""
 
 import hashlib
+import itertools
 import json
 import math
+import pathlib
 import random
 import re
 import sys
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -174,9 +177,8 @@ def test_lattice_sum_intersect_extend():
     b = FracLattice.make(6, [[6, 0], [0, 1]])
     assert a + b == FracLattice.make(6, [[1, 0], [0, 1]])
     assert (a & b) == FracLattice.unit()
-    assert FracLattice.unit().extended_by([1, 0], 6) == a
-    # extending by a member changes nothing
-    assert a.extended_by([1, 0], 6) == a
+    # a point of order 6 of a/Z^2 extends Z^2 to a
+    assert k0._point_lattice(FracLattice.unit(), a, 6) == a
     # A sum folds the other's rows into this Hermite basis; it is the
     # lattice of the four stacked rows reduced from zero.
     rng = random.Random(11)
@@ -463,6 +465,107 @@ def test_index_subgroups_closed_form(monkeypatch):
     for n in range(1, 25):
         for s in oracle.exhaustive_subgroups(n):
             assert FracLattice.from_subgroup(s) == FracLattice.make(n, s.basis), s
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, compiled from its text so that no bytecode
+    is written next to it."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
+    return module
+
+
+def _scan_middle(base, span, m):
+    return next((c for c in k0._index_subgroups(base, m) if c.contains(span)), None)
+
+
+def test_middle_solves_for_the_scan_pick(monkeypatch):
+    calls = []
+    solve = k0._middle
+
+    def recording(base, span, m):
+        calls.append((base, span, m))
+        return solve(base, span, m)
+
+    # Every (base, span, m) that derivations reach at levels <= 12 ...
+    monkeypatch.setattr(k0, "_middle", recording)
+    for n in range(1, 13):
+        by_order = {}
+        for s in oracle.exhaustive_subgroups(n):
+            by_order.setdefault(s.order, []).append(s)
+        for order, group in by_order.items():
+            for c1 in group:
+                for c2 in group:
+                    derive_same_degree(order, c1, c2)
+    small = len(calls)
+    # ... and those of one benchmark tail pair per level, orders 36 to 2310.
+    workloads = _perfbench_workloads()
+    tail = {}
+    for n, c1, c2 in workloads.make_certify(1)["pairs"]:
+        if n in workloads.CERT_TAIL_LEVELS:
+            tail.setdefault(n, (c1, c2))
+    assert sorted(tail) == sorted(workloads.CERT_TAIL_LEVELS)
+    for n, ((a, b, d), (a2, b2, d2)) in tail.items():
+        derive_same_degree(n, TorsionSubgroup(n, ((a, b), (0, d))), TorsionSubgroup(n, ((a2, b2), (0, d2))))
+    assert small > 1000 and len(calls) > small
+    for base, span, m in calls:
+        assert solve(base, span, m) == _scan_middle(base, span, m), (base, span, m)
+    # Seeded spans: the base extended by a point of (1/(m*k)) * base for
+    # k = 1 or 2, which some index-m overlattice may contain, or a random
+    # lattice, which hardly any does.
+    rng = random.Random(20)
+    found = 0
+    for i in range(3000):
+        base = FracLattice.make(rng.randint(1, 12), [(rng.randint(1, 30), rng.randint(-30, 30)), (0, rng.randint(1, 30))])
+        m = rng.randint(1, 60)
+        den = base.den * m * rng.choice((1, 1, 2))
+        if i % 2:
+            (a, b), (_, d) = base.basis
+            u, v, s = rng.randint(-90, 90), rng.randint(-90, 90), den // base.den
+            span = FracLattice.make(den, [(u * a, u * b + v * d), (a * s, b * s), (0, d * s)])
+        else:
+            rows = [(rng.randint(1, 90), rng.randint(-90, 90)), (rng.randint(-90, 90), rng.randint(-90, 90))]
+            span = FracLattice.make(den, rows + [(0, rng.randint(1, 90))])
+        got = solve(base, span, m)
+        assert got == _scan_middle(base, span, m), (base, span, m)
+        found += got is not None
+    assert 500 < found < 2500
+
+
+# SHA-256 of the compact JSON certificate, and its step count, for the
+# cyclic pairs generated by (1/n, 0), (0, 1/n) and (1/n, 1/n), taken when
+# each `middle` was found by scanning every index-m candidate.  The step
+# counts grow as 2^Omega(m) for some pairs (64 = 2^6 at n = 30030), which
+# is what bounds MAX_DERIVE_ORDER now.
+LARGE_ORDER_CERTS = {
+    30030: [
+        (12, "9b56b436218083d0d8cfc09a46576a655a02027536b320079a94ea4a2f3ff9ea"),
+        (64, "f3bf0142b19e47f6b10cedcefb5b749aea7bf74b60088ed9efd657e30d0b70c8"),
+        (22, "ba02e27012a8680255bc14566e083f118b1960392c1d8cb23fa8287a9ac22df7"),
+    ],
+    48048: [
+        (16, "76a272ae6610f3d3e69c9888f3e46972844f42d8aebc014d281aa076b4820da2"),
+        (116, "0b904e5078c409b3be770ce86fc494d592f70826a295c2ab55de0a14d0c467e9"),
+        (48, "17df843903b4776eeadc7a20982c2a197a7317e2a04c112b1101e88244568f57"),
+    ],
+    32768: [
+        (30, "5a93da14eb3c9a9dbaf8acddedfd36e5176c46c869d15d5da373b76907001b32"),
+        (30, "3620ab86ba3af25bb534c640b0d6a78b36670f1353f5f7ec3f661b357f3d86fc"),
+        (56, "c73e961ae9377425a4e7d025582643e6e874e980704baf81ec21671ffe83c03e"),
+    ],
+}
+
+
+@pytest.mark.parametrize("n", sorted(LARGE_ORDER_CERTS))
+def test_large_order_certificates_pinned(n):
+    cyclic = [TorsionSubgroup(n, basis) for basis in (((1, 0), (0, n)), ((n, 0), (0, 1)), ((1, 1), (0, n)))]
+    got = []
+    for c1, c2 in itertools.combinations(cyclic, 2):
+        d = derive_same_degree(n, c1, c2)
+        cert = json.dumps(d.to_json(), separators=(",", ":")).encode()
+        got.append((len(d.steps), hashlib.sha256(cert).hexdigest()))
+    assert got == LARGE_ORDER_CERTS[n]
 
 
 # ------------------------------------------------------------- derivations

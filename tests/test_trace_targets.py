@@ -69,14 +69,22 @@ for ci, left, right, _ in workloads.make_degree_query(1)["queries"][:400]:
 """ + _REPORT
 
 # certify: derive each pair's certificate, write it out, read it back and
-# validate it, as the worker's derive and check phases do.
+# validate it, as the worker's derive and check phases do.  The first 60
+# pairs reach tail level 48 at most, so the first pair at each tail level
+# is added: its large nodes must keep certify's predictions too.
 _CERTIFY_TRACE = """
 import json
 import spans, workloads
 import k0av
 
 WORKLOAD = "certify"
-pairs = workloads.make_certify(1)["pairs"][:60]
+pairs = workloads.make_certify(1)["pairs"]
+tail = {}
+for pair in pairs:
+    if pair[0] in workloads.CERT_TAIL_LEVELS:
+        tail.setdefault(pair[0], pair)
+assert len(tail) == len(workloads.CERT_TAIL_LEVELS)
+pairs = pairs[:60] + list(tail.values())
 tracer = spans.Tracer()
 tracer.install()
 for n, (a, b, d), (a2, b2, d2) in pairs:
