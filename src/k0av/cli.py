@@ -273,7 +273,7 @@ def _selftest_suites(max_disc: int, max_level: int):
                 for c1 in group:
                     for c2 in group:
                         d = derive_same_degree(order, c1, c2)
-                        if not validate_derivation(d):
+                        if not validate_derivation(d) or oracle.check_certificate(d.to_json()):
                             return f"derivation failed for order {order} at level {n}"
         return None
 

@@ -30,7 +30,8 @@ where LAT = {"den": d, "basis": [[a, b], [0, c]]} encodes the lattice spanned
 by the basis rows divided by d.  Validation recomputes every containment,
 intersection, join, order, and the telescoping sum; a stated step `orders`
 or top-level `degree` must match the recomputed one.  The level must be
-positive and kill c1 and c2: (1/level)Z^2 contains both.
+positive and kill c1 and c2: (1/level)Z^2 contains both.  The goals and
+every step's base must contain Z^2.
 
 Reading and checking a certificate do no more work than the checks need.
 `Derivation.from_json` keeps each lattice that is already canonical (every
@@ -45,20 +46,28 @@ intersecting.  For D1, D2 >= B the second isomorphism theorem gives
 [D1+D2 : B] * [D1 & D2 : B] = [D1 : B] * [D2 : B], so D1 & D2 = B exactly
 when [D1+D2 : B] = [D1 : B] * [D2 : B].  Each index is a ratio of
 covolumes (a*c/d^2 for [[a, b], [0, c]]/d), and D1+D2 is needed for the
-relation anyway.  `arith.left_kernel` still serves `&`: for the point
-lattices of the construction, for the public API, and for a step whose
-containment check already failed, so its failure lines stay the same.
+relation anyway.  `arith.left_kernel` still serves `&`: for the lines a
+link avoids, for the public API, and for a step whose containment check
+already failed, so its failure lines stay the same.
 
-A derivation (`_derive`) of two index-m lattices over a base extends the
-base by a point of prime order l1 of the one and of order l2 of the
-other, l1 and l2 the least prime factors of m and of m with l1 divided
-out, and recurses through `middle`: the first index-m overlattice of the
-base, in `_index_subgroups`' order, that holds both points.  `_middle`
-solves for it.  A candidate is a divisor x of m and a t below z = m/x,
-and it holds the points exactly when one linear congruence in t mod z*d
-does, so the first x whose congruence is solvable, with its least
-solution, is the pick: a gcd per divisor of m, not a containment test
-for each of the sigma(m) candidates.
+A derivation (`_derive`) is a chain of links.  A link takes a base B and
+lattices L1, L2, both cyclic of order c over B inside (1/c)*B, and picks
+a third such lattice L3 whose line in ((1/p)*B)/B, at each prime p of c,
+is neither L1's nor L2's (read off L1 & (1/p)*B and L2 & (1/p)*B).  One
+of (1, 0), (0, 1), (1, 1) in B's coordinates always serves, and CRT puts
+the primes together.  Then L1 & L3 = L2 & L3 = B and L1 + L3 = L2 + L3 =
+(1/c)*B, so -R(B, L1, L3) + R(B, L2, L3) = [L1] - [L2]: two steps.
+
+Write L/Z^2 = Z/alpha x Z/beta with alpha | beta; for a canonical L >= Z^2,
+beta is L's den.  A type-change link takes L of type (alpha, beta) to
+type (alpha*p, beta/p), over the base p*L + (1/alpha)*Z^2, from L to that
+base plus (1/(alpha*p))*Z^2.  The chain raises both goals to type
+(a*, m/a*), a* = lcm(alpha1, alpha2), and one same-type link over
+(1/a*)*Z^2 closes the gap; the second goal's links enter with their signs
+flipped.  At each prime p, with e1, e2 the exponents of p in alpha1,
+alpha2, the raises take 2*max(e1, e2) - e1 - e2 <= v_p(m)/2 links, so a
+certificate has at most Omega(m) + 2 steps.  The primes of m come from
+trial division.
 
 A certificate is written (`Derivation.to_json`) only after every lattice
 of it is checked canonical, so a hand-built lattice is named rather than
@@ -68,16 +77,14 @@ written out or crashed on.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
-from typing import Iterator, Mapping
+from math import gcd, lcm
+from typing import Mapping
 
 from ._record import Record, set_field
 from .arith import (
     FactoredRational,
     FracLattice,
     TorsionSubgroup,
-    divisors,
-    is_prime,
     printable_int,
     strict_int,
 )
@@ -334,6 +341,13 @@ def _check_canonical(d: Derivation) -> None:
             raise DerivationError(f"{name} is not a canonical lattice")
 
 
+def _holds_z2(lat: FracLattice) -> bool:
+    """Whether Z^2 <= [[a, b], [0, c]]/den: (den, 0) is (den/a)*(a, b)
+    less a multiple of (0, c), and (0, den) a multiple of (0, c)."""
+    den, ((a, b), (_, c)) = lat.den, lat.basis
+    return not (den % a or den % c or den // a * b % c)
+
+
 def validate_derivation(d: Derivation) -> DerivationCheck:
     """Recompute every step and the telescoping sum; collect all failures.
     A lattice that is not canonical raises DerivationError instead."""
@@ -343,19 +357,20 @@ def validate_derivation(d: Derivation) -> DerivationCheck:
     if level < 1:
         failures.append(f"level {level} is not positive")
     for name, lat in (("c1", d.c1), ("c2", d.c2)):
-        den, ((a, b), (_, c)) = lat.den, lat.basis
         # (1/level)Z^2 contains [[a, b], [0, c]]/den when den divides
         # level*a, level*b and level*c; den is prime to gcd(a, b, c),
         # so exactly when den divides level.
-        if level >= 1 and level % den:
+        if level >= 1 and level % lat.den:
             failures.append(f"{name} is not killed by the level {level}")
-        # Z^2 <= [[a, b], [0, c]]/den: (den, 0) is (den/a)*(a, b) less a
-        # multiple of (0, c), and (0, den) a multiple of (0, c).
-        if den % a or den % c or den // a * b % c:
+        if not _holds_z2(lat):
             failures.append(f"{name} does not contain Z^2")
     for i, (sign, rel) in enumerate(d.steps):
         if sign not in (1, -1):
             failures.append(f"step {i}: sign {sign} is not +1/-1")
+        # A sub that contains the base, and a correct stored sum, then
+        # contain Z^2 too.
+        if not _holds_z2(rel.base):
+            failures.append(f"step {i}: base does not contain Z^2")
         base, sub1, sub2 = rel.base, rel.sub1, rel.sub2
         contained = True
         for name, sub in (("sub1", sub1), ("sub2", sub2)):
@@ -404,119 +419,78 @@ def validate_derivation(d: Derivation) -> DerivationCheck:
     return DerivationCheck(not failures, tuple(failures))
 
 
-def _index_subgroups(base: FracLattice, m: int) -> Iterator[FracLattice]:
-    """All index-m overlattices of base, lexicographic in the HNF triple.
-
-    For base = [[a, b], [0, d]]/den these are the spans of the rows
-    (x*a, x*b + t*d), (0, z*d) over den*m, for x*z = m and 0 <= t < z.
-    The rows are already triangular, so their Hermite form only reduces
-    x*b + t*d mod z*d; dividing out the gcd with den*m then gives what
-    `FracLattice.make` would return.  `_middle` solves for the first of
-    them that contains a given lattice instead of walking all sigma(m).
-    """
-    (a, b), (_, d) = base.basis
-    den = base.den * m
-    for x in divisors(m):
-        z = m // x
-        xa, xb, zd = x * a, x * b, z * d
-        g_outer = gcd(den, xa, zd)
-        for t in range(z):
-            y = (xb + t * d) % zd
-            g = gcd(g_outer, y)
-            yield FracLattice(den // g, ((xa // g, y // g), (0, zd // g)))
+def _scaled(lat: FracLattice, k: int) -> FracLattice:
+    """(1/k) * lat, reduced as `make` would."""
+    (a, b), (_, d) = lat.basis
+    g = gcd(lat.den * k, a, b, d)
+    return FracLattice(lat.den * k // g, ((a // g, b // g), (0, d // g)))
 
 
-def _middle(base: FracLattice, span: FracLattice, m: int) -> FracLattice | None:
-    """The first of `_index_subgroups(base, m)` that contains span, or None.
-
-    Over den*m, span is the rows (w0, w1), (0, e).  The candidate (x, t)
-    holds (0, e) when z*d divides e, and (w0, w1) when x*a divides w0 and,
-    with alpha = w0/(x*a), alpha*d*t = w1 - alpha*x*b (mod z*d): one
-    linear congruence, solved with a gcd.  Its modulus z*d/gcd(alpha*d,
-    z*d) divides z, so its least solution is below z and is the scan's t.
-    """
-    (a, b), (_, d) = base.basis
-    den = base.den * m
-    k, r = divmod(den, span.den)
-    if r:  # every candidate lies in (1/den)Z^2, and span does not
-        return None
-    (w0, w1), (_, e) = span.basis
-    w0, w1, e = w0 * k, w1 * k, e * k
-    for x in divisors(m):
-        z = m // x
-        xa, zd = x * a, z * d
-        alpha, r = divmod(w0, xa)
-        if r or e % zd:
-            continue
-        coef, rhs = alpha * d, w1 - alpha * x * b
-        g = gcd(coef, zd)
-        if rhs % g:
-            continue
-        mod = zd // g
-        t = rhs // g * pow(coef // g, -1, mod) % mod
-        y = (x * b + t * d) % zd
-        g = gcd(den, xa, zd, y)
-        return FracLattice(den // g, ((xa // g, y // g), (0, zd // g)))
-    return None
+def _primes(n: int) -> list[int]:
+    """The primes dividing n >= 1, ascending, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
 
 
-def _least_prime_factor(n: int) -> int:
-    """The least prime factor of n >= 2, by trial division."""
-    return next((p for p in range(2, isqrt(n) + 1) if n % p == 0), n)
-
-
-def _point_lattice(base: FracLattice, sub: FracLattice, ell: int) -> FracLattice:
-    """base extended by a point of order ell of the subgroup sub/base
-    (first suitable Hermite basis vector; deterministic)."""
-    (a, b), (_, d) = base.basis
-    g = gcd(base.den * ell, a, b, d)  # (1/ell) * base, reduced as `make` would
-    ell_torsion = FracLattice(base.den * ell // g, ((a // g, b // g), (0, d // g)))
-    tor = sub & ell_torsion
-    for row in tor.basis:
-        if not base.member(row, tor.den):
-            # Fold the point into base's Hermite basis, both over the common den.
-            den = lcm(base.den, tor.den)
-            k, j = den // base.den, den // tor.den
-            return FracLattice.make(den, [(row[0] * j, row[1] * j)], (a * k, b * k, d * k))
-    raise DerivationError(f"subgroup has no point of order {ell}")
-
-
-def _derive(base: FracLattice, l1: FracLattice, l2: FracLattice, m: int):
-    if l1 == l2:
-        return []
-    if is_prime(m):
-        third = None
-        for cand in _index_subgroups(base, m):
-            if cand != l1 and cand != l2:
-                third = cand
-                break
-        assert third is not None  # m + 1 >= 3 candidates
-        return [
-            (-1, QuotientRelation.build(base, l1, third)),
-            (1, QuotientRelation.build(base, l2, third)),
-        ]
-    ell1 = _least_prime_factor(m)
-    rest = m
-    while rest % ell1 == 0:
-        rest //= ell1
-    ell2 = ell1 if rest == 1 else _least_prime_factor(rest)
-    p1 = _point_lattice(base, l1, ell1)
-    p2 = _point_lattice(base, l2, ell2)
-    middle = _middle(base, p1 + p2, m)
-    if middle is None:
-        raise DerivationError(
-            f"no index-{m} subgroup over the base contains the selected points"
+def _link(base: FracLattice, l1: FracLattice, l2: FracLattice, c: int, primes: list[int]):
+    """The link -R(base, l1, l3) + R(base, l2, l3) = [l1] - [l2] of the
+    module docstring, for `primes` a list that holds every prime of c.
+    l3 = base + (x, y)/c in base's coordinates, with (x, y) = (u, v) mod p
+    for the first (u, v) whose point (u, v)/p neither line holds."""
+    den, ((a, b), (_, d)) = base.den, base.basis
+    x, y, mod = 0, 0, 1
+    for p in (p for p in primes if c % p == 0):
+        torsion = _scaled(base, p)
+        lines = (l1 & torsion, l2 & torsion)
+        u, v = next(
+            (u, v) for u, v in ((1, 0), (0, 1), (1, 1))
+            if not any(t.member((u * a, u * b + v * d), den * p) for t in lines)
         )
-    return _derive(p1, l1, middle, m // ell1) + _derive(p2, middle, l2, m // ell2)
+        k = pow(mod, -1, p)
+        x, y, mod = x + mod * ((u - x) * k % p), y + mod * ((v - y) * k % p), mod * p
+    l3 = FracLattice.make(den * c, [(x * a, x * b + y * d)], (a * c, b * c, d * c))
+    joint = _scaled(base, c)  # l1 + l3 = l2 + l3: both meet l3 in base alone
+    return [(-1, QuotientRelation(base, l1, l3, joint)), (1, QuotientRelation(base, l2, l3, joint))]
 
 
-# Largest order derive_same_degree accepts.  The step count bounds it,
-# not the time per step: a certificate can take up to 2^Omega(m) steps
-# (562 for the cyclic pair (1/n, 1/n), (1/n, 0) at n = 45360), and the
-# construction has no bound on them yet.  On 2 vCPUs with Python 3.11 the
-# slowest pair measured at or under the limit (order 46080, 528 steps)
-# derives in about 56 ms; cyclic pairs at order 2^20, past the limit, take
-# 10 to 20 ms.
+def _derive(l1: FracLattice, l2: FracLattice, m: int) -> list:
+    """Steps telescoping to [l1] - [l2], for l1 and l2 of order m over Z^2:
+    both are raised to type (top, m/top) by type-change links, and one
+    same-type link over (1/top)*Z^2 joins the two ends.  A lattice of
+    order m and type (alpha, beta) has den beta, so alpha = m // den."""
+    primes = _primes(m)
+    top = lcm(m // l1.den, m // l2.den)
+    ends, halves = [], []
+    for lat in (l1, l2):
+        steps = []
+        while (alpha := m // lat.den) != top:
+            p = next(p for p in primes if top // alpha % p == 0)
+            # base = p*lat + (1/alpha)*Z^2, next = p*lat + (1/(alpha*p))*Z^2,
+            # both over lat.den, where (1/alpha)*Z^2 is k*Z^2.
+            (a, b), (_, d) = lat.basis
+            rows, k = [(p * a, p * b), (0, p * d)], lat.den // alpha
+            nxt = FracLattice.make(lat.den, rows, (k // p, 0, k // p))
+            steps += _link(FracLattice.make(lat.den, rows, (k, 0, k)), lat, nxt, p, [p])
+            lat = nxt
+        ends.append(lat)
+        halves.append(steps)
+    (e1, e2), (steps1, steps2) = ends, halves
+    unit = FracLattice(top, ((1, 0), (0, 1)))
+    middle = _link(unit, e1, e2, m // (top * top), primes) if e1 != e2 else []
+    return steps1 + middle + [(-s, rel) for s, rel in reversed(steps2)]
+
+
+# Largest order derive_same_degree accepts.  A certificate has at most
+# Omega(m) + 2 steps, so its length no longer bounds the order, but the
+# limit stays at 50,000: lifting it to rho's budget needs `arith.factor`
+# on the derive path, and the benchmark's certify workload predicts no
+# `factor` call, so it waits on that prediction changing.
 MAX_DERIVE_ORDER = 50_000
 
 
@@ -524,9 +498,8 @@ def derive_same_degree(n: int, c1: TorsionSubgroup, c2: TorsionSubgroup) -> Deri
     """Certificate that the quotients by two order-n subgroups agree in K0.
 
     The subgroups must have equal level and order n, at most
-    MAX_DERIVE_ORDER.  The construction walks shared prime-order points
-    through intermediate quotients, so the result validates by
-    recomputation alone.
+    MAX_DERIVE_ORDER.  The certificate is a chain of two-step links, at
+    most Omega(n) + 2 steps, and validates by recomputation alone.
     """
     if c1.level != c2.level:
         raise LevelMismatchError("subgroup levels differ")
@@ -538,7 +511,7 @@ def derive_same_degree(n: int, c1: TorsionSubgroup, c2: TorsionSubgroup) -> Deri
         raise DerivationError(f"subgroup order {n} is over the limit of {MAX_DERIVE_ORDER} for a derivation")
     lat1 = FracLattice.from_subgroup(c1)
     lat2 = FracLattice.from_subgroup(c2)
-    steps = tuple(_derive(FracLattice.unit(), lat1, lat2, n))
+    steps = tuple(_derive(lat1, lat2, n))
     derivation = Derivation(c1.level, lat1, lat2, steps)
     check = validate_derivation(derivation)
     if not check:

@@ -175,6 +175,7 @@ def test_criterion_6_derivation_engine():
                 for c2 in group:
                     d = derive_same_degree(order, c1, c2)
                     assert validate_derivation(d), (n, order)
+                    assert oracle.check_certificate(d.to_json()) == [], (n, order)
 
     rng = random.Random(7)
     sample = None

@@ -315,14 +315,12 @@ def _corrupt(cert, kind):
     return bad
 
 
-# SHA-256 of the `failures` lists `k0 check --json` printed, one JSON line
-# per corrupted certificate, before trivial intersections were decided by
-# the index identity; the failure lists are part of the check contract.
-# The goals' Z^2 check came later, so this digest is taken over the lists
-# with its lines removed (no other line moved), and
-# FAILURES_WITH_Z2_SHA256 over the full lists.
-FAILURES_SHA256 = "08ae5ea75e8cb8cc42a2ba6886fc5262bb43258f752359f47807eba36a0b2a88"
-FAILURES_WITH_Z2_SHA256 = "ed18aa44c78a72b8b61df81878f6ed068d51f054f54714d13d9c4444f48808a1"
+# SHA-256 of the `failures` lists `k0 check --json` prints, one JSON line
+# per corrupted certificate; the failure lists are part of the check
+# contract.  FAILURES_SHA256 is taken over the lists with the goals' Z^2
+# lines removed, and FAILURES_WITH_Z2_SHA256 over the full lists.
+FAILURES_SHA256 = "2394e94cead991384144f2eddfec59332f293793c3e320ad06c695021d0a52cc"
+FAILURES_WITH_Z2_SHA256 = "f0dca105008bf6c21faa36eb6f60155f4d0b04fd262f32596f02286af9186d8d"
 Z2_FAILURES = ("c1 does not contain Z^2", "c2 does not contain Z^2")
 
 
@@ -387,6 +385,25 @@ def test_check_rejects_bad_level_and_unkilled_goals(capsys, tmp_path):
     # The same goals at a level that kills them are valid.
     path.write_text(json.dumps(_goal_only(3, 3, [[1, 0], [0, 3]], degree=3)))
     assert run(capsys, ["check", "--cert", str(path)])[0] == 0
+
+
+def test_check_rejects_a_base_without_z2(capsys, tmp_path):
+    """One relation over base span((2, 0), (0, 2)), entered with sign +1
+    and again with -1, telescopes to [Z^2] - [Z^2]; but the base does not
+    contain Z^2, so it stands for no quotient, and both checkers refuse it."""
+    from k0av import oracle
+
+    def lat(*basis):
+        return {"den": 1, "basis": [list(row) for row in basis]}
+
+    rel = {"base": lat((2, 0), (0, 2)), "sub1": lat((1, 0), (0, 2)), "sub2": lat((2, 0), (0, 1)), "sum": lat((1, 0), (0, 1))}
+    cert = dict(_goal_only(1, 1, [[1, 0], [0, 1]]), steps=[dict(rel, sign=1), dict(rel, sign=-1)])
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, out, _ = run(capsys, ["check", "--json", "--cert", str(path)])
+    assert code == 1
+    assert json.loads(out)["failures"] == ["step 0: base does not contain Z^2", "step 1: base does not contain Z^2"]
+    assert "step 0: base does not contain Z^2" in oracle.check_certificate(cert)
 
 
 def test_certificate_oracle_agrees_with_check():
