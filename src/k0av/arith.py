@@ -575,17 +575,9 @@ class TorsionSubgroup(Record):
 
 
 def count_subgroups(n: int) -> int:
-    """Number of subgroups of (Z/n)^2: sum over divisor pairs of gcd terms."""
-    divs = divisors(n)
-    return sum(gcd(d, n // a) for a in divs for d in divs)
-
-
-def divisors(n: int) -> list[int]:
-    out = []
-    for i in range(1, isqrt(n) + 1):
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-    out.sort()
-    return out
+    """Number of subgroups of (Z/n)^2 for n >= 1, the product over the prime
+    powers p^e of n of the sum of p^min(i, j) over 0 <= i, j <= e; any
+    other n raises KernelInputError, as `factor` does."""
+    return prod(
+        sum(p ** min(i, j) for i in range(e + 1) for j in range(e + 1)) for p, e in factor(n).exps
+    )

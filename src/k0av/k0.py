@@ -33,13 +33,18 @@ or top-level `degree` must match the recomputed one.  The level must be
 positive and kill c1 and c2: (1/level)Z^2 contains both.  The goals and
 every step's base must contain Z^2.
 
-Reading and checking a certificate do no more work than the checks need.
-`Derivation.from_json` keeps each lattice that is already canonical (every
-lattice `to_json` writes is) as it is, and reduces any other through
-`FracLattice.make`.  Each recomputed sum D1+D2 folds D2's two rows into
-D1's Hermite basis (`FracLattice.__add__`).  The telescoping sum adds
-each step's four signed lattices into one dict, keyed by (den, basis),
-which names a canonical lattice.
+A `Derivation` holds only canonical lattices: its constructor checks each
+and names the first that is not ("c1", "step 0: base", ...), so
+`validate_derivation`, `to_json` and `degree` test none.  The package's
+two builders skip the check.  `Derivation.from_json` reads each lattice
+with `FracLattice.from_json`, which keeps one already canonical (every
+lattice `to_json` writes is) and reduces any other through `make`;
+`derive_same_degree` builds with `make`, `from_subgroup` and `_scaled`,
+which reduce as `make` does.  So reading a certificate tests each lattice
+once and deriving one tests none.  Each recomputed sum D1+D2 folds D2's
+two rows into D1's Hermite basis (`FracLattice.__add__`), and the
+telescoping sum adds each step's four signed lattices into one dict,
+keyed by (den, basis), which names a canonical lattice.
 
 Trivial intersection is decided by the index identity, not by
 intersecting.  For D1, D2 >= B the second isomorphism theorem gives
@@ -68,10 +73,6 @@ flipped.  At each prime p, with e1, e2 the exponents of p in alpha1,
 alpha2, the raises take 2*max(e1, e2) - e1 - e2 <= v_p(m)/2 links, so a
 certificate has at most Omega(m) + 2 steps.  The primes of m come from
 trial division.
-
-A certificate is written (`Derivation.to_json`) only after every lattice
-of it is checked canonical, so a hand-built lattice is named rather than
-written out or crashed on.
 """
 
 from __future__ import annotations
@@ -201,22 +202,6 @@ class QuotientRelation(Record):
     def __hash__(self) -> int:
         return hash((self.base, self.sub1, self.sub2, self.joint))
 
-    @staticmethod
-    def build(base: FracLattice, sub1: FracLattice, sub2: FracLattice) -> QuotientRelation:
-        if not (sub1.contains(base) and sub2.contains(base)):
-            raise DerivationError("relation subgroups must contain the base lattice")
-        joint = sub1 + sub2
-        if _index(joint, base) != _index(sub1, base) * _index(sub2, base):
-            raise DerivationError("subgroups intersect nontrivially")
-        return QuotientRelation(base, sub1, sub2, joint)
-
-    def vector(self) -> dict:
-        """[base] + [sum] - [sub1] - [sub2] as lattice -> nonzero multiplicity."""
-        v: dict = {}
-        for lat, mult in ((self.base, 1), (self.joint, 1), (self.sub1, -1), (self.sub2, -1)):
-            v[lat] = v.get(lat, 0) + mult
-        return {lat: mult for lat, mult in v.items() if mult}
-
     def to_json(self) -> dict:
         return {
             "base": self.base.to_json(),
@@ -237,8 +222,10 @@ _set_stated_orders = QuotientRelation.stated_orders.__set__
 class Derivation(Record):
     """Signed quotient relations telescoping to [L1] - [L2] = 0.
 
-    `stated_degree` holds the degree a certificate stated, if any; it takes
-    no part in equality or hashing.
+    Every lattice is a canonical `FracLattice`: the constructor raises
+    DerivationError naming the first that is not.  `stated_degree` holds
+    the degree a certificate stated, if any; it takes no part in equality
+    or hashing.
     """
 
     __slots__ = ("level", "c1", "c2", "steps", "stated_degree")
@@ -258,20 +245,14 @@ class Derivation(Record):
         steps: tuple[tuple[int, QuotientRelation], ...],
         stated_degree: int | None = None,
     ) -> None:
-        set_field(self, "level", level)
-        set_field(self, "c1", c1)
-        set_field(self, "c2", c2)
-        set_field(self, "steps", steps)
-        set_field(self, "stated_degree", stated_degree)
+        _check_canonical(c1, c2, steps)
+        _store(self, level, c1, c2, steps, stated_degree)
 
     @property
     def degree(self) -> int:
-        if not self.c1.is_canonical:
-            raise DerivationError("c1 is not a canonical lattice")
         return self.c1.index_over(FracLattice.unit())
 
     def to_json(self) -> dict:
-        _check_canonical(self)  # never write a hand-built non-canonical lattice
         return {
             "format": "k0-derivation/1",
             "level": self.level,
@@ -311,7 +292,34 @@ class Derivation(Record):
                 steps.append((sign, rel))
         except (KeyError, TypeError, ValueError) as exc:
             raise DerivationError(f"malformed certificate: {exc}") from exc
-        return Derivation(level, c1, c2, tuple(steps), degree)
+        return _trusted(level, c1, c2, tuple(steps), degree)
+
+
+def _store(d: Derivation, *values) -> None:
+    for name, value in zip(Derivation.__slots__, values, strict=True):
+        set_field(d, name, value)
+
+
+def _trusted(level, c1, c2, steps, stated_degree=None) -> Derivation:
+    """A Derivation over lattices the package built canonical, skipping
+    `__init__`'s check."""
+    out = object.__new__(Derivation)
+    _store(out, level, c1, c2, steps, stated_degree)
+    return out
+
+
+def _check_canonical(c1, c2, steps) -> None:
+    """Raise unless every lattice is canonical, as `FracLattice.make` and
+    `from_json` build them: validation assumes Hermite bases and a
+    positive denominator, and only a hand-built lattice can lack them."""
+    lattices = [c1, c2]
+    for _, rel in steps:
+        lattices += (rel.base, rel.sub1, rel.sub2, rel.joint)
+    for k, lat in enumerate(lattices):
+        if not (isinstance(lat, FracLattice) and lat.is_canonical):
+            i, j = divmod(k - 2, 4)
+            name = ("c1", "c2")[k] if k < 2 else f"step {i}: " + ("base", "sub1", "sub2", "sum")[j]
+            raise DerivationError(f"{name} is not a canonical lattice")
 
 
 class DerivationCheck(Record):
@@ -327,20 +335,6 @@ class DerivationCheck(Record):
         return self.ok
 
 
-def _check_canonical(d: Derivation) -> None:
-    """Raise unless every lattice of d is canonical, as `FracLattice.make`
-    and `from_json` build them: the recomputation assumes Hermite bases and
-    a positive denominator, and only a hand-built lattice can lack them."""
-    lattices = [d.c1, d.c2]
-    for _, rel in d.steps:
-        lattices += (rel.base, rel.sub1, rel.sub2, rel.joint)
-    for k, lat in enumerate(lattices):
-        if not (isinstance(lat, FracLattice) and lat.is_canonical):
-            i, j = divmod(k - 2, 4)
-            name = ("c1", "c2")[k] if k < 2 else f"step {i}: " + ("base", "sub1", "sub2", "sum")[j]
-            raise DerivationError(f"{name} is not a canonical lattice")
-
-
 def _holds_z2(lat: FracLattice) -> bool:
     """Whether Z^2 <= [[a, b], [0, c]]/den: (den, 0) is (den/a)*(a, b)
     less a multiple of (0, c), and (0, den) a multiple of (0, c)."""
@@ -350,8 +344,7 @@ def _holds_z2(lat: FracLattice) -> bool:
 
 def validate_derivation(d: Derivation) -> DerivationCheck:
     """Recompute every step and the telescoping sum; collect all failures.
-    A lattice that is not canonical raises DerivationError instead."""
-    _check_canonical(d)
+    The lattices are canonical, as every Derivation's are."""
     failures: list[str] = []
     level = d.level
     if level < 1:
@@ -512,7 +505,7 @@ def derive_same_degree(n: int, c1: TorsionSubgroup, c2: TorsionSubgroup) -> Deri
     lat1 = FracLattice.from_subgroup(c1)
     lat2 = FracLattice.from_subgroup(c2)
     steps = tuple(_derive(lat1, lat2, n))
-    derivation = Derivation(c1.level, lat1, lat2, steps)
+    derivation = _trusted(c1.level, lat1, lat2, steps)
     check = validate_derivation(derivation)
     if not check:
         raise DerivationError("internal: derivation failed validation: " + "; ".join(check.failures))

@@ -9,7 +9,7 @@ non-fundamental discriminants are rejected.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, total_ordering
 
 from . import _backend
 from ._record import Record, set_field
@@ -29,6 +29,7 @@ MAX_CLASS_GROUP_DISC = 10_000_000
 DISC_CACHE_SIZE = 32
 
 
+@total_ordering
 class QuadForm(Record):
     """The form a*x^2 + b*xy + c*y^2, ordered as the triple (a, b, c)."""
 
@@ -55,21 +56,6 @@ class QuadForm(Record):
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return (self.a, self.b, self.c) < (other.a, other.b, other.c)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.c) <= (other.a, other.b, other.c)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.c) > (other.a, other.b, other.c)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.c) >= (other.a, other.b, other.c)
         return NotImplemented
 
     @property

@@ -17,7 +17,6 @@ from k0av.arith import (
     IntMatrix,
     TorsionSubgroup,
     count_subgroups,
-    divisors,
     factor,
     is_prime,
     left_kernel,
@@ -367,10 +366,6 @@ def test_xgcd():
         assert g >= 0
 
 
-def test_divisors_and_squares():
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-
-
 def _lattices(n):
     """Every subgroup of (Z/n)^2 as its FracLattice, in oracle order."""
     return [FracLattice.from_subgroup(s) for s in oracle.exhaustive_subgroups(n)]
@@ -487,3 +482,17 @@ def test_subgroup_from_json_is_strict(data):
 def test_count_subgroups_vs_enumeration():
     for n in range(1, 31):
         assert count_subgroups(n) == len(oracle.exhaustive_subgroups(n))
+
+
+def test_count_subgroups_closed_form_at_large_n():
+    # (Z/n)^2 is the product of its p-parts, and the subgroups of
+    # (Z/p^e)^2 number the sum of gcd(d, p^e/a) over divisor pairs a, d.
+    def prime_power_count(p, e):
+        divs = [p**i for i in range(e + 1)]
+        return sum(gcd(d, p**e // a) for a in divs for d in divs)
+
+    assert count_subgroups(10**18) == prime_power_count(2, 18) * prime_power_count(5, 18)
+    assert count_subgroups(10**18) == 11249706745132173451
+    for n in (0, -4):
+        with pytest.raises(KernelInputError, match="positive"):
+            count_subgroups(n)

@@ -46,10 +46,8 @@ _LINE2 = TorsionSubgroup(2, ((2, 0), (0, 1)))
 
 
 def _relation(stated=None):
-    rel = QuotientRelation.build(
-        FracLattice.unit(), FracLattice.from_subgroup(_LINE1), FracLattice.from_subgroup(_LINE2)
-    )
-    return QuotientRelation(rel.base, rel.sub1, rel.sub2, rel.joint, stated)
+    sub1, sub2 = FracLattice.from_subgroup(_LINE1), FracLattice.from_subgroup(_LINE2)
+    return QuotientRelation(FracLattice.unit(), sub1, sub2, sub1 + sub2, stated)
 
 
 def _derivation(stated=None):
