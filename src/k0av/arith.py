@@ -16,9 +16,10 @@ Conventions:
 
 Rank-2 lattice arithmetic is closed-form and lives in one place: `row_hnf`
 folds in one generator row at a time with an extended gcd, starting from
-zero or from a Hermite basis already in hand, `left_kernel`
-reduces two columns the same way while keeping the row operations, and
-FracLattice builds sum, intersection, membership and containment on them.
+zero or from a Hermite basis already in hand, and `left_kernel`
+reduces two columns the same way while keeping the row operations.
+FracLattice builds intersection on them, and sum, membership and
+containment in closed form.
 It is the one rank-2 lattice type: TorsionSubgroup, a finite subgroup of
 (Q/Z)^2, only validates and carries a (level, Hermite basis) pair, and
 `FracLattice.from_subgroup` turns it into the lattice it stands for.
@@ -56,6 +57,8 @@ def strict_int(value) -> int:
     """An integer read from certificate JSON.  A float, bool or string
     raises TypeError: `int()` would truncate or parse it, so a stated 3.99
     would pass for 3."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {type(value).__name__}")
     return value
@@ -414,9 +417,9 @@ class FracLattice(Record):
     With `row_hnf` and `left_kernel` this is the package's one
     implementation of rank-2 lattice arithmetic: Hermite reduction (`make`),
     sum, intersection (through the kernel of the stacked bases), membership
-    and containment.  A sum folds the other lattice's two rows into this
-    one's Hermite basis, both scaled to the common denominator, in one
-    `row_hnf` pass that starts from that basis.
+    and containment.  A sum is the two `row_hnf` folds of the other
+    lattice's rows into this one's Hermite basis, written out in closed
+    form, so both bases must be canonical.
 
     The constructor stores its arguments unchecked, since the package's own
     callers build canonical data; `make` reduces any rows, and
@@ -481,11 +484,6 @@ class FracLattice(Record):
         exact comparisons by cross-multiplication."""
         return self.basis[0][0] * self.basis[1][1], self.den * self.den
 
-    def _scaled_rows(self, new_den: int) -> list[list[int]]:
-        k, r = divmod(new_den, self.den)
-        assert r == 0
-        return [[x * k for x in row] for row in self.basis]
-
     def member(self, vec: Sequence[int], vec_den: int) -> bool:
         """Whether vec/vec_den lies in self."""
         # den*vec/vec_den = u @ basis has the solution
@@ -508,19 +506,27 @@ class FracLattice(Record):
         return num * my_den // (den * my_num)
 
     def __add__(self, other: FracLattice) -> FracLattice:
-        # Fold other's rows into self's Hermite basis, both over the common den.
+        # row_hnf's two folds of other's rows (x, y), (0, z) into self's
+        # Hermite basis (a, b), (0, e), written out, both over the common den.
         d = lcm(self.den, other.den)
-        k = d // self.den
+        k, j = d // self.den, d // other.den
         (a, b), (_, e) = self.basis
-        return FracLattice.make(d, other._scaled_rows(d), (a * k, b * k, e * k))
+        (x, y), (_, z) = other.basis
+        g, u, v = xgcd(a * k, x * j)
+        e = gcd(e * k, (x * b - a * y) * k * j // g, z * j)
+        b = (u * b * k + v * y * j) % e
+        h = gcd(d, g, b, e)
+        return FracLattice(d // h, ((g // h, b // h), (0, e // h)))
 
     def __and__(self, other: FracLattice) -> FracLattice:
         # c @ [mine; theirs] == 0 exactly when c[:2] @ mine == -c[2:] @ theirs
         # is a point of both, and c -> c[:2] @ mine is one-to-one.
         d = lcm(self.den, other.den)
-        mine = self._scaled_rows(d)
-        (a, b), (_, e) = mine
-        kernel = left_kernel(mine + other._scaled_rows(d))
+        k, j = d // self.den, d // other.den
+        (a, b), (_, e) = self.basis
+        (x, y), (_, z) = other.basis
+        a, b, e = a * k, b * k, e * k
+        kernel = left_kernel([(a, b), (0, e), (x * j, y * j), (0, z * j)])
         return FracLattice.make(d, [(c0 * a, c0 * b + c1 * e) for c0, c1, _, _ in kernel])
 
     def to_json(self) -> dict:

@@ -41,10 +41,10 @@ with `FracLattice.from_json`, which keeps one already canonical (every
 lattice `to_json` writes is) and reduces any other through `make`;
 `derive_same_degree` builds with `make`, `from_subgroup` and `_scaled`,
 which reduce as `make` does.  So reading a certificate tests each lattice
-once and deriving one tests none.  Each recomputed sum D1+D2 folds D2's
-two rows into D1's Hermite basis (`FracLattice.__add__`), and the
-telescoping sum adds each step's four signed lattices into one dict,
-keyed by (den, basis), which names a canonical lattice.
+once and deriving one tests none.  Each recomputed sum D1+D2 is
+`FracLattice.__add__`, in closed form, and the telescoping sum adds each
+step's four signed lattices into one dict, keyed by (den, basis), which
+names a canonical lattice.
 
 Trivial intersection is decided by the index identity, not by
 intersecting.  For D1, D2 >= B the second isomorphism theorem gives
@@ -58,10 +58,12 @@ already failed, so its failure lines stay the same.
 A derivation (`_derive`) is a chain of links.  A link takes a base B and
 lattices L1, L2, both cyclic of order c over B inside (1/c)*B, and picks
 a third such lattice L3 whose line in ((1/p)*B)/B, at each prime p of c,
-is neither L1's nor L2's (read off L1 & (1/p)*B and L2 & (1/p)*B).  One
-of (1, 0), (0, 1), (1, 1) in B's coordinates always serves, and CRT puts
-the primes together.  Then L1 & L3 = L2 & L3 = B and L1 + L3 = L2 + L3 =
-(1/c)*B, so -R(B, L1, L3) + R(B, L2, L3) = [L1] - [L2]: two steps.
+is neither L1's nor L2's.  With r the product of the primes of c, one
+intersection per lattice, L1 & (1/r)*B and L2 & (1/r)*B, holds both lines
+at every p.  One of (1, 0), (0, 1), (1, 1) in B's coordinates always
+serves, and CRT puts the primes together.  Then L1 & L3 = L2 & L3 = B
+and L1 + L3 = L2 + L3 = (1/c)*B, so -R(B, L1, L3) + R(B, L2, L3) =
+[L1] - [L2]: two steps.
 
 Write L/Z^2 = Z/alpha x Z/beta with alpha | beta; for a canonical L >= Z^2,
 beta is L's den.  A type-change link takes L of type (alpha, beta) to
@@ -78,7 +80,7 @@ trial division.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Mapping
 
 from ._record import Record, set_field
@@ -438,9 +440,12 @@ def _link(base: FracLattice, l1: FracLattice, l2: FracLattice, c: int, primes: l
     for the first (u, v) whose point (u, v)/p neither line holds."""
     den, ((a, b), (_, d)) = base.den, base.basis
     x, y, mod = 0, 0, 1
-    for p in (p for p in primes if c % p == 0):
-        torsion = _scaled(base, p)
-        lines = (l1 & torsion, l2 & torsion)
+    walked = [p for p in primes if c % p == 0]
+    # A point (u, v)/p lies in (1/p)*base <= (1/r)*base, r the product of
+    # the walked primes, so l & (1/r)*base holds it exactly when l does.
+    torsion = _scaled(base, prod(walked))
+    lines = (l1 & torsion, l2 & torsion)
+    for p in walked:
         u, v = next(
             (u, v) for u, v in ((1, 0), (0, 1), (1, 1))
             if not any(t.member((u * a, u * b + v * d), den * p) for t in lines)

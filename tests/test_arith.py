@@ -2,8 +2,9 @@
 torsion-subgroup lattices."""
 
 import random
+from enum import IntEnum
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from k0av.arith import (
     left_kernel,
     matrix_isogeny_degree,
     row_hnf,
+    strict_int,
     xgcd,
 )
 from k0av.errors import DerivationError, K0Error, KernelInputError, SingularMatrixError
@@ -434,6 +436,38 @@ def test_subgroup_sum_and_intersection_brute_force():
                 assert a.contains(b) == (pb <= pa)
 
 
+def _folded_sum(a, b):
+    """a + b as `make` folds it: b's rows, scaled to the common den, into
+    a's Hermite basis scaled the same way."""
+    d = lcm(a.den, b.den)
+    k, j = d // a.den, d // b.den
+    (x, y), (_, e) = a.basis
+    return FracLattice.make(d, [[t * j for t in row] for row in b.basis], (x * k, y * k, e * k))
+
+
+def test_sum_is_make():
+    # FracLattice.__add__ writes out in closed form the fold `make` does.
+    lats = {lat for n in range(1, 13) for lat in _lattices(n)}
+    for a in lats:
+        for b in lats:
+            assert a + b == _folded_sum(a, b), (a, b)
+    # Seeded lattices off Z^2, whose rows share a factor c that den need
+    # not cancel, so the sum's basis can have a content prime to its den.
+    rng = random.Random(23)
+
+    def sample():
+        c = rng.choice((1, 2, 3, 4, 6, 12))
+        rows = [[c * rng.randint(-30, 30) for _ in range(2)] for _ in range(3)]
+        return FracLattice.make(rng.randint(1, 60), rows)
+
+    pairs = 0
+    while pairs < 2000:
+        a, b = sample(), sample()
+        if a.den != b.den:
+            pairs += 1
+            assert a + b == _folded_sum(a, b), (a, b)
+
+
 def test_singular_generators_rejected():
     singular = (
         [[1, 2], [2, 4]],
@@ -477,6 +511,22 @@ def test_subgroup_from_json_is_strict(data):
     # A subgroup is read from JSON as its lattice {den, basis}, as in a certificate.
     with pytest.raises(DerivationError, match="malformed lattice"):
         FracLattice.from_json(data)
+
+
+class _Level(IntEnum):
+    SIX = 6
+
+
+@pytest.mark.parametrize("value", [True, False, 3.0, "3", None])
+def test_strict_int_refuses_non_integers(value):
+    with pytest.raises(TypeError, match="expected an integer"):
+        strict_int(value)
+
+
+@pytest.mark.parametrize("value", [0, -7, 3, 2**100, _Level.SIX])
+def test_strict_int_accepts_integers(value):
+    # An int subclass other than bool, such as an IntEnum member, is read as itself.
+    assert strict_int(value) is value
 
 
 def test_count_subgroups_vs_enumeration():

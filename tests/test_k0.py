@@ -327,6 +327,32 @@ def test_canonical_checks_counted(monkeypatch):
     assert steps == {0, 2, 6}
 
 
+def test_one_intersection_per_lattice_per_link(monkeypatch):
+    # A link intersects each of its two lattices once with (1/r)*B, r the
+    # product of its primes: 2 calls per link, that is 1 per step, where
+    # one per prime took 10 for the single link at 2310 = 2*3*5*7*11.
+    calls = Counter()
+    meet = FracLattice.__and__
+
+    def counted(a, b):
+        calls["&"] += 1
+        return meet(a, b)
+
+    monkeypatch.setattr(FracLattice, "__and__", counted)
+    pairs = [
+        (2, sub(2, (1, 0)), sub(2, (1, 0))),
+        (6, sub(6, (1, 0)), sub(6, (0, 1))),
+        (720, sub(720, (1, 0)), sub(720, (12, 0), (0, 60))),
+        (48, sub(48, (4, 0), (0, 12)), sub(48, (1, 1))),
+        (2310, sub(2310, (1, 0)), sub(2310, (0, 1))),
+    ]
+    for n, c1, c2 in pairs:
+        calls.clear()
+        d = derive_same_degree(n, c1, c2)
+        assert calls["&"] == len(d.steps), n
+    assert len(d.steps) == 2 and calls["&"] == 2
+
+
 def test_derive_refuses_orders_over_the_limit():
     n = k0.MAX_DERIVE_ORDER
     assert n >= 10**4
