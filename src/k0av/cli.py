@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .arith import TorsionSubgroup, IntMatrix, matrix_isogeny_degree, count_subgroups
 from .contexts import CM, IsogenyContext, make_context
@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     try:
         # Inside the try: the integer options' `type` raises K0Error.
         args = build_parser().parse_args(argv)

@@ -10,7 +10,7 @@ exposes the abelian group where isogeny degrees live once global squares
                     discriminant; degrees map to (bit mask of a coset of
                     C/C^2, primes of odd inert exponent).
   * Supersingular(p): characteristic p, quaternionic endomorphisms; every
-                    degree class is trivial.
+                    degree class is trivial, so no degree is factored.
   * OrdinaryCM(disc, p): ordinary reduction at a split prime p; same value
                     group as CM(disc), p allowed in degrees.
   * CharPEndZ(p):   characteristic p with integer endomorphisms; classes are
@@ -35,10 +35,10 @@ integers, e.g. {"case": "ordinary_cm", "disc": -20, "p": 3}.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
-from typing import Mapping
 
 from ._record import Record, set_field
 from .arith import FactoredRational, is_prime, printable_int
@@ -163,6 +163,9 @@ class IsogenyContext(Record):
 
     case: str
     _identity: tuple = ()
+    # False for a kind whose every degree class is the identity: its
+    # `degree_class` factors nothing, so no degree is too large to answer.
+    _reads_primes = True
 
     def identity(self) -> DegreeClass:
         return DegreeClass(self, self._identity)
@@ -171,6 +174,8 @@ class IsogenyContext(Record):
         """Canonical class of a positive rational isogeny degree."""
         if not isinstance(q, FactoredRational) and q.numerator <= 0:
             raise KernelInputError(f"degree must be a positive rational, got {q}")
+        if not self._reads_primes:
+            return self.identity()
         return DegreeClass(self, self._degree_data(FactoredRational.from_fraction(q)))
 
     def structure(self) -> GroupStructure:
@@ -395,14 +400,12 @@ class Supersingular(IsogenyContext):
     p: int
 
     case = "supersingular"
+    _reads_primes = False
 
     def __init__(self, p: int) -> None:
         if not is_prime(p):
             raise ContextError(f"{p} is not prime")
         set_field(self, "p", p)
-
-    def _degree_data(self, q: FactoredRational) -> tuple:
-        return ()
 
     def _mul(self, x: tuple, y: tuple) -> tuple:
         return ()

@@ -23,7 +23,6 @@ parse(print(parse(s))) = parse(s) for every valid s.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from ._record import Record, set_field
 from .contexts import IsogenyContext
@@ -35,9 +34,9 @@ from .kernels import KernelSpec, parse_kernel_literal, tokenize
 class ClassAtom(Record):
     __slots__ = _fields = ("n", "spec")
     n: int
-    spec: Union[Fraction, KernelSpec]
+    spec: Fraction | KernelSpec
 
-    def __init__(self, n: int, spec: Union[Fraction, KernelSpec]) -> None:
+    def __init__(self, n: int, spec: Fraction | KernelSpec) -> None:
         set_field(self, "n", n)
         set_field(self, "spec", spec)
 
@@ -52,13 +51,13 @@ class Dual(Record):
 
 class Sum(Record):
     __slots__ = _fields = ("terms",)
-    terms: tuple[tuple[int, Union[ClassAtom, Dual]], ...]
+    terms: tuple[tuple[int, ClassAtom | Dual], ...]
 
-    def __init__(self, terms: tuple[tuple[int, Union[ClassAtom, Dual]], ...]) -> None:
+    def __init__(self, terms: tuple[tuple[int, ClassAtom | Dual], ...]) -> None:
         set_field(self, "terms", terms)
 
 
-Node = Union[Sum, Dual, ClassAtom]
+Node = Sum | Dual | ClassAtom
 
 # Deepest dual(...) nesting accepted.  The parser and the evaluator recurse
 # once per level, so a fixed bound keeps both far below the interpreter's
@@ -100,7 +99,7 @@ class _Parser:
             terms.append(self.term(1 if t == "+" else -1))
         return Sum(tuple(terms))
 
-    def term(self, sign: int) -> tuple[int, Union[ClassAtom, Dual]]:
+    def term(self, sign: int) -> tuple[int, ClassAtom | Dual]:
         coef = 1
         t = self.toks[self.i]
         negative = t == "-"
@@ -114,7 +113,7 @@ class _Parser:
             self.expect("*", "'*' after coefficient")
         return (sign * coef, self.atom())
 
-    def atom(self) -> Union[ClassAtom, Dual]:
+    def atom(self) -> ClassAtom | Dual:
         t = self.toks[self.i]
         if t == "[":
             return self.class_atom()
@@ -154,7 +153,7 @@ class _Parser:
             raise self.error("degree must be a positive rational", "positive rational", at)
         return Fraction(num, den)
 
-    def degspec(self) -> Union[Fraction, KernelSpec]:
+    def degspec(self) -> Fraction | KernelSpec:
         t = self.toks[self.i]
         if t.isdigit():
             return self.rational()
@@ -190,13 +189,13 @@ def parse_kernel(text: str) -> KernelSpec:
     return _Parser(text).whole(_Parser.kernel)
 
 
-def _print_spec(spec: Union[Fraction, KernelSpec]) -> str:
+def _print_spec(spec: Fraction | KernelSpec) -> str:
     if isinstance(spec, KernelSpec):
         return spec.literal()
     return str(spec.numerator) if spec.denominator == 1 else f"{spec.numerator}/{spec.denominator}"
 
 
-def _print_atom(node: Union[ClassAtom, Dual]) -> str:
+def _print_atom(node: ClassAtom | Dual) -> str:
     if isinstance(node, Dual):
         return f"dual({print_expression(node.inner)})"
     return f"[{node.n}; {_print_spec(node.spec)}]"

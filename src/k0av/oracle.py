@@ -8,9 +8,9 @@ imports from the rest of the package are plain data containers.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Optional, Sequence
 
 from .arith import TorsionSubgroup
 from .quadforms import QuadForm
@@ -64,7 +64,7 @@ def _principal_value(d: int, x: int, y: int) -> int:
 
 def norm_witness_search(
     q: int | Fraction, d: int, t_bound: int = 50, xy_bound: int = 10_000
-) -> Optional[tuple[int, int, int]]:
+) -> tuple[int, int, int] | None:
     """Search for (x, y, t) with P(x, y) = q * t^2 where P is the principal
     norm form of discriminant d.  Such a witness certifies that q is a norm
     from the quadratic field; a failed bounded search certifies nothing."""

@@ -65,7 +65,7 @@ def test_factor_refuses_past_its_budget():
 def test_factor_cache_is_bounded():
     # The benchmark tracer reads cache_info(), so it stays an lru_cache.
     maxsize = arith._factor_int.cache_parameters()["maxsize"]
-    assert maxsize is not None and maxsize >= 1 << 15
+    assert maxsize is not None and maxsize <= 1 << 10
 
 
 def _oracle_primes(lo, hi):
@@ -98,6 +98,26 @@ def test_trial_stage_on_the_product_of_all_trial_primes():
     assert arith._factor_int(product) == table
     assert arith._factor_int(product * (2**61 - 1)) == table + ((2**61 - 1, 1),)
     assert arith._factor_int(product**2 * 1031) == tuple((p, 2) for p in primes) + ((1031, 1),)
+
+
+def test_trial_walk_stops_at_the_root_of_the_gcd():
+    # p^a * q^b for trial primes p < q, whose table is known by
+    # construction; q is the prime the walk reads off once p * p > g.
+    # Then the same times 1031, the least prime past the trial bound, and
+    # times the least prime past `_PRIME_BELOW`, a cofactor that is tested.
+    factor_uncached = arith._factor_int.__wrapped__
+    primes = arith._TRIAL_PRIMES
+    big = 1062977
+    assert oracle.prime_exponents(big) == {big: 1}
+    assert _oracle_primes(arith._PRIME_BELOW, big) == []
+    for i, p in enumerate(primes):
+        for q in primes[i + 1 :]:
+            for a in (1, 2):
+                for b in (1, 2):
+                    n, table = p**a * q**b, ((p, a), (q, b))
+                    assert factor_uncached(n) == table, n
+                    for r in (1031, big):
+                        assert factor_uncached(n * r) == table + ((r, 1),), n * r
 
 
 def test_trial_primes_are_the_primes_below_the_bound():

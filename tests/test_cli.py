@@ -80,6 +80,15 @@ def test_dist_degree(capsys, ctx_file):
     assert data["class"] == {"case": "cm", "coset_rep": [1, 0, 5], "inert_odd": []}
 
 
+def test_dist_supersingular_degree_is_not_factored(capsys, ctx_file):
+    # 1000000000039 * 1000000000061: two primes past rho's budget, in a
+    # context whose every degree class is the identity.
+    path = ctx_file({"case": "supersingular", "p": 5})
+    code, out, _ = run(capsys, ["dist", "--ctx", path, "--degree", "1000000000100000000002379"])
+    assert code == 0
+    assert "identity" in out
+
+
 def test_dist_kernel(capsys, ctx_file):
     path = ctx_file({"case": "char_p_end_z", "p": 5})
     code, out, _ = run(capsys, ["dist", "--ctx", path, "--kernel", "{mup:1, coprime:12}"])

@@ -333,6 +333,17 @@ def test_supersingular_trivial():
     assert ctx.structure().describe() == "trivial"
 
 
+def test_supersingular_degree_class_factors_nothing():
+    from k0av.arith import _factor_int
+
+    ctx = Supersingular(5)
+    before = _factor_int.cache_info()
+    for q in (1000000000100000000002379, Fraction(12, 1000000000100000000002379), FactoredRational.one()):
+        assert ctx.degree_class(q) == ctx.identity()
+    after = _factor_int.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 def test_char_p_distances():
     ctx = CharPEndZ(5)
     cls = ctx.degree_class(12)

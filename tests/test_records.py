@@ -289,7 +289,7 @@ print(json.dumps(loaded))
 def test_cli_import_skips_dataclasses_and_oracle():
     # -S keeps site-packages hooks from loading modules of their own.
     src = os.path.dirname(os.path.dirname(os.path.abspath(k0av.__file__)))
-    absent = ("dataclasses", "inspect", "random", "k0av.oracle")
+    absent = ("dataclasses", "inspect", "random", "typing", "k0av.oracle")
     code = _GUARD.format(src=src, names=absent + TRACED_MODULES)
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     loaded = json.loads(out.stdout)
