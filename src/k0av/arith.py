@@ -388,29 +388,38 @@ def row_hnf(
 
 def left_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Basis of {c : c @ rows == 0} for integer rows (x, y)."""
-    # Reduce [rows | I] column by column with the unimodular step of
-    # row_hnf; the identity part of each row that reaches (0, 0) is a
-    # kernel vector, and together they are a basis since the pivot rows
-    # left behind are independent.
+    # Fold the rows with x != 0 into one pivot by row_hnf's unimodular
+    # step, each row carrying its coefficient vector c, then fold what is
+    # left on y.  The vectors of the rows that reach (0, 0) are a kernel
+    # basis, since the pivots left behind are independent.
     m = len(rows)
-    aug = [[x, y] + [int(i == j) for j in range(m)] for i, (x, y) in enumerate(rows)]
-    for col in (0, 1):
-        pivot, rest = None, []
-        for r in aug:
-            if r[col] and pivot is None:
-                pivot = r
-            elif r[col]:
-                g, u, v = xgcd(pivot[col], r[col])
-                p, q = pivot[col] // g, r[col] // g
-                pivot, r = (
-                    [u * s + v * t for s, t in zip(pivot, r)],
-                    [p * t - q * s for s, t in zip(pivot, r)],
-                )
-                rest.append(r)
-            else:
-                rest.append(r)
-        aug = rest
-    return [r[2:] for r in aug]
+    pivot, rest = None, []
+    for i, (x, y) in enumerate(rows):
+        c = [0] * m
+        c[i] = 1
+        if not x:
+            rest.append((y, c))
+        elif pivot is None:
+            pivot = x, y, c
+        else:
+            px, py, pc = pivot
+            g, u, v = xgcd(px, x)
+            p, q = px // g, x // g
+            pivot = g, u * py + v * y, [u * s + v * t for s, t in zip(pc, c)]
+            rest.append((p * y - q * py, [p * t - q * s for s, t in zip(pc, c)]))
+    pivot, kernel = None, []
+    for y, c in rest:
+        if not y:
+            kernel.append(c)
+        elif pivot is None:
+            pivot = y, c
+        else:
+            py, pc = pivot
+            g, u, v = xgcd(py, y)
+            p, q = py // g, y // g
+            pivot = g, [u * s + v * t for s, t in zip(pc, c)]
+            kernel.append([p * t - q * s for s, t in zip(pc, c)])
+    return kernel
 
 
 class FracLattice(Record):
@@ -422,7 +431,9 @@ class FracLattice(Record):
     sum, intersection (through the kernel of the stacked bases), membership
     and containment.  A sum is the two `row_hnf` folds of the other
     lattice's rows into this one's Hermite basis, written out in closed
-    form, so both bases must be canonical.
+    form, so both bases must be canonical.  `index_over` checks
+    containment from one read of both bases and returns the index; a
+    certificate step's orders come from it.
 
     The constructor stores its arguments unchecked, since the package's own
     callers build canonical data; `make` reduces any rows, and
@@ -501,12 +512,16 @@ class FracLattice(Record):
         return self.member(r0, other.den) and self.member(r1, other.den)
 
     def index_over(self, base: FracLattice) -> int:
-        """[self : base] for base <= self: the ratio of the covolumes."""
-        if not self.contains(base):
+        """[self : base], the ratio of the covolumes; DerivationError
+        unless base <= self."""
+        # `member` of base's rows (x, y)/bden and (0, z)/bden, from one
+        # read of both bases.
+        den, ((a, b), (_, d)) = self.den, self.basis
+        bden, ((x, y), (_, z)) = base.den, base.basis
+        det = bden * a * d
+        if (x * den * d) % det or ((y * a - x * b) * den) % det or (z * den * a) % det:
             raise DerivationError("index requested over a non-sublattice")
-        num, den = base.covolume
-        my_num, my_den = self.covolume
-        return num * my_den // (den * my_num)
+        return x * z * den * den // (bden * det)
 
     def __add__(self, other: FracLattice) -> FracLattice:
         # row_hnf's two folds of other's rows (x, y), (0, z) into self's
@@ -533,7 +548,8 @@ class FracLattice(Record):
         return FracLattice.make(d, [(c0 * a, c0 * b + c1 * e) for c0, c1, _, _ in kernel])
 
     def to_json(self) -> dict:
-        return {"den": self.den, "basis": [list(r) for r in self.basis]}
+        (a, b), (z, d) = self.basis
+        return {"den": self.den, "basis": [[a, b], [z, d]]}
 
     @staticmethod
     def from_json(data: Mapping) -> FracLattice:

@@ -51,7 +51,10 @@ intersecting.  For D1, D2 >= B the second isomorphism theorem gives
 [D1+D2 : B] * [D1 & D2 : B] = [D1 : B] * [D2 : B], so D1 & D2 = B exactly
 when [D1+D2 : B] = [D1 : B] * [D2 : B].  Each index is a ratio of
 covolumes (a*c/d^2 for [[a, b], [0, c]]/d), and D1+D2 is needed for the
-relation anyway.  `arith.left_kernel` still serves `&`: for the lines a
+relation anyway.  A step's two orders come from `FracLattice.index_over`,
+which checks containment from one read of both bases and refuses a sub
+that does not contain the base; D1+D2 contains D1, so its index is read
+unchecked.  `arith.left_kernel` still serves `&`: for the lines a
 link avoids, for the public API, and for a step whose containment check
 already failed, so its failure lines stay the same.
 
@@ -276,8 +279,12 @@ class Derivation(Record):
             c1 = FracLattice.from_json(data["c1"])
             c2 = FracLattice.from_json(data["c2"])
             raw_steps = data["steps"]
+            if not isinstance(raw_steps, (list, tuple)):
+                raise ValueError("steps must be a list of step objects")
             steps = []
-            for entry in raw_steps:
+            for i, entry in enumerate(raw_steps):
+                if not isinstance(entry, Mapping):
+                    raise ValueError(f"step {i} must be an object")
                 sign = strict_int(entry["sign"])
                 orders = entry.get("orders")
                 if orders is not None:
@@ -367,18 +374,18 @@ def validate_derivation(d: Derivation) -> DerivationCheck:
         if not _holds_z2(rel.base):
             failures.append(f"step {i}: base does not contain Z^2")
         base, sub1, sub2 = rel.base, rel.sub1, rel.sub2
-        contained = True
+        orders = []
         for name, sub in (("sub1", sub1), ("sub2", sub2)):
-            if not sub.contains(base):
+            try:
+                orders.append(sub.index_over(base))
+            except DerivationError:
                 failures.append(f"step {i}: {name} does not contain the base lattice")
-                contained = False
-        orders = None
         joint = sub1 + sub2
-        if contained:
+        if len(orders) == 2:
             # The index identity of the module docstring; never the stored sum.
-            orders = [_index(sub1, base), _index(sub2, base)]
             trivial = _index(joint, base) == orders[0] * orders[1]
         else:
+            orders = None
             trivial = (sub1 & sub2) == base
         if not trivial:
             failures.append(f"step {i}: subgroups intersect nontrivially")

@@ -4,6 +4,7 @@ torsion-subgroup lattices."""
 import random
 from enum import IntEnum
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm, prod
 
 import pytest
@@ -381,6 +382,55 @@ def test_left_kernel_annihilates():
             assert gcd(*(p[i] * q[j] - p[j] * q[i] for i in range(4) for j in range(i + 1, 4))) == 1
 
 
+def _rank(rows):
+    if not any(x or y for x, y in rows):
+        return 0
+    return 2 if any(x0 * y1 - y0 * x1 for x0, y0 in rows for x1, y1 in rows) else 1
+
+
+def _shaped_rows(rng, m, rank):
+    """m rows (x, y) of the given rank, some of them zero or with x = 0."""
+    def entry():
+        return rng.choice((0, rng.randint(-30, 30)))
+
+    while True:
+        if rank == 0:
+            rows = [(0, 0)] * m
+        elif rank == 1:
+            v = (entry(), entry())
+            rows = [(k * v[0], k * v[1]) for k in (rng.randint(-4, 4) for _ in range(m))]
+        else:
+            rows = [rng.choice(((0, 0), (0, entry()), (entry(), entry()))) for _ in range(m)]
+        if _rank(rows) == rank:
+            return rows
+
+
+def test_left_kernel_on_every_shape():
+    # Every row count 1-6 at every rank, zero rows and rows with x = 0
+    # among them, and the stacked Hermite bases [(a, b), (0, e), (x, y),
+    # (0, z)] that FracLattice.__and__ passes.
+    rng = random.Random(25)
+    cases = [
+        (m, rank, _shaped_rows(rng, m, rank))
+        for m in range(1, 7) for rank in range(min(m, 2) + 1) for _ in range(150)
+    ]
+    for _ in range(300):
+        a, e, x, z = (rng.randint(1, 40) for _ in range(4))
+        cases.append((4, 2, [(a, rng.randrange(e)), (0, e), (x, rng.randrange(z)), (0, z)]))
+    for m, rank, rows in cases:
+        k = left_kernel(rows)
+        assert len(k) == m - rank, rows
+        for coeffs in k:
+            assert len(coeffs) == m
+            assert [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(2)] == [0, 0], rows
+        # saturated: the maximal minors of the basis are coprime, so it
+        # spans the whole kernel and not a sublattice of it
+        if k:
+            columns = combinations(range(m), len(k))
+            minors = [IntMatrix([[v[j] for j in cols] for v in k]).det() for cols in columns]
+            assert gcd(*minors) == 1, rows
+
+
 def test_xgcd():
     for a, b in ((12, 18), (-5, 7), (0, 4), (13, 0), (0, 0)):
         g, x, y = xgcd(a, b)
@@ -395,6 +445,24 @@ def _lattices(n):
 
 def _order(lat):
     return lat.index_over(FracLattice.unit())
+
+
+def test_index_over_is_checked_covolume_ratio():
+    # index_over reads both bases once; it must agree with `contains` and
+    # the covolume ratio, across levels and so across dens.
+    lats = [lat for n in range(1, 9) for lat in _lattices(n)]
+    rng = random.Random(26)
+    for _ in range(60):
+        rows = [[3 * rng.randint(-9, 9), rng.randint(-9, 9)] for _ in range(3)]
+        lats.append(FracLattice.make(rng.randint(1, 30), rows))
+    for lat in lats:
+        for base in lats:
+            if lat.contains(base):
+                (bnum, bden), (num, den) = base.covolume, lat.covolume
+                assert lat.index_over(base) == Fraction(bnum * den, bden * num), (lat, base)
+            else:
+                with pytest.raises(DerivationError, match="non-sublattice"):
+                    lat.index_over(base)
 
 
 def test_subgroup_identities():

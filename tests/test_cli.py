@@ -303,6 +303,19 @@ def test_check_malformed_certificate(capsys, tmp_path):
     code, _, err = run(capsys, ["check", "--cert", str(cert)])
     assert code == 2
 
+    # A `steps` that is not a list, or a step that is not an object, is
+    # named, not reported through a Python-internal message.
+    good = {"format": "k0-derivation/1", "level": 1,
+            "c1": {"den": 1, "basis": [[1, 0], [0, 1]]}, "c2": {"den": 1, "basis": [[1, 0], [0, 1]]}}
+    for steps, named in (({"a": 1}, "steps must be a list"), (5, "steps must be a list"),
+                         ("ab", "steps must be a list"), ([5], "step 0 must be an object")):
+        cert.write_text(json.dumps(dict(good, steps=steps)))
+        code, _, err = run(capsys, ["check", "--cert", str(cert)])
+        assert code == 2, steps
+        assert err.startswith("error: malformed certificate: ") and named in err, (steps, err)
+    cert.write_text(json.dumps(dict(good, steps=[])))
+    assert run(capsys, ["check", "--cert", str(cert)])[0] == 0
+
 
 def _corrupt(cert, kind):
     """The three corruptions of the benchmark's certify workload, a wrong

@@ -810,3 +810,8 @@ def test_derivation_json_rejects_malformed():
     del broken["steps"][0]["sub2"]
     with pytest.raises(DerivationError, match="malformed certificate"):
         Derivation.from_json(broken)
+    for steps in ({"a": 1}, 5, None):
+        with pytest.raises(DerivationError, match="malformed certificate: steps must be a list"):
+            Derivation.from_json(dict(good, steps=steps))
+    with pytest.raises(DerivationError, match="malformed certificate: step 1 must be an object"):
+        Derivation.from_json(dict(good, steps=[good["steps"][0], [1, 2]]))
