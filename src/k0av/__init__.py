@@ -10,9 +10,9 @@ from ._backend import backend_name
 from .arith import (
     FactoredRational,
     FracLattice,
-    IntMatrix,
     TorsionSubgroup,
     count_subgroups,
+    det,
     factor,
     matrix_isogeny_degree,
 )
@@ -83,7 +83,6 @@ __all__ = [
     "FactoredRational",
     "FracLattice",
     "GroupStructure",
-    "IntMatrix",
     "IsogenyContext",
     "K0Element",
     "K0Error",
@@ -104,6 +103,7 @@ __all__ = [
     "compose",
     "count_subgroups",
     "derive_same_degree",
+    "det",
     "eval_expression",
     "factor",
     "k0_class",

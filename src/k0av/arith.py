@@ -1,6 +1,6 @@
-"""Exact integer arithmetic: factorization, factored rationals, integer
-matrices, and rank-2 lattices.  `is_prime` is written in `_primality`
-and used from here.
+"""Exact integer arithmetic: factorization, factored rationals, the
+determinant of a list of integer rows, and rank-2 lattices.  `is_prime` is
+written in `_primality` and used from here.
 
 Factoring takes one gcd of n with the product of the primes below 1024,
 divides out the primes that gcd names (walking up to its square root), and
@@ -194,14 +194,6 @@ class FactoredRational(Record):
             raise KernelInputError("exponent table must be sorted with nonzero exponents")
         _set_exps(self, exps)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.exps == other.exps
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.exps,))
-
     @staticmethod
     def one() -> FactoredRational:
         return _trusted(())
@@ -214,9 +206,10 @@ class FactoredRational(Record):
     def from_fraction(q: Fraction | int | FactoredRational) -> FactoredRational:
         if isinstance(q, FactoredRational):
             return q
-        if isinstance(q, int):
-            return FactoredRational.from_int(q)
-        num, den = q.numerator, q.denominator
+        try:
+            num, den = q.numerator, q.denominator
+        except AttributeError:
+            raise KernelInputError(f"can only factor an int or a Fraction, got {type(q).__name__}") from None
         if den == 1:
             return FactoredRational.from_int(num)
         if num <= 0:
@@ -277,66 +270,43 @@ def _trusted(exps: tuple[tuple[int, int], ...]) -> FactoredRational:
 
 def factor(n: int) -> FactoredRational:
     """Factor a positive integer; any other raises KernelInputError."""
+    if type(n) is not int:
+        raise KernelInputError(f"can only factor an int, got {type(n).__name__}")
     return FactoredRational.from_int(n)
 
 
-class IntMatrix(Record):
-    """Immutable integer matrix (tuple of row tuples)."""
-
-    __slots__ = _fields = ("rows",)
-    rows: tuple[tuple[int, ...], ...]
-
-    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
-        set_field(self, "rows", rows)
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> IntMatrix:
-        if not rows:
-            raise KernelInputError("empty matrix")
-        width = len(rows[0])
-        if width == 0 or any(len(r) != width for r in rows):
-            raise KernelInputError("ragged matrix")
-        return IntMatrix(tuple(tuple(int(x) for x in r) for r in rows))
-
-    @staticmethod
-    def identity(n: int) -> IntMatrix:
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0])
-
-    @property
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if not self.is_square:
-            raise KernelInputError("determinant of a non-square matrix")
-        n = self.nrows
-        a = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
+def det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of the square integer matrix with these rows, by
+    fraction-free (Bareiss) elimination.  Each entry must be an int: a
+    float, string or bool raises KernelInputError, as does an empty, ragged
+    or non-square matrix."""
+    if not rows:
+        raise KernelInputError("empty matrix")
+    n = len(rows[0])
+    if n == 0 or any(len(r) != n for r in rows):
+        raise KernelInputError("ragged matrix")
+    if len(rows) != n:
+        raise KernelInputError("determinant of a non-square matrix")
+    if any(type(x) is not int for r in rows for x in r):
+        raise KernelInputError("matrix entries must be integers")
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -352,12 +322,12 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def matrix_isogeny_degree(m: IntMatrix, g: int) -> FactoredRational:
-    """Degree of the isogeny an integer matrix induces on a dimension-g
-    product: |det m|^(2g), as a factored integer."""
+def matrix_isogeny_degree(rows: Sequence[Sequence[int]], g: int) -> FactoredRational:
+    """Degree of the isogeny the integer matrix with these rows induces on a
+    dimension-g product: |det|^(2g), as a factored integer."""
     if g < 1:
         raise ContextError("dimension must be positive")
-    d = m.det()
+    d = det(rows)
     if d == 0:
         raise SingularMatrixError("singular matrix")
     return factor(abs(d)) ** (2 * g)

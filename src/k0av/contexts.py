@@ -18,26 +18,27 @@ exposes the abelian group where isogeny degrees live once global squares
                     classes away from p).  Degrees divisible by p carry kernel
                     data, so rational input must be prime to p.
 
-Contexts are immutable; class-group data is computed once per context, on
-the first answer that needs it, and cached on the instance.  A CM class is
-(mask, inert primes), multiplied by XOR; a form is looked up only to render
-it.  A CM context checks its discriminant by factoring alone, and mask 0
-renders as the principal form, so a degree class with no split or ramified
-odd-exponent prime is answered without the class group.
+Contexts are immutable slotted records; class-group data is computed when
+an answer needs it and kept per discriminant by `quadforms`'s lru caches.
+A CM class is (mask, inert primes), multiplied by XOR; a form is looked up
+only to render it.  A CM context checks its discriminant by factoring
+alone, and mask 0 renders as the principal form, so a degree class with no
+split or ramified odd-exponent prime is answered without the class group.
 
 Each kind states its group law in closed form, so a power is one step:
 `k*[...]` costs about one product however many digits k has.
 
 A context file is the JSON object `to_json` writes and `make_context` reads:
 `case` names the kind, and the other keys are its class's `_fields`, all
-integers, e.g. {"case": "ordinary_cm", "disc": -20, "p": 3}.
+integers, e.g. {"case": "ordinary_cm", "disc": -20, "p": 3}; a context
+built in Python meets the same check of its fields as one read from a file.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
 
 from ._record import Record, set_field
@@ -157,23 +158,34 @@ _set_data = DegreeClass.data.__set__
 
 
 class IsogenyContext(Record):
-    """Shared surface of the five context kinds.  Contexts keep a
-    `__dict__`, where `cached_property` stores class-group data.  A kind's
-    group law is `_identity` (data), `_mul`, and `_pow` for any integer k."""
+    """Shared surface of the five context kinds, each a slotted record whose
+    `__init__` stores its fields through this class's.  A kind's group law
+    is `_identity` (data), `_mul`, and `_pow` for any integer k."""
 
+    __slots__ = ()
     case: str
     _identity: tuple = ()
     # False for a kind whose every degree class is the identity: its
     # `degree_class` factors nothing, so no degree is too large to answer.
     _reads_primes = True
 
+    def __init__(self, *values: int) -> None:
+        # The `_fields` in order, each refused unless an int and not a bool.
+        for name, value in zip(self._fields, values):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ContextError(f"field {name} must be an integer")
+            set_field(self, name, value)
+
     def identity(self) -> DegreeClass:
         return DegreeClass(self, self._identity)
 
     def degree_class(self, q: DegreeLike) -> DegreeClass:
         """Canonical class of a positive rational isogeny degree."""
-        if not isinstance(q, FactoredRational) and q.numerator <= 0:
-            raise KernelInputError(f"degree must be a positive rational, got {q}")
+        try:
+            if not isinstance(q, FactoredRational) and q.numerator <= 0:
+                raise KernelInputError(f"degree must be a positive rational, got {q}")
+        except AttributeError:  # no numerator: neither an int nor a Fraction
+            raise KernelInputError(f"degree must be a positive rational, got {type(q).__name__}") from None
         if not self._reads_primes:
             return self.identity()
         return DegreeClass(self, self._degree_data(FactoredRational.from_fraction(q)))
@@ -212,15 +224,15 @@ class IsogenyContext(Record):
 class EndZ(IsogenyContext):
     """Dimension-g isotypic category with endomorphism ring Z."""
 
-    _fields = ("g",)
+    __slots__ = _fields = ("g",)
     g: int
 
     case = "end_z"
 
     def __init__(self, g: int) -> None:
+        super().__init__(g)
         if g < 1:
             raise ContextError("dimension must be a positive integer")
-        set_field(self, "g", g)
 
     @property
     def modulus(self) -> int:
@@ -286,14 +298,15 @@ class _WithClassGroup(IsogenyContext):
     """Mixin for contexts whose value group is C/C^2 (+) Z/2 per inert prime.  A class
     is (mask, inert): its coset's mask in `SquareClasses` and its sorted odd inert primes."""
 
+    __slots__ = ()
     disc: int
     _identity = (0, ())
 
-    @cached_property
+    @property
     def square_classes(self) -> SquareClasses:
         return square_classes(self.disc)
 
-    @cached_property
+    @property
     def principal(self) -> QuadForm:
         """The mask-0 representative `square_classes.coset_reps[0]`, without the class group."""
         return _principal(self.disc)
@@ -352,14 +365,14 @@ class _WithClassGroup(IsogenyContext):
 class CM(_WithClassGroup):
     """Elliptic curve with CM by the maximal order of disc < 0, char 0."""
 
-    _fields = ("disc",)
+    __slots__ = _fields = ("disc",)
     disc: int
 
     case = "cm"
 
     def __init__(self, disc: int) -> None:
+        super().__init__(disc)
         _check_discriminant(disc)
-        set_field(self, "disc", disc)
 
     def describe(self) -> str:
         return f"elliptic, CM by the maximal order of discriminant {self.disc}, characteristic 0"
@@ -368,13 +381,14 @@ class CM(_WithClassGroup):
 class OrdinaryCM(_WithClassGroup):
     """Ordinary elliptic curve over F_p-bar with CM lift of disc; p splits."""
 
-    _fields = ("disc", "p")
+    __slots__ = _fields = ("disc", "p")
     disc: int
     p: int
 
     case = "ordinary_cm"
 
     def __init__(self, disc: int, p: int) -> None:
+        super().__init__(disc, p)
         _check_discriminant(disc)
         if not is_prime(p):
             raise ContextError(f"{p} is not prime")
@@ -383,8 +397,6 @@ class OrdinaryCM(_WithClassGroup):
                 f"prime {p} does not split in discriminant {disc}; "
                 "not an ordinary reduction"
             )
-        set_field(self, "disc", disc)
-        set_field(self, "p", p)
 
     def describe(self) -> str:
         return (
@@ -396,16 +408,16 @@ class OrdinaryCM(_WithClassGroup):
 class Supersingular(IsogenyContext):
     """Supersingular elliptic curve over F_p-bar; the class group vanishes."""
 
-    _fields = ("p",)
+    __slots__ = _fields = ("p",)
     p: int
 
     case = "supersingular"
     _reads_primes = False
 
     def __init__(self, p: int) -> None:
+        super().__init__(p)
         if not is_prime(p):
             raise ContextError(f"{p} is not prime")
-        set_field(self, "p", p)
 
     def _mul(self, x: tuple, y: tuple) -> tuple:
         return ()
@@ -434,16 +446,16 @@ class CharPEndZ(IsogenyContext):
     endomorphisms; classes track the etale-minus-multiplicative p-degree and
     odd square classes away from p."""
 
-    _fields = ("p",)
+    __slots__ = _fields = ("p",)
     p: int
 
     case = "char_p_end_z"
     _identity = (0, ())
 
     def __init__(self, p: int) -> None:
+        super().__init__(p)
         if not is_prime(p):
             raise ContextError(f"{p} is not prime")
-        set_field(self, "p", p)
 
     def _degree_data(self, q: FactoredRational) -> tuple:
         if q.exponent(self.p) != 0:
@@ -509,12 +521,7 @@ def make_context(spec: Mapping) -> IsogenyContext:
     extra = set(spec) - {"case", *cls._fields}
     if extra:
         raise ContextError(f"unknown fields for case {case!r}: {sorted(extra)}")
-    values = {}
     for name in cls._fields:
         if name not in spec:
             raise ContextError(f"missing field for case {case!r}: {name}")
-        value = spec[name]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ContextError(f"field {name} must be an integer")
-        values[name] = value
-    return cls(**values)
+    return cls(*[spec[name] for name in cls._fields])

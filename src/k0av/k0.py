@@ -197,16 +197,6 @@ class QuotientRelation(Record):
         _set_joint(self, joint)
         _set_stated_orders(self, stated_orders)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.base, self.sub1, self.sub2, self.joint) == (
-                other.base, other.sub1, other.sub2, other.joint
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.sub1, self.sub2, self.joint))
-
     def to_json(self) -> dict:
         return {
             "base": self.base.to_json(),

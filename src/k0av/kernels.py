@@ -14,10 +14,11 @@ the constructor's defaults for absent fields.  The context supplies p, and
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from itertools import islice
 
 from ._record import Record, set_field
-from .arith import FactoredRational, IntMatrix, int_digit_limit
+from .arith import FactoredRational, det, int_digit_limit
 from .contexts import CharPEndZ, DegreeClass, IsogenyContext, Supersingular
 from .errors import ContextMismatchError, KernelInputError, ParseError, SingularMatrixError, excerpt
 
@@ -63,22 +64,22 @@ def _characteristic(ctx: IsogenyContext) -> int:
     return ctx.p
 
 
-def kernel_of_matrix_endo(m: IntMatrix, ctx: CharPEndZ) -> KernelSpec:
-    """Kernel of the endomorphism an integer matrix induces on a power of an
-    ordinary curve: each elementary divisor d contributes ord_p(d) copies of
-    both Z/p and mu_p and a (prime-to-p part)^2 etale factor away from p.
-    Summed over the divisors, that is ord_p(det m) copies of each and the
-    square of the prime-to-p part of |det m|, so only the determinant is
-    needed."""
+def kernel_of_matrix_endo(rows: Sequence[Sequence[int]], ctx: CharPEndZ) -> KernelSpec:
+    """Kernel of the endomorphism the integer matrix with these rows induces
+    on a power of an ordinary curve: each elementary divisor d contributes
+    ord_p(d) copies of both Z/p and mu_p and a (prime-to-p part)^2 etale
+    factor away from p.  Summed over the divisors, that is ord_p(det) copies
+    of each and the square of the prime-to-p part of |det|, so only the
+    determinant is needed."""
     p = _characteristic(ctx)
-    det = abs(m.det()) if m.is_square else 0
-    if det == 0:
+    d = abs(det(rows))
+    if d == 0:
         raise SingularMatrixError("singular matrix")
     e = 0
-    while det % p == 0:
-        det //= p
+    while d % p == 0:
+        d //= p
         e += 1
-    return KernelSpec(zp=e, mup=e, coprime=det * det)
+    return KernelSpec(zp=e, mup=e, coprime=d * d)
 
 
 def kernel_class(ctx: IsogenyContext, k: KernelSpec) -> DegreeClass:

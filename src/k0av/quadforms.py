@@ -165,6 +165,9 @@ class SquareClasses(Record):
     law XOR, the principal coset 0.  `mask_of` maps every reduced form to its
     coset's mask and `reps` a mask to its representative; both are built on
     first use, so a cached instance that never answers `rep` holds neither.
+    It stays lazy, the one record with a `__dict__`: perfbench's degree_query
+    trace predicts the `compose` calls this walk makes on a context's first
+    `rep`; built with the instance, it would run in set-up instead.
     """
 
     _fields = ("disc", "squares", "coset_reps")

@@ -16,9 +16,9 @@ from k0av._primality import _MR_BOUNDS, _strong_lucas_probable_prime, jacobi
 from k0av.arith import (
     FactoredRational,
     FracLattice,
-    IntMatrix,
     TorsionSubgroup,
     count_subgroups,
+    det,
     factor,
     is_prime,
     left_kernel,
@@ -321,9 +321,9 @@ def test_from_fraction_is_numerator_over_denominator(a, b):
 
 
 def test_matrix_isogeny_degree_frozen():
-    assert matrix_isogeny_degree(IntMatrix.from_rows([[5]]), 1).as_fraction() == 25
-    assert matrix_isogeny_degree(IntMatrix.identity(3), 2) == FactoredRational.one()
-    assert matrix_isogeny_degree(IntMatrix.from_rows([[1, 1], [0, 3]]), 1).as_fraction() == 9
+    assert matrix_isogeny_degree([[5]], 1).as_fraction() == 25
+    assert matrix_isogeny_degree([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2) == FactoredRational.one()
+    assert matrix_isogeny_degree([[1, 1], [0, 3]], 1).as_fraction() == 9
 
 
 def test_matrix_isogeny_degree_vs_oracle():
@@ -333,16 +333,29 @@ def test_matrix_isogeny_degree_vs_oracle():
         n = rng.randint(1, 4)
         g = rng.randint(1, 3)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        m = IntMatrix.from_rows(rows)
-        if m.det() == 0:
+        if det(rows) == 0:
             continue
-        assert matrix_isogeny_degree(m, g).as_fraction() == oracle.lattice_degree_oracle(rows, g)
+        assert matrix_isogeny_degree(rows, g).as_fraction() == oracle.lattice_degree_oracle(rows, g)
         checked += 1
+
+
+@pytest.mark.parametrize("entry", [1.5, "7", True], ids=["float", "str", "bool"])
+def test_det_refuses_entries_that_are_not_ints(entry):
+    # int() would truncate 1.5 and parse "7"; True would count as 1.
+    with pytest.raises(KernelInputError, match="matrix entries must be integers"):
+        det([[entry, 0], [0, 1]])
+    with pytest.raises(KernelInputError, match="matrix entries must be integers"):
+        det([[entry]])
+
+
+def test_matrix_isogeny_degree_refuses_a_float_entry():
+    with pytest.raises(KernelInputError, match="matrix entries must be integers"):
+        matrix_isogeny_degree([[1.5, 0], [0, 1]], 1)
 
 
 def test_matrix_isogeny_degree_singular():
     with pytest.raises(SingularMatrixError):
-        matrix_isogeny_degree(IntMatrix.from_rows([[0]]), 1)
+        matrix_isogeny_degree([[0]], 1)
 
 
 def test_row_hnf_canonical():
@@ -427,7 +440,7 @@ def test_left_kernel_on_every_shape():
         # spans the whole kernel and not a sublattice of it
         if k:
             columns = combinations(range(m), len(k))
-            minors = [IntMatrix([[v[j] for j in cols] for v in k]).det() for cols in columns]
+            minors = [det([[v[j] for j in cols] for v in k]) for cols in columns]
             assert gcd(*minors) == 1, rows
 
 

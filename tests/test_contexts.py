@@ -49,6 +49,28 @@ def test_make_context_rejects():
             make_context({"case": case})
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: EndZ(1.5), "g"),
+        (lambda: CM(-20.0), "disc"),
+        (lambda: OrdinaryCM("-20", 3), "disc"),
+        (lambda: OrdinaryCM(-20, 3.0), "p"),
+        (lambda: Supersingular(True), "p"),
+        (lambda: CharPEndZ(5.0), "p"),
+        (lambda: make_context({"case": "end_z", "g": 1.5}), "g"),
+        (lambda: make_context({"case": "ordinary_cm", "disc": -13, "p": "3"}), "p"),
+    ],
+    ids=["end_z", "cm", "ordinary_cm_disc", "ordinary_cm_p", "supersingular_bool", "char_p", "file", "file_p_first"],
+)
+def test_constructors_refuse_a_non_integer_field(build, field):
+    # One check, in the constructors, names the field for Python callers
+    # and context files alike; the fields are checked before their values.
+    with pytest.raises(ContextError) as info:
+        build()
+    assert str(info.value) == f"field {field} must be an integer"
+
+
 def test_ordinary_cm_split_requirement():
     # (-20 | 3) = +1 since 1^2 = -20 mod 3
     assert OrdinaryCM(-20, 3).p == 3
@@ -80,7 +102,7 @@ def test_end_z_exact_order_2g():
 
 def test_end_z_matrix_degrees_are_trivial():
     # degrees of matrix endomorphisms land in the identity class
-    from k0av.arith import IntMatrix, matrix_isogeny_degree
+    from k0av.arith import det, matrix_isogeny_degree
 
     rng = random.Random(5)
     for g in (1, 2, 3):
@@ -88,8 +110,8 @@ def test_end_z_matrix_degrees_are_trivial():
         done = 0
         while done < 50:
             n = rng.randint(1, 3)
-            m = IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
-            if m.det() == 0:
+            m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            if det(m) == 0:
                 continue
             assert ctx.degree_class(matrix_isogeny_degree(m, g).as_fraction()).is_identity
             done += 1

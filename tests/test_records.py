@@ -5,9 +5,11 @@ neither `dataclasses` nor the oracle."""
 
 import ast
 import copy
+import importlib
 import json
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,7 +17,8 @@ from fractions import Fraction
 import pytest
 
 import k0av
-from k0av.arith import FactoredRational, FracLattice, IntMatrix, TorsionSubgroup, factor, matrix_isogeny_degree
+from k0av._record import Record
+from k0av.arith import FactoredRational, FracLattice, TorsionSubgroup, det, factor, matrix_isogeny_degree
 from k0av.contexts import (
     CM,
     CharPEndZ,
@@ -29,7 +32,7 @@ from k0av.contexts import (
 from k0av.errors import ContextError, DiscriminantError, K0Error, KernelInputError
 from k0av.expr import ClassAtom, Dual, KernelSpec, Sum
 from k0av.k0 import Derivation, DerivationCheck, K0Element, QuotientRelation, derive_same_degree
-from k0av.kernels import kernel_class, kernel_of_matrix_endo
+from k0av.kernels import class_in_image, kernel_class, kernel_of_matrix_endo
 from k0av.quadforms import (
     ClassGroup,
     PrimeClass,
@@ -64,7 +67,6 @@ def _square_classes():
 # that used to be a frozen dataclass.  Each factory builds a new instance.
 RECORDS = [
     (lambda: factor(360), ("exps",), ()),
-    (lambda: IntMatrix.from_rows([[1, 2], [3, 4]]), ("rows",), ()),
     (lambda: FracLattice(6, _B), ("den", "basis"), ()),
     (lambda: TorsionSubgroup(6, _B), ("level", "basis"), ()),
     (lambda: QuadForm(2, 1, 3), ("a", "b", "c"), ()),
@@ -92,7 +94,7 @@ IDS = [type(make()).__name__ for make, _, _ in RECORDS]
 
 
 def test_every_former_dataclass_is_listed():
-    assert len(set(IDS)) == len(RECORDS) == 24
+    assert len(set(IDS)) == len(RECORDS) == 23
 
 
 @pytest.mark.parametrize("make,fields,extra", RECORDS, ids=IDS)
@@ -209,7 +211,7 @@ def test_constructors_raise_the_same_errors(build, error):
         build()
 
 
-_M = IntMatrix.from_rows([[2, 1], [0, 3]])  # nonsingular
+_M = [[2, 1], [0, 3]]  # nonsingular
 
 
 # Every library error derives from K0Error (errors.py), including these
@@ -218,15 +220,18 @@ _M = IntMatrix.from_rows([[2, 1], [0, 3]])  # nonsingular
     "call, message",
     [
         (lambda: prime_class(4, -20), "4 is not prime"),
-        (lambda: IntMatrix.from_rows([]), "empty matrix"),
-        (lambda: IntMatrix.from_rows([[1, 2], [3]]), "ragged matrix"),
-        (lambda: IntMatrix.from_rows([[1, 2]]).det(), "determinant of a non-square matrix"),
+        (lambda: det([]), "empty matrix"),
+        (lambda: det([[1, 2], [3]]), "ragged matrix"),
+        (lambda: det([[1, 2]]), "determinant of a non-square matrix"),
         (lambda: FactoredRational(((3, 1), (2, 1))), "exponent table must be sorted with nonzero exponents"),
-        (lambda: matrix_isogeny_degree(IntMatrix.from_rows([[2]]), 0), "dimension must be positive"),
+        (lambda: matrix_isogeny_degree([[2]], 0), "dimension must be positive"),
         (lambda: kernel_class(CM(-20), KernelSpec()), "kernel input requires a characteristic-p context"),
         (lambda: kernel_class(EndZ(1), KernelSpec()), "kernel input requires a characteristic-p context"),
         (lambda: kernel_of_matrix_endo(_M, CM(-20)), "kernel input requires a characteristic-p context"),
         (lambda: kernel_of_matrix_endo(_M, EndZ(1)), "kernel input requires a characteristic-p context"),
+        (lambda: EndZ(1).degree_class(1.5), "degree must be a positive rational, got float"),
+        (lambda: class_in_image(5, 0, 1.5), "can only factor an int or a Fraction, got float"),
+        (lambda: factor(2.0), "can only factor an int, got float"),
     ],
     ids=[
         "prime_class",
@@ -239,6 +244,9 @@ _M = IntMatrix.from_rows([[2, 1], [0, 3]])  # nonsingular
         "kernel_in_end_z",
         "matrix_kernel_in_cm",
         "matrix_kernel_in_end_z",
+        "float_degree",
+        "float_in_image",
+        "float_factor",
     ],
 )
 def test_library_errors_are_k0_errors(call, message):
@@ -254,13 +262,27 @@ def test_defaults():
 
 
 def test_cached_properties_still_cache():
-    ctx = CM(-20)
-    assert ctx.square_classes is ctx.square_classes
-    assert "square_classes" in vars(ctx)
     sq = _square_classes()
     assert "mask_of" not in vars(sq)
     assert sq.rep(QuadForm(2, 2, 3)) == QuadForm(2, 2, 3)
     assert "mask_of" in vars(sq) and sq.mask_of is sq.mask_of
+
+
+def _record_types(cls=Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _record_types(sub)
+
+
+def test_only_square_classes_has_a_dict():
+    # Every record is slotted but `SquareClasses`, whose lazy tables are
+    # cached properties; a context keeps no per-instance cache.
+    for info in pkgutil.iter_modules(k0av.__path__):
+        importlib.import_module(f"k0av.{info.name}")
+    types = set(_record_types())
+    assert {CM, OrdinaryCM, FracLattice, QuadForm, KernelSpec, Derivation} <= types
+    assert sorted(t.__qualname__ for t in types if t.__dictoffset__) == ["SquareClasses"]
+    assert not hasattr(CM(-20), "__dict__")
 
 
 # Modules whose functions perfbench's tracer rebinds at install time; they

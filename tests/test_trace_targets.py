@@ -2,8 +2,8 @@
 target would stop every traced benchmark run.  These tests read
 `perfbench/spans.py` (compiled from its text, so no bytecode is written
 next to it) and check that each name still resolves the way
-`Tracer.install` needs, and that traced degree_query and certify runs still
-see the calls `spans.PREDICTIONS` expects."""
+`Tracer.install` needs, and that traced degree_query, certify and cli runs
+still see the calls `spans.PREDICTIONS` expects."""
 
 import json
 import os
@@ -96,20 +96,25 @@ for n, (a, b, d), (a2, b2, d2) in pairs:
 """ + _REPORT
 
 
-def _traced(script):
+def _run(argv, **env):
+    """Run `python -B argv` with perfbench/ and the package's src/ on the path."""
     import k0av
 
     src = os.path.dirname(os.path.dirname(k0av.__file__))
     path = os.pathsep.join(filter(None, (str(SPANS.parent), src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", script],
+        [sys.executable, "-B", *argv],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, **env),
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    assert proc.returncode == 0, (argv, proc.stderr)
+    return proc
+
+
+def _traced(script):
+    return json.loads(_run(["-c", script]).stdout)
 
 
 def test_degree_query_trace_predictions_hold():
@@ -118,3 +123,31 @@ def test_degree_query_trace_predictions_hold():
 
 def test_certify_trace_predictions_hold():
     assert _traced(_CERTIFY_TRACE) == {"misses": [], "missing": []}
+
+
+# cli: one `k0` process per call, each run through perfbench's cli_shim.py,
+# which writes its snapshot to PERFBENCH_TRACE_OUT; the worker merges the
+# snapshots of a pass with `spans.merge`.  One call per subcommand kind the
+# workload times is enough to reach every wrapper its predictions name.
+_CLI_CALLS = (
+    ["classgroup", "--json", "--disc", "-84"],
+    ["structure", "--json", "--ctx", "cm.json"],
+    ["dist", "--json", "--ctx", "charp.json", "--kernel", "{mup:1, coprime:12}"],
+    ["eval", "--json", "--ctx", "cm.json", "[1; 29]", "--equals", "[1; 1]"],
+    ["derive", "--json", "--n", "6", "--c1", "1,0,0,6", "--c2", "6,0,0,1", "--out", "cert.json"],
+    ["check", "--json", "--cert", "cert.json"],
+)
+
+
+def test_cli_trace_predictions_hold(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cm.json").write_text(json.dumps({"case": "cm", "disc": -20}))
+    (tmp_path / "charp.json").write_text(json.dumps({"case": "char_p_end_z", "p": 5}))
+    shim = str(SPANS.parent / "cli_shim.py")
+    snaps = []
+    for i, argv in enumerate(_CLI_CALLS):
+        out = tmp_path / f"trace{i}.json"
+        _run([shim, *argv], PERFBENCH_TRACE_OUT=str(out))
+        snaps.append(json.loads(out.read_text()))
+    snap = spans.merge(snaps)
+    assert (spans.prediction_misses("cli", snap), snap["missing"]) == ([], [])
