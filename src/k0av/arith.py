@@ -23,6 +23,12 @@ containment in closed form.
 It is the one rank-2 lattice type: TorsionSubgroup, a finite subgroup of
 (Q/Z)^2, only validates and carries a (level, Hermite basis) pair, and
 `FracLattice.from_subgroup` turns it into the lattice it stands for.
+`contains_z2_times` is the one test that a Hermite basis spans n*Z^2: a
+subgroup's basis at its level, and a certificate lattice's at its den.
+
+A float, string or bool where an integer belongs is refused with a
+K0Error: in `TorsionSubgroup`'s level and basis, `FracLattice.make`'s den
+and `matrix_isogeny_degree`'s g.
 """
 
 from __future__ import annotations
@@ -325,6 +331,8 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 def matrix_isogeny_degree(rows: Sequence[Sequence[int]], g: int) -> FactoredRational:
     """Degree of the isogeny the integer matrix with these rows induces on a
     dimension-g product: |det|^(2g), as a factored integer."""
+    if type(g) is not int:
+        raise ContextError("dimension must be an integer")
     if g < 1:
         raise ContextError("dimension must be positive")
     d = det(rows)
@@ -392,6 +400,15 @@ def left_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return kernel
 
 
+def contains_z2_times(n: int, basis: tuple[tuple[int, int], tuple[int, int]]) -> bool:
+    """Whether n*Z^2 <= span(basis), for n >= 1 and a Hermite basis
+    [[a, b], [0, d]]: (n, 0) is (n/a)*(a, b) less a multiple of (0, d), and
+    (0, n) a multiple of (0, d).  So Z^2 <= span(basis)/n exactly when it
+    holds."""
+    (a, b), (_, d) = basis
+    return not (n % a or n % d or n // a * b % d)
+
+
 class FracLattice(Record):
     """The lattice span(basis)/den in Q^2, kept canonical: `basis` is the
     Hermite basis [[a, b], [0, d]] and gcd(den, a, b, d) == 1.
@@ -433,6 +450,8 @@ class FracLattice(Record):
         """Lattice spanned by the integer rows (x, y) and `row_hnf`'s
         `start`, divided by den; rows that do not span a full-rank lattice
         raise SingularMatrixError."""
+        if type(den) is not int:
+            raise DerivationError("lattice denominator must be an integer")
         if den < 1:
             raise DerivationError("lattice denominator must be positive")
         (a, b), (_, d) = row_hnf(rows, start)
@@ -552,13 +571,14 @@ class TorsionSubgroup(Record):
     basis: tuple[tuple[int, int], tuple[int, int]]
 
     def __init__(self, level: int, basis: tuple[tuple[int, int], tuple[int, int]]) -> None:
+        (a, b), (z, d) = basis
+        if not (type(level) is type(a) is type(b) is type(z) is type(d) is int):
+            raise KernelInputError("level and basis entries must be integers")
         if level < 1:
             raise KernelInputError("level must be a positive integer")
-        (a, b), (z, d) = basis
         if z != 0 or a <= 0 or d <= 0 or not 0 <= b < d:
             raise KernelInputError("basis is not in Hermite form")
-        # level*Z^2 <= span(basis): (level, 0) and (0, level) must be integer combinations.
-        if level % a != 0 or level % d != 0 or (level // a) * b % d != 0:
+        if not contains_z2_times(level, basis):
             raise KernelInputError("basis does not contain level * Z^2")
         set_field(self, "level", level)
         set_field(self, "basis", basis)

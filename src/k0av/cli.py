@@ -84,7 +84,7 @@ def _cmd_classgroup(args) -> int:
         "disc": args.disc,
         "h": cg.h,
         "forms": [list(f.triple()) for f in cg.elements],
-        "square_subgroup": sorted(list(f.triple()) for f in sq.squares),
+        "square_subgroup": [list(f.triple()) for f in sq.squares],
         "coset_reps": [list(f.triple()) for f in sq.coset_reps],
         "index": sq.index,
     }

@@ -25,8 +25,12 @@ only to render it.  A CM context checks its discriminant by factoring
 alone, and mask 0 renders as the principal form, so a degree class with no
 split or ramified odd-exponent prime is answered without the class group.
 
-Each kind states its group law in closed form, so a power is one step:
-`k*[...]` costs about one product however many digits k has.
+Each kind defines the whole interface that `IsogenyContext`'s docstring
+lists (the base class defines none of it) and states its group law in
+closed form, so a power is one step: `k*[...]` costs about one product
+however many digits k has.
+A kind's `structure()` is a `GroupStructure`: a free rank and a tuple of
+(modulus, count, label) triples.
 
 A context file is the JSON object `to_json` writes and `make_context` reads:
 `case` names the kind, and the other keys are its class's `_fields`, all
@@ -57,40 +61,31 @@ from .quadforms import (
 DegreeLike = FactoredRational | Fraction | int
 
 
-class StructureFactor(Record):
-    __slots__ = _fields = ("modulus", "count", "label")
-    modulus: int
-    count: int | None  # None: one factor per prime in an infinite family
-    label: str
-
-    def __init__(self, modulus: int, count: int | None, label: str) -> None:
-        set_field(self, "modulus", modulus)
-        set_field(self, "count", count)
-        set_field(self, "label", label)
-
-    def describe(self) -> str:
-        if self.count is None:
-            return f"Z/{self.modulus} {self.label}"
-        if self.count == 1:
-            return f"Z/{self.modulus} ({self.label})"
-        return f"(Z/{self.modulus})^{self.count} ({self.label})"
-
-
 class GroupStructure(Record):
+    """Z^free_rank (+) the `factors`, each a triple (modulus, count, label):
+    `count` copies of Z/modulus, or one per prime of a family when `count`
+    is None."""
+
     __slots__ = _fields = ("free_rank", "factors", "note")
     free_rank: int
-    factors: tuple[StructureFactor, ...]
+    factors: tuple[tuple[int, int | None, str], ...]
     note: str | None
 
     def __init__(
-        self, free_rank: int, factors: tuple[StructureFactor, ...], note: str | None = None
+        self, free_rank: int, factors: tuple[tuple[int, int | None, str], ...], note: str | None = None
     ) -> None:
         set_field(self, "free_rank", free_rank)
         set_field(self, "factors", factors)
         set_field(self, "note", note)
 
     def describe(self) -> str:
-        parts = ["Z"] * self.free_rank + [f.describe() for f in self.factors]
+        parts = ["Z"] * self.free_rank
+        for modulus, count, label in self.factors:
+            if count is None:
+                parts.append(f"Z/{modulus} {label}")
+            else:
+                group = f"Z/{modulus}" if count == 1 else f"(Z/{modulus})^{count}"
+                parts.append(f"{group} ({label})")
         text = " (+) ".join(parts) if parts else "trivial"
         if self.note:
             text += f" [{self.note}]"
@@ -99,10 +94,7 @@ class GroupStructure(Record):
     def to_json(self) -> dict:
         return {
             "free_rank": self.free_rank,
-            "factors": [
-                {"modulus": f.modulus, "count": f.count, "label": f.label}
-                for f in self.factors
-            ],
+            "factors": [{"modulus": m, "count": k, "label": label} for m, k, label in self.factors],
             "note": self.note,
             "description": self.describe(),
         }
@@ -158,9 +150,13 @@ _set_data = DegreeClass.data.__set__
 
 
 class IsogenyContext(Record):
-    """Shared surface of the five context kinds, each a slotted record whose
-    `__init__` stores its fields through this class's.  A kind's group law
-    is `_identity` (data), `_mul`, and `_pow` for any integer k."""
+    """Shared surface of the five context kinds.  Each kind is a slotted
+    record whose `__init__` takes its fields by name and stores them
+    through this class's, and defines the rest of the interface: its group
+    law on class data (`_identity`, `_mul`, and `_pow` for any integer k),
+    `_degree_data` unless `_reads_primes` is false, `_class_order` (None
+    when infinite), `_describe_class`, `_class_json` (the class's JSON
+    fields after `case`), `structure` and `describe`."""
 
     __slots__ = ()
     case: str
@@ -190,35 +186,9 @@ class IsogenyContext(Record):
             return self.identity()
         return DegreeClass(self, self._degree_data(FactoredRational.from_fraction(q)))
 
-    def structure(self) -> GroupStructure:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
     def to_json(self) -> dict:
         """The context file's object: `case`, then `_fields` in order."""
         return {"case": self.case, **dict(zip(self._fields, self._values(self._fields)))}
-
-    # Kind-specific canonical-form plumbing.
-    def _degree_data(self, q: FactoredRational) -> tuple:
-        raise NotImplementedError
-
-    def _mul(self, x: tuple, y: tuple) -> tuple:
-        raise NotImplementedError
-
-    def _pow(self, x: tuple, k: int) -> tuple:
-        raise NotImplementedError
-
-    def _class_order(self, x: tuple) -> int | None:
-        raise NotImplementedError
-
-    def _describe_class(self, x: tuple) -> str:
-        raise NotImplementedError
-
-    def _class_json(self, x: tuple) -> dict:
-        """The class's JSON fields after `case`."""
-        raise NotImplementedError
 
 
 class EndZ(IsogenyContext):
@@ -271,7 +241,7 @@ class EndZ(IsogenyContext):
         return {"modulus": self.modulus, "exponents": [list(t) for t in x]}
 
     def structure(self) -> GroupStructure:
-        return GroupStructure(0, (StructureFactor(self.modulus, None, "per prime"),))
+        return GroupStructure(0, ((self.modulus, None, "per prime"),))
 
     def describe(self) -> str:
         return f"dimension {self.g}, integer endomorphisms, characteristic 0"
@@ -357,8 +327,8 @@ class _WithClassGroup(IsogenyContext):
         t = self.square_classes.index.bit_length() - 1
         factors = []
         if t > 0:
-            factors.append(StructureFactor(2, t, "class group mod squares"))
-        factors.append(StructureFactor(2, None, "per inert prime"))
+            factors.append((2, t, "class group mod squares"))
+        factors.append((2, None, "per inert prime"))
         return GroupStructure(0, tuple(factors))
 
 
@@ -488,7 +458,7 @@ class CharPEndZ(IsogenyContext):
     def structure(self) -> GroupStructure:
         return GroupStructure(
             1,
-            (StructureFactor(2, None, f"per prime != {self.p}"),),
+            ((2, None, f"per prime != {self.p}"),),
             note="index 2 in Z (+) positive rationals mod squares",
         )
 

@@ -209,7 +209,7 @@ def print_expression(node: Node) -> str:
     for i, (coef, atom) in enumerate(node.terms):
         body = _print_atom(atom) if abs(coef) == 1 else f"{abs(coef)}*{_print_atom(atom)}"
         if i == 0:
-            parts.append(body if coef > 0 else f"-1*{_print_atom(atom)}" if coef == -1 else f"-{abs(coef)}*{_print_atom(atom)}")
+            parts.append(body if coef > 0 else f"{coef}*{_print_atom(atom)}")
         else:
             parts.append(("+ " if coef > 0 else "- ") + body)
     return " ".join(parts)

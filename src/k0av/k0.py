@@ -31,7 +31,9 @@ by the basis rows divided by d.  Validation recomputes every containment,
 intersection, join, order, and the telescoping sum; a stated step `orders`
 or top-level `degree` must match the recomputed one.  The level must be
 positive and kill c1 and c2: (1/level)Z^2 contains both.  The goals and
-every step's base must contain Z^2.
+every step's base must contain Z^2 (`arith.contains_z2_times`, the test
+`TorsionSubgroup` makes of its basis).  The result, a `DerivationCheck`,
+holds only the failures; it is ok, and true, when there are none.
 
 A `Derivation` holds only canonical lattices: its constructor checks each
 and names the first that is not ("c1", "step 0: base", ...), so
@@ -91,6 +93,7 @@ from .arith import (
     FactoredRational,
     FracLattice,
     TorsionSubgroup,
+    contains_z2_times,
     printable_int,
     strict_int,
 )
@@ -322,23 +325,18 @@ def _check_canonical(c1, c2, steps) -> None:
 
 
 class DerivationCheck(Record):
-    __slots__ = _fields = ("ok", "failures")
-    ok: bool
+    """The failures `validate_derivation` found; ok, and true, when none."""
+
+    __slots__ = _fields = ("failures",)
     failures: tuple[str, ...]
 
-    def __init__(self, ok: bool, failures: tuple[str, ...]) -> None:
-        set_field(self, "ok", ok)
+    def __init__(self, failures: tuple[str, ...]) -> None:
         set_field(self, "failures", failures)
 
     def __bool__(self) -> bool:
-        return self.ok
+        return not self.failures
 
-
-def _holds_z2(lat: FracLattice) -> bool:
-    """Whether Z^2 <= [[a, b], [0, c]]/den: (den, 0) is (den/a)*(a, b)
-    less a multiple of (0, c), and (0, den) a multiple of (0, c)."""
-    den, ((a, b), (_, c)) = lat.den, lat.basis
-    return not (den % a or den % c or den // a * b % c)
+    ok = property(__bool__)
 
 
 def validate_derivation(d: Derivation) -> DerivationCheck:
@@ -354,14 +352,14 @@ def validate_derivation(d: Derivation) -> DerivationCheck:
         # so exactly when den divides level.
         if level >= 1 and level % lat.den:
             failures.append(f"{name} is not killed by the level {level}")
-        if not _holds_z2(lat):
+        if not contains_z2_times(lat.den, lat.basis):
             failures.append(f"{name} does not contain Z^2")
     for i, (sign, rel) in enumerate(d.steps):
         if sign not in (1, -1):
             failures.append(f"step {i}: sign {sign} is not +1/-1")
         # A sub that contains the base, and a correct stored sum, then
         # contain Z^2 too.
-        if not _holds_z2(rel.base):
+        if not contains_z2_times(rel.base.den, rel.base.basis):
             failures.append(f"step {i}: base does not contain Z^2")
         base, sub1, sub2 = rel.base, rel.sub1, rel.sub2
         orders = []
@@ -405,7 +403,7 @@ def validate_derivation(d: Derivation) -> DerivationCheck:
         failures.append(
             f"stated degree {d.stated_degree} is not the order {Fraction(den1, num1)} of the goal subgroups"
         )
-    return DerivationCheck(not failures, tuple(failures))
+    return DerivationCheck(tuple(failures))
 
 
 def _scaled(lat: FracLattice, k: int) -> FracLattice:

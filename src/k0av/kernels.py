@@ -25,8 +25,9 @@ from .errors import ContextMismatchError, KernelInputError, ParseError, Singular
 
 class KernelSpec(Record):
     """A kernel up to Jordan-Holder multiset: the counts of Z/p, mu_p and
-    alpha_p and the order of the prime-to-p part.  The field names and
-    `__init__` defaults are the kernel literal's keys and defaults."""
+    alpha_p and the order of the prime-to-p part, each an int (a float,
+    string or bool is refused).  The field names and `__init__` defaults
+    are the kernel literal's keys and defaults."""
 
     __slots__ = _fields = ("zp", "mup", "alphap", "coprime")
     zp: int
@@ -35,6 +36,8 @@ class KernelSpec(Record):
     coprime: int
 
     def __init__(self, zp: int = 0, mup: int = 0, alphap: int = 0, coprime: int = 1) -> None:
+        if not (type(zp) is type(mup) is type(alphap) is type(coprime) is int):
+            raise KernelInputError("kernel fields must be integers")
         if min(zp, mup, alphap) < 0:
             raise KernelInputError("constituent counts must be nonnegative")
         if coprime < 1:

@@ -495,6 +495,24 @@ def test_check_rejects_stated_numbers(capsys, tmp_path):
         assert code == 2 and "malformed certificate" in err, orders
 
 
+def test_check_rejects_a_sign_not_plus_or_minus_one(capsys, tmp_path):
+    from k0av.k0 import Derivation, validate_derivation
+
+    cert = tmp_path / "cert.json"
+    run(capsys, ["derive", "--n", "6", "--c1", "1,0,0,6", "--c2", "6,0,0,1", "--out", str(cert)])
+    good = json.loads(cert.read_text())
+    for sign in (0, 2):
+        bad = json.loads(json.dumps(good))
+        bad["steps"][0]["sign"] = sign
+        failures = [f"step 0: sign {sign} is not +1/-1", "steps do not telescope to [c1] - [c2]"]
+        check = validate_derivation(Derivation.from_json(bad))
+        assert not check and list(check.failures) == failures
+        cert.write_text(json.dumps(bad))
+        code, out, _ = run(capsys, ["check", "--json", "--cert", str(cert)])
+        assert code == 1
+        assert json.loads(out)["failures"] == failures
+
+
 def test_selftest_small(capsys):
     code, out, _ = run(capsys, ["selftest", "--max-disc", "60", "--max-level", "4"])
     assert code == 0
@@ -515,6 +533,29 @@ def test_selftest_json(capsys):
     data = json.loads(out)
     assert data["ok"] is True
     assert len(data["suites"]) == 6
+
+
+def test_selftest_disagreement_exits_1(capsys, monkeypatch):
+    from k0av import oracle
+
+    # An oracle that misses the one reduced form of discriminant -3; its
+    # square classes are built from the same list, so two suites disagree.
+    enumerate_forms = oracle.enumerate_reduced_forms
+    monkeypatch.setattr(oracle, "enumerate_reduced_forms", lambda d: enumerate_forms(d)[1:])
+    argv = ["selftest", "--max-disc", "3", "--max-level", "1"]
+    code, out, _ = run(capsys, argv)
+    assert code == 1
+    assert out.splitlines()[:3] == [
+        "reduced forms vs enumeration: FAIL: form lists differ at disc -3",
+        "square subgroup vs ideal squaring: FAIL: square subgroups differ at disc -3",
+        "norm decisions vs witness search: ok",
+    ]
+    code, out, _ = run(capsys, argv + ["--json"])
+    assert code == 1
+    data = json.loads(out)
+    assert data["ok"] is False
+    assert [s["ok"] for s in data["suites"]] == [False, False, True, True, True, True]
+    assert data["suites"][0]["detail"] == "form lists differ at disc -3"
 
 
 def _cli(argv):

@@ -8,9 +8,11 @@ import pytest
 from k0av import oracle
 from k0av.arith import FactoredRational
 from k0av.contexts import (
+    _CONTEXTS,
     CM,
     CharPEndZ,
     EndZ,
+    IsogenyContext,
     OrdinaryCM,
     Supersingular,
     make_context,
@@ -418,6 +420,45 @@ def test_structure_descriptions_frozen():
         == "Z (+) Z/2 per prime != 5 [index 2 in Z (+) positive rationals mod squares]"
     )
     assert CM(-23).structure().describe() == "Z/2 per inert prime"
+
+
+def test_structure_with_a_repeated_factor():
+    # C/C^2 for disc -420 = -4*3*5*7 is (Z/2)^3: one factor counted three times.
+    st = CM(-420).structure()
+    assert st.describe() == "(Z/2)^3 (class group mod squares) (+) Z/2 per inert prime"
+    assert st.to_json()["factors"] == [
+        {"modulus": 2, "count": 3, "label": "class group mod squares"},
+        {"modulus": 2, "count": None, "label": "per inert prime"},
+    ]
+
+
+# One context of each kind, as the keyword arguments of its constructor.
+_KIND_FIELDS = {
+    "end_z": {"g": 2},
+    "cm": {"disc": -20},
+    "supersingular": {"p": 5},
+    "ordinary_cm": {"disc": -20, "p": 29},
+    "char_p_end_z": {"p": 5},
+}
+_KIND_INTERFACE = ("_mul", "_pow", "_class_order", "_describe_class", "_class_json", "structure", "describe")
+
+
+@pytest.mark.parametrize("case", sorted(_CONTEXTS))
+def test_each_kind_defines_the_context_interface(case):
+    # IsogenyContext defines none of the interface, so a kind that lacks a
+    # method fails here rather than at its first call.
+    kind = _CONTEXTS[case]
+    own = kind.__mro__[: kind.__mro__.index(IsogenyContext)]
+    names = _KIND_INTERFACE + (("_degree_data",) if kind._reads_primes else ())
+    assert [n for n in names if not any(n in cls.__dict__ for cls in own)] == []
+    # Fields are taken by name, and an extra positional argument is refused
+    # rather than dropped: CM(-20, 5) is not CM(-20).
+    fields = _KIND_FIELDS[case]
+    assert tuple(fields) == kind._fields
+    ctx = kind(**fields)
+    assert ctx == kind(*fields.values()) and ctx.to_json() == {"case": case, **fields}
+    with pytest.raises(TypeError):
+        kind(*fields.values(), 5)
 
 
 def test_context_mismatch():

@@ -26,7 +26,6 @@ from k0av.contexts import (
     EndZ,
     GroupStructure,
     OrdinaryCM,
-    StructureFactor,
     Supersingular,
 )
 from k0av.errors import ContextError, DiscriminantError, K0Error, KernelInputError
@@ -73,8 +72,7 @@ RECORDS = [
     (lambda: ClassGroup(-20, class_group(-20).elements), ("disc", "elements"), ()),
     (_square_classes, ("disc", "squares", "coset_reps"), ()),
     (lambda: PrimeClass("split", QuadForm(2, 2, 3)), ("kind", "form"), ()),
-    (lambda: StructureFactor(2, None, "per prime"), ("modulus", "count", "label"), ()),
-    (lambda: GroupStructure(1, (StructureFactor(2, 1, "x"),), "note"), ("free_rank", "factors", "note"), ()),
+    (lambda: GroupStructure(1, ((2, 1, "x"),), "note"), ("free_rank", "factors", "note"), ()),
     (lambda: CM(-20).degree_class(3), ("ctx", "data"), ()),
     (lambda: EndZ(2), ("g",), ()),
     (lambda: CM(-20), ("disc",), ()),
@@ -84,7 +82,7 @@ RECORDS = [
     (lambda: K0Element(3, EndZ(1).degree_class(2)), ("n", "deg"), ()),
     (lambda: _relation((2, 2)), ("base", "sub1", "sub2", "joint"), ("stated_orders",)),
     (lambda: _derivation(2), ("level", "c1", "c2", "steps"), ("stated_degree",)),
-    (lambda: DerivationCheck(False, ("step 0: bad",)), ("ok", "failures"), ()),
+    (lambda: DerivationCheck(("step 0: bad",)), ("failures",), ()),
     (lambda: KernelSpec(1, 0, 0, 12), ("zp", "mup", "alphap", "coprime"), ()),
     (lambda: ClassAtom(2, Fraction(3, 4)), ("n", "spec"), ()),
     (lambda: Dual(Sum(((1, ClassAtom(1, Fraction(5))),))), ("inner",), ()),
@@ -94,7 +92,7 @@ IDS = [type(make()).__name__ for make, _, _ in RECORDS]
 
 
 def test_every_former_dataclass_is_listed():
-    assert len(set(IDS)) == len(RECORDS) == 23
+    assert len(set(IDS)) == len(RECORDS) == 22
 
 
 @pytest.mark.parametrize("make,fields,extra", RECORDS, ids=IDS)
@@ -232,6 +230,20 @@ _M = [[2, 1], [0, 3]]  # nonsingular
         (lambda: EndZ(1).degree_class(1.5), "degree must be a positive rational, got float"),
         (lambda: class_in_image(5, 0, 1.5), "can only factor an int or a Fraction, got float"),
         (lambda: factor(2.0), "can only factor an int, got float"),
+        (lambda: KernelSpec(zp=1.5), "kernel fields must be integers"),
+        (lambda: KernelSpec(coprime=12.0), "kernel fields must be integers"),
+        (lambda: KernelSpec(coprime=True), "kernel fields must be integers"),
+        (lambda: KernelSpec(mup="1"), "kernel fields must be integers"),
+        (lambda: TorsionSubgroup(6.0, _B), "level and basis entries must be integers"),
+        (lambda: TorsionSubgroup(6, ((1.0, 0), (0, 6))), "level and basis entries must be integers"),
+        (lambda: TorsionSubgroup("6", _B), "level and basis entries must be integers"),
+        (lambda: TorsionSubgroup(True, ((1, 0), (0, 1))), "level and basis entries must be integers"),
+        (lambda: FracLattice.make(2.5, _B), "lattice denominator must be an integer"),
+        (lambda: FracLattice.make(True, _B), "lattice denominator must be an integer"),
+        (lambda: FracLattice.make("2", _B), "lattice denominator must be an integer"),
+        (lambda: matrix_isogeny_degree([[2]], 1.5), "dimension must be an integer"),
+        (lambda: matrix_isogeny_degree([[2]], True), "dimension must be an integer"),
+        (lambda: matrix_isogeny_degree([[2]], "1"), "dimension must be an integer"),
     ],
     ids=[
         "prime_class",
@@ -247,12 +259,34 @@ _M = [[2, 1], [0, 3]]  # nonsingular
         "float_degree",
         "float_in_image",
         "float_factor",
+        "float_kernel_count",
+        "float_kernel_coprime",
+        "bool_kernel_coprime",
+        "str_kernel_count",
+        "float_level",
+        "float_basis_entry",
+        "str_level",
+        "bool_level",
+        "float_lattice_den",
+        "bool_lattice_den",
+        "str_lattice_den",
+        "float_dimension",
+        "bool_dimension",
+        "str_dimension",
     ],
 )
 def test_library_errors_are_k0_errors(call, message):
     with pytest.raises(K0Error) as info:
         call()
     assert str(info.value) == message
+
+
+def test_derivation_check_reads_its_failures():
+    for failures in ((), ("step 0: bad",)):
+        check = DerivationCheck(failures)
+        assert check.ok is bool(check) is (not failures)
+    with pytest.raises(AttributeError):
+        DerivationCheck(()).ok = False
 
 
 def test_defaults():
