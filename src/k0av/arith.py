@@ -571,7 +571,10 @@ class TorsionSubgroup(Record):
     basis: tuple[tuple[int, int], tuple[int, int]]
 
     def __init__(self, level: int, basis: tuple[tuple[int, int], tuple[int, int]]) -> None:
-        (a, b), (z, d) = basis
+        try:
+            (a, b), (z, d) = basis
+        except (TypeError, ValueError):
+            raise KernelInputError("basis must be two rows of two entries") from None
         if not (type(level) is type(a) is type(b) is type(z) is type(d) is int):
             raise KernelInputError("level and basis entries must be integers")
         if level < 1:

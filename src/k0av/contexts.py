@@ -24,6 +24,10 @@ A CM class is (mask, inert primes), multiplied by XOR; a form is looked up
 only to render it.  A CM context checks its discriminant by factoring
 alone, and mask 0 renders as the principal form, so a degree class with no
 split or ramified odd-exponent prime is answered without the class group.
+The genus characters of disc are characters mod |disc|, so a prime's
+splitting and its mask depend only on p mod |disc| (Cox, *Primes of the
+Form x^2 + ny^2*, Sec. 3.B and Thm. 6.1); `_prime_mask` is keyed by that
+residue and computes each class's mask once, from one prime of the class.
 
 Each kind defines the whole interface that `IsogenyContext`'s docstring
 lists (the base class defines none of it) and states its group law in
@@ -248,10 +252,23 @@ class EndZ(IsogenyContext):
 
 
 @lru_cache(maxsize=512)
-def _prime_mask(p: int, disc: int) -> int | None:
-    """Bounded memo of a prime's coset mask in C/C^2 (None when p is inert):
-    small primes recur across degrees.  A miss runs the full validation of
-    `prime_class`; a raise is not cached."""
+def _prime_mask(r: int, disc: int) -> int | None:
+    """Bounded memo of the coset mask in C/C^2 (None when inert) shared by
+    the primes p with p % |disc| == r.
+
+    The genus characters of disc are characters mod |disc|, so whether p
+    splits, and the coset of a prime ideal above it in C/C^2, depend only on
+    p mod |disc| (Cox, *Primes of the Form x^2 + ny^2*, Sec. 3.B and
+    Thm. 6.1): a discriminant misses at most once per residue class.  A
+    miss reads one prime of the class: r itself (|disc| when r is 0) if it
+    shares a factor with disc, else the least prime p with p % |disc| == r,
+    which exists by Dirichlet's theorem.  Its `prime_class` runs in full
+    and refuses a bad discriminant, and a raise is not cached."""
+    m = -disc
+    p = r or m
+    if m > 0 and gcd(r, m) == 1:  # else no walk: prime_class refuses disc or p
+        while not is_prime(p):
+            p += m
     pc = prime_class(p, disc)
     if pc.is_inert:
         return None
@@ -291,7 +308,7 @@ class _WithClassGroup(IsogenyContext):
         for p, e in q.exps:
             if e % 2 == 0:  # p^e is a norm: its class is a square, its inert parity even
                 continue
-            m = _prime_mask(p, self.disc)
+            m = _prime_mask(p % -self.disc, self.disc)
             if m is None:
                 inert.append(p)
             else:

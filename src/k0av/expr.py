@@ -75,9 +75,11 @@ class _Parser:
         """A ParseError at token `at`, by default the current one."""
         return ParseError(message, self.toks.pos(self.i if at is None else at), expected)
 
-    def found(self, expected: str) -> ParseError:
-        t = self.toks[self.i]
-        return self.error(f"found {excerpt(t)}" if t else "input ended", expected)
+    def found(self, expected: str, at: int | None = None) -> ParseError:
+        """A ParseError naming token `at`, by default the current one."""
+        at = self.i if at is None else at
+        t = self.toks[at]
+        return self.error(f"found {excerpt(t)}" if t else "input ended", expected, at)
 
     def expect(self, tok: str, expected: str) -> None:
         if self.toks[self.i] != tok:
@@ -133,33 +135,52 @@ class _Parser:
         raise self.found("'[' or 'dual'")
 
     def class_atom(self) -> ClassAtom:
-        self.expect("[", "'['")
-        at = self.i
-        n = self.nat("positive multiplicity")
+        """`[n; a]`, `[n; a/b]` or `[n; {...}]`, read in one pass: `atom`
+        has seen the '['.  Each test of a token fails on the closing "", and
+        the token after one is read only once its test passed, so no index
+        runs past the end."""
+        toks = self.toks
+        i = self.i + 1
+        if not toks[i].isdigit():
+            raise self.found("positive multiplicity", i)
+        n = toks.value(i)
         if n < 1:
-            raise self.error("multiplicity must be positive", "positive integer", at)
-        self.expect(";", "';' between multiplicity and degree")
-        spec = self.degspec()
-        self.expect("]", "']'")
+            raise self.error("multiplicity must be positive", "positive integer", i)
+        if toks[i + 1] != ";":
+            raise self.found("';' between multiplicity and degree", i + 1)
+        i += 2
+        if toks[i] == "{":
+            spec, i = parse_kernel_literal(toks, i)
+        else:
+            spec, i = self.rational_at(i, "rational or kernel literal")
+        if toks[i] != "]":
+            raise self.found("']'", i)
+        self.i = i + 1
         return ClassAtom(n, spec)
 
-    def rational(self) -> Fraction:
-        at = self.i
-        num, den = self.nat("positive rational"), 1
-        if self.toks[self.i] == "/":
-            self.i += 1
-            den = self.nat("denominator")
+    def rational_at(self, i: int, expected: str) -> tuple[Fraction, int]:
+        """The `rational` starting at token i, refused as not `expected`
+        unless a digit starts it, and the index of the token after it."""
+        toks = self.toks
+        if not toks[i].isdigit():
+            raise self.found(expected, i)
+        at = i
+        num = toks.value(i)
+        if toks[i + 1] == "/":
+            i += 2
+            if not toks[i].isdigit():
+                raise self.found("denominator", i)
+            den = toks.value(i)
+        else:
+            den = 1
         if num == 0 or den == 0:
             raise self.error("degree must be a positive rational", "positive rational", at)
-        return Fraction(num, den)
+        # Fraction(num) takes no gcd; both give the same value.
+        return (Fraction(num) if den == 1 else Fraction(num, den)), i + 1
 
-    def degspec(self) -> Fraction | KernelSpec:
-        t = self.toks[self.i]
-        if t.isdigit():
-            return self.rational()
-        if t == "{":
-            return self.kernel()
-        raise self.found("rational or kernel literal")
+    def rational(self) -> Fraction:
+        spec, self.i = self.rational_at(self.i, "positive rational")
+        return spec
 
     def kernel(self) -> KernelSpec:
         spec, self.i = parse_kernel_literal(self.toks, self.i)

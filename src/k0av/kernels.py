@@ -150,11 +150,12 @@ class Tokens(list):
     def value(self, i: int) -> int:
         """Value of token i as an integer literal, which `int_literal` refuses
         with its messages unless it is digits within the digit limit."""
-        t = self[i]
-        limit = int_digit_limit()
-        if t.isdigit() and not (limit and len(t) > limit):
-            return int(t)  # ASCII: the lexer admits no other digits
-        return int_literal(t, self.pos(i))
+        try:
+            # A token is ASCII digits, letters and '_', or one symbol, so
+            # `int` reads exactly the digit tokens within the digit limit.
+            return int(self[i])
+        except ValueError:
+            return int_literal(self[i], self.pos(i))
 
 
 def tokenize(text: str) -> Tokens:

@@ -20,6 +20,8 @@ from k0av.contexts import (
 from k0av.errors import ContextError, ContextMismatchError, KernelInputError
 from k0av.quadforms import is_fundamental_discriminant, prime_class, square_classes
 
+from conftest import fundamental_discs
+
 
 def test_make_context_cases():
     assert make_context({"case": "end_z", "g": 2}) == EndZ(2)
@@ -264,6 +266,40 @@ def test_prime_mask_memo_is_bounded_and_caches_no_raise():
         with pytest.raises(DiscriminantError):
             fn(5, -12)
     assert _prime_mask.cache_info().currsize == size
+
+
+def _primes_below(n):
+    return [p for p in range(2, n) if all(p % q for q in range(2, int(p**0.5) + 1))]
+
+
+def test_prime_mask_is_read_off_the_residue_mod_d():
+    # Genus theory: whether p splits, and the coset of a prime above it in
+    # C/C^2, depend only on p mod |d|.  The memo is keyed by that residue, and
+    # its answer must match each prime's own `prime_class`, p | d, p = |d|
+    # and p = 2 included.
+    from k0av.contexts import _prime_mask
+
+    primes = _primes_below(5000)
+    cases = [(d, 1000) for d in fundamental_discs(500)] + [(d, 5000) for d in (-20, -84, -1671, -5291)]
+    for d, bound in cases:
+        sq = square_classes(d)
+        for p in primes:
+            if p >= bound:
+                break
+            pc = prime_class(p, d)
+            want = None if pc.is_inert else sq.mask_of[sq.rep(pc.form)]
+            assert _prime_mask(p % -d, d) == want, (p, d)
+
+
+def test_prime_mask_memo_holds_one_entry_per_residue():
+    from k0av.contexts import _prime_mask
+
+    _prime_mask.cache_clear()
+    ctx = CM(-20)
+    for p in _primes_below(10**4):
+        ctx.degree_class(p)
+    # The primes below 10^4 fall into the 8 units mod 20 and the ramified 2 and 5.
+    assert _prime_mask.cache_info().currsize <= 10
 
 
 # The degree-class arithmetic that bit masks replaced: a class is (coset

@@ -1,12 +1,16 @@
 """Expression parsing, canonical printing, and evaluation."""
 
+import hashlib
+import json
+import pathlib
 import random
 import sys
+import types
 from fractions import Fraction
 
 import pytest
 
-from k0av.contexts import CM, CharPEndZ, EndZ, Supersingular
+from k0av.contexts import CM, CharPEndZ, EndZ, Supersingular, make_context
 from k0av.errors import ContextMismatchError, ParseError
 from k0av.expr import (
     MAX_NESTING,
@@ -106,6 +110,42 @@ def test_parse_errors_frozen():
             parse_expression(text)
         assert exc.value.pos == pos, text
         assert exc.value.expected == expected, text
+    # Each way a class atom `[n; a]` or `[n; a/b]` is refused, message included.
+    ended = "input ended"
+    atoms = [
+        ("[", 1, "positive multiplicity", ended),
+        ("[1", 2, "';' between multiplicity and degree", ended),
+        ("[1;", 3, "rational or kernel literal", ended),
+        ("[1; 5", 5, "']'", ended),
+        ("[1; 5/", 6, "denominator", ended),
+        ("[1; 5/3", 7, "']'", ended),
+        ("[0; 5]", 1, "positive integer", "multiplicity must be positive"),
+        ("[1; 0]", 4, "positive rational", "degree must be a positive rational"),
+        ("[1; 5/0]", 4, "positive rational", "degree must be a positive rational"),
+        ("[1 5]", 3, "';' between multiplicity and degree", "found '5'"),
+        ("[1; 5/3 5]", 8, "']'", "found '5'"),
+        ("[1; 5/]", 6, "denominator", "found ']'"),
+        ("[1; /3]", 4, "rational or kernel literal", "found '/'"),
+        ("[1; 5/3/2]", 7, "']'", "found '/'"),
+        ("[;5]", 1, "positive multiplicity", "found ';'"),
+    ]
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        big = "7" * (limit + 1)
+        over = (f"at most {limit} digits", f"integer literal has {limit + 1} digits, more than the limit of {limit}")
+        atoms += [
+            (f"[{big}; 5]", 1, *over),
+            (f"[1; {big}]", 4, *over),
+            (f"[1; 5/{big}]", 6, *over),
+            # The literals are read left to right, each checked as it is read.
+            (f"[{big}; 0]", 1, *over),
+            (f"[0; {big}]", 1, "positive integer", "multiplicity must be positive"),
+            (f"[1; 0/{big}]", 6, *over),
+        ]
+    for text, pos, expected, message in atoms:
+        with pytest.raises(ParseError) as exc:
+            parse_expression(text)
+        assert (exc.value.pos, exc.value.expected, exc.value.message) == (pos, expected, message), text[:20]
 
 
 def test_trailing_whitespace_is_free():
@@ -219,6 +259,26 @@ def test_integer_literal_digit_limit():
             parse_expression(text)
         assert exc.value.pos == pos, text
     assert parse_expression(f"[1; {'7' * limit}]").terms[0][1].spec == int("7" * limit)
+
+
+WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def test_degree_query_answers_pinned():
+    # The benchmark's `eval --equals` queries, read from perfbench's
+    # workloads.py compiled from its text (no bytecode is written next to
+    # it): the SHA-256 of each query's [x == y, x.to_json(), y.to_json()]
+    # over the first 3,000 queries of seed 101 pins every answer's bytes.
+    workloads = types.ModuleType("perfbench_workloads")
+    exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"), vars(workloads))
+    inputs = workloads.make_degree_query(101)
+    contexts = [make_context(spec) for spec in inputs["contexts"]]
+    digest = hashlib.sha256()
+    for ci, left, right, _ in inputs["queries"][:3000]:
+        x = eval_expression(contexts[ci], parse_expression(left))
+        y = eval_expression(contexts[ci], parse_expression(right))
+        digest.update(json.dumps([x == y, x.to_json(), y.to_json()]).encode())
+    assert digest.hexdigest() == "1d58a19893dc4193ad12c35515d39dbe2573d7b32adef85130d65ca09edfc7ac"
 
 
 def test_eval_matches_direct_classes():

@@ -238,6 +238,9 @@ _M = [[2, 1], [0, 3]]  # nonsingular
         (lambda: TorsionSubgroup(6, ((1.0, 0), (0, 6))), "level and basis entries must be integers"),
         (lambda: TorsionSubgroup("6", _B), "level and basis entries must be integers"),
         (lambda: TorsionSubgroup(True, ((1, 0), (0, 1))), "level and basis entries must be integers"),
+        (lambda: TorsionSubgroup(6, 5), "basis must be two rows of two entries"),
+        (lambda: TorsionSubgroup(6, ((1, 0),)), "basis must be two rows of two entries"),
+        (lambda: TorsionSubgroup(6, ((1, 0), (0, 6), (0, 1))), "basis must be two rows of two entries"),
         (lambda: FracLattice.make(2.5, _B), "lattice denominator must be an integer"),
         (lambda: FracLattice.make(True, _B), "lattice denominator must be an integer"),
         (lambda: FracLattice.make("2", _B), "lattice denominator must be an integer"),
@@ -267,6 +270,9 @@ _M = [[2, 1], [0, 3]]  # nonsingular
         "float_basis_entry",
         "str_level",
         "bool_level",
+        "int_basis",
+        "one_row_basis",
+        "three_row_basis",
         "float_lattice_den",
         "bool_lattice_den",
         "str_lattice_den",
