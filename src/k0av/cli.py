@@ -18,9 +18,9 @@ from collections.abc import Sequence
 from .arith import TorsionSubgroup, count_subgroups, det, matrix_isogeny_degree
 from .contexts import CM, IsogenyContext, make_context
 from .errors import K0Error, ParseError, excerpt
-from .expr import eval_expression, parse_expression, parse_kernel, parse_rational
+from .expr import eval_expression, parse_basis, parse_expression, parse_kernel, parse_rational
 from .k0 import Derivation, derive_same_degree, k0_class, validate_derivation
-from .kernels import int_literal, tokenize
+from .kernels import int_literal
 from .quadforms import class_group, square_classes
 
 
@@ -46,6 +46,14 @@ def _int_option(option: str):
             raise K0Error(f"argument {option}: {exc}") from None
 
     return read
+
+
+def _literal(parse, text: str, what: str):
+    """`parse(text)`, its ParseError reported as a bad `what`."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise K0Error(f"bad {what} {excerpt(text)}: {exc}") from None
 
 
 def _load_json(path: str, what: str):
@@ -107,17 +115,9 @@ def _cmd_structure(args) -> int:
 def _cmd_dist(args) -> int:
     ctx = _load_context(args.ctx)
     if args.kernel is not None:
-        try:
-            spec = parse_kernel(args.kernel)
-        except ParseError as exc:
-            raise K0Error(f"bad kernel {excerpt(args.kernel)}: {exc}") from exc
-        cls = k0_class(ctx, 1, spec).deg
+        cls = k0_class(ctx, 1, _literal(parse_kernel, args.kernel, "kernel")).deg
     else:
-        try:
-            q = parse_rational(args.degree)
-        except ParseError as exc:
-            raise K0Error(f"bad degree {excerpt(args.degree)}: {exc}") from exc
-        cls = ctx.degree_class(q)
+        cls = ctx.degree_class(_literal(parse_rational, args.degree, "degree"))
     payload = {"context": ctx.to_json(), "class": cls.to_json()}
     _emit(args, payload, cls.describe())
     return 0
@@ -142,14 +142,9 @@ def _cmd_eval(args) -> int:
 
 
 def _parse_hnf(text: str, level: int) -> TorsionSubgroup:
-    """A subgroup basis 'a,b,0,d': four entries of ASCII digits, separated
-    by commas or whitespace."""
-    try:
-        # value() refuses every token but digits; [:-1] drops the end.
-        toks = tokenize(text)
-        x = [toks.value(i) for i, t in enumerate(toks[:-1]) if t != ","]
-    except ParseError as exc:
-        raise K0Error(f"bad subgroup basis {excerpt(text)}: {exc}") from None
+    """A subgroup basis 'a,b,0,d' by the `basis` rule: four entries of ASCII
+    digits, separated by whitespace or at most one comma."""
+    x = _literal(parse_basis, text, "subgroup basis")
     if len(x) != 4:
         raise K0Error(f"subgroup basis needs 4 integers (row-major), got {excerpt(text)}")
     return TorsionSubgroup(level, ((x[0], x[1]), (x[2], x[3])))

@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from itertools import islice
 
 from ._record import Record, set_field
-from .arith import FactoredRational, det, int_digit_limit
+from .arith import FactoredRational, det, int_digit_limit, printable_int
 from .contexts import CharPEndZ, DegreeClass, IsogenyContext, Supersingular
 from .errors import ContextMismatchError, KernelInputError, ParseError, SingularMatrixError, excerpt
 
@@ -55,9 +55,11 @@ class KernelSpec(Record):
 
     def literal(self) -> str:
         """Canonical literal: the fields that differ from their defaults, in
-        field order; `parse_kernel` reads it back to an equal spec."""
+        field order; `parse_kernel` reads it back to an equal spec.  A field
+        past the int-conversion limit is refused (`arith.printable_int`)."""
         values = zip(self._fields, self._values(self._fields), KernelSpec.__init__.__defaults__)
-        return "{" + ", ".join(f"{k}:{v}" for k, v, default in values if v != default) + "}"
+        fields = (f"{k}:{printable_int(v, f'kernel field {k}')}" for k, v, default in values if v != default)
+        return "{" + ", ".join(fields) + "}"
 
 
 def _characteristic(ctx: IsogenyContext) -> int:
@@ -138,7 +140,8 @@ _STRAY = re.compile(r"[^\s0-9A-Za-z_" + re.escape(_SYMBOLS) + "]")
 
 class Tokens(list):
     """The tokens of `text` as plain strings, ending with "" for the end.
-    Offsets are found only when an error needs one."""
+    Offsets are found only when an error needs one; `error` and `found`
+    build each rule's ParseError, and `value` a bad integer literal's."""
 
     __slots__ = ("text",)
 
@@ -146,6 +149,15 @@ class Tokens(list):
         """Offset of token i in the text; the end's is len(text)."""
         m = next(islice(_TOKEN.finditer(self.text), i, None), None)
         return len(self.text) if m is None else m.start()
+
+    def error(self, i: int, message: str, expected: str | None = None) -> ParseError:
+        """A ParseError at token i."""
+        return ParseError(message, self.pos(i), expected)
+
+    def found(self, i: int, expected: str) -> ParseError:
+        """A ParseError that names token i, which is not `expected`."""
+        t = self[i]
+        return self.error(i, f"found {excerpt(t)}" if t else "input ended", expected)
 
     def value(self, i: int) -> int:
         """Value of token i as an integer literal, which `int_literal` refuses
@@ -179,31 +191,31 @@ def parse_kernel_literal(toks: Tokens, i: int) -> tuple[KernelSpec, int]:
     defaults fill the absent fields, and the index of the token after '}'."""
     start = i
     if toks[i] != "{":
-        raise ParseError("kernel literal must start with '{'", toks.pos(i), "'{'")
+        raise toks.error(i, "kernel literal must start with '{'", "'{'")
     out: dict[str, int] = {}
     i += 1
     while (key := toks[i]) != "}":
         if key in _ENDS_KERNEL:
-            raise ParseError("unterminated kernel literal", toks.pos(start), "'}'")
+            raise toks.error(start, "unterminated kernel literal", "'}'")
         if key not in KernelSpec._fields:
             *first, last = KernelSpec._fields
-            raise ParseError(f"unknown kernel field {excerpt(key)}", toks.pos(i), f"{', '.join(first)} or {last}")
+            raise toks.error(i, f"unknown kernel field {excerpt(key)}", f"{', '.join(first)} or {last}")
         if key in out:
-            raise ParseError(f"duplicate kernel field {key!r}", toks.pos(i))
+            raise toks.error(i, f"duplicate kernel field {key!r}")
         # toks ends with "", so toks[i + 2] exists whenever toks[i + 1] is ':'.
         if toks[i + 1] != ":" or not toks[i + 2].isdigit():
-            raise ParseError(f"field {key!r} needs ': <integer>'", toks.pos(i + 1), "':' and an integer")
+            raise toks.error(i + 1, f"field {key!r} needs ': <integer>'", "':' and an integer")
         out[key] = toks.value(i + 2)
         i += 3
         sep = toks[i]
         if sep == ",":
             i += 1
             if toks[i] == "}":
-                raise ParseError("trailing comma in kernel literal", toks.pos(i))
+                raise toks.error(i, "trailing comma in kernel literal")
         elif sep != "}" and sep not in _ENDS_KERNEL:
-            raise ParseError("expected ',' or '}' after kernel field", toks.pos(i), "',' or '}'")
+            raise toks.error(i, "expected ',' or '}' after kernel field", "',' or '}'")
         # Any other token fails the next pass's first check: unterminated.
     # Checked before the constructor, whose refusal carries no position.
     if out.get("coprime", 1) < 1:
-        raise ParseError("coprime order must be positive", toks.pos(start))
+        raise toks.error(start, "coprime order must be positive")
     return KernelSpec(**out), i + 1

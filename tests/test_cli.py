@@ -282,6 +282,39 @@ def test_derive_input_errors(capsys):
     assert "orders differ" in err
 
 
+@pytest.mark.parametrize("basis", ["1 0 0 6", "1, 0, 0, 6", "1,0 0,6"])
+def test_derive_basis_separators(capsys, basis):
+    # Entries are separated by whitespace or by at most one comma.
+    argv = ["derive", "--n", "6", "--c2", "6,0,0,1", "--c1"]
+    assert run(capsys, argv + [basis]) == run(capsys, argv + ["1,0,0,6"])
+
+
+_NOT_DIGITS = "bad integer literal {!r} (expected ASCII digits)"
+
+
+@pytest.mark.parametrize(
+    "basis, message",
+    [
+        # An empty entry is refused at the comma that stands in its place.
+        ("1,,0,0,6", "bad subgroup basis '1,,0,0,6': at position 2: " + _NOT_DIGITS.format(",")),
+        (",1,0,0,6", "bad subgroup basis ',1,0,0,6': at position 0: " + _NOT_DIGITS.format(",")),
+        ("1,0,0,6,", "bad subgroup basis '1,0,0,6,': at position 7: " + _NOT_DIGITS.format(",")),
+        (",", "bad subgroup basis ',': at position 0: " + _NOT_DIGITS.format(",")),
+        ("", "subgroup basis needs 4 integers (row-major), got ''"),
+        ("1,0,0", "subgroup basis needs 4 integers (row-major), got '1,0,0'"),
+        ("1;0;0;6", "bad subgroup basis '1;0;0;6': at position 1: " + _NOT_DIGITS.format(";")),
+        (
+            "\u0661,0,0,2",
+            "bad subgroup basis '\u0661,0,0,2': at position 0: unexpected character '\u0661' (expected expression syntax)",
+        ),
+    ],
+    ids=["double-comma", "leading-comma", "trailing-comma", "lone-comma", "empty", "three", "semicolons", "arabic-indic"],
+)
+def test_derive_basis_refusals(capsys, basis, message):
+    code, out, err = run(capsys, ["derive", "--n", "6", "--c1", basis, "--c2", "6,0,0,1"])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_derive_unwritable_out(capsys, tmp_path):
     out = tmp_path / "missing" / "x.json"
     code, stdout, err = run(

@@ -4,6 +4,7 @@ import hashlib
 import json
 import pathlib
 import random
+import re
 import sys
 import types
 from fractions import Fraction
@@ -20,6 +21,7 @@ from k0av.expr import (
     Sum,
     eval_expression,
     parse_expression,
+    parse_kernel,
     parse_rational,
     print_expression,
 )
@@ -146,6 +148,49 @@ def test_parse_errors_frozen():
         with pytest.raises(ParseError) as exc:
             parse_expression(text)
         assert (exc.value.pos, exc.value.expected, exc.value.message) == (pos, expected, message), text[:20]
+    # Each way a term, an atom or a whole expression is refused, message included.
+    deep = "dual(" * (MAX_NESTING + 1) + "[1; 2]" + ")" * (MAX_NESTING + 1)
+    rules = [
+        ("-[1; 2]", 1, "integer coefficient", "found '['"),
+        ("- -[1; 2]", 2, "integer coefficient", "found '-'"),
+        ("2*", 2, "'[' or 'dual'", ended),
+        ("dual", 4, "'(' after dual", ended),
+        ("dual([", 6, "positive multiplicity", ended),
+        ("dual([1; 2]", 11, "')'", ended),
+        ("frob", 0, "'dual'", "unknown name 'frob'"),
+        ("[1; 2] +", 8, "'[' or 'dual'", ended),
+        ("[1; {zp:1]", 4, "'}'", "unterminated kernel literal"),
+        ("[1; {zp:1}", 10, "']'", ended),
+        (deep, 5 * MAX_NESTING, "shallower nesting", f"dual(...) nested deeper than {MAX_NESTING}"),
+    ]
+    if limit:
+        rules.append((f"{big}*[1; 2]", 0, *over))
+    for text, pos, expected, message in rules:
+        with pytest.raises(ParseError) as exc:
+            parse_expression(text)
+        assert (exc.value.pos, exc.value.expected, exc.value.message) == (pos, expected, message), text[:20]
+
+
+def test_kernel_literal_errors_frozen():
+    # Each refusal of `parse_kernel_literal`, read through `parse_kernel`.
+    fields = "':' and an integer"
+    cases = [
+        ("{", 0, "'}'", "unterminated kernel literal"),
+        ("{zp", 3, fields, "field 'zp' needs ': <integer>'"),
+        ("{zp:", 3, fields, "field 'zp' needs ': <integer>'"),
+        ("{zp:1", 0, "'}'", "unterminated kernel literal"),
+        ("{zp:1,}", 6, None, "trailing comma in kernel literal"),
+        ("{zp:1 mup:1}", 6, "',' or '}'", "expected ',' or '}' after kernel field"),
+        ("{zp:1, zp:2}", 7, None, "duplicate kernel field 'zp'"),
+        ("{frob:1}", 1, "zp, mup, alphap or coprime", "unknown kernel field 'frob'"),
+        ("{coprime:0}", 0, None, "coprime order must be positive"),
+        ("zp:1}", 0, "'{'", "kernel literal must start with '{'"),
+        ("{zp:1}}", 6, "end of input", "trailing input '}'"),
+    ]
+    for text, pos, expected, message in cases:
+        with pytest.raises(ParseError) as exc:
+            parse_kernel(text)
+        assert (exc.value.pos, exc.value.expected, exc.value.message) == (pos, expected, message), text
 
 
 def test_trailing_whitespace_is_free():
@@ -279,6 +324,63 @@ def test_degree_query_answers_pinned():
         y = eval_expression(contexts[ci], parse_expression(right))
         digest.update(json.dumps([x == y, x.to_json(), y.to_json()]).encode())
     assert digest.hexdigest() == "1d58a19893dc4193ad12c35515d39dbe2573d7b32adef85130d65ca09edfc7ac"
+
+
+# Characters a mutation draws from: the digits, the symbols, a space, '_'
+# and the letters of the grammar's names.
+MUTATION_ALPHABET = "0123456789[];*+-/(){}:, _adeilmoprtuz"
+DEGREE_TEXT = re.compile(r"\[[^\[\];]*;([^\]]*)\]")
+
+
+def _mutations(rng, text):
+    """Three copies of `text`, each with one character deleted, inserted or
+    replaced."""
+    out = []
+    for _ in range(3):
+        at = rng.randrange(len(text) + 1)
+        kind = rng.choice(("delete", "insert", "replace"))
+        char = rng.choice(MUTATION_ALPHABET)
+        if kind == "insert" or at == len(text):
+            out.append(text[:at] + char + text[at:])
+        elif kind == "delete":
+            out.append(text[:at] + text[at + 1 :])
+        else:
+            out.append(text[:at] + char + text[at + 1 :])
+    return out
+
+
+def _read(digest, parse, text, render=str):
+    """Hash what `parse` makes of `text`: the rendering of its result, or
+    the (pos, expected, message) of its refusal."""
+    try:
+        seen = ["ok", render(parse(text))]
+    except ParseError as exc:
+        seen = ["refused", exc.pos, exc.expected, exc.message]
+    digest.update(json.dumps(seen).encode())
+
+
+def test_parser_corpus_pinned():
+    # The degree-query expressions of seed 101, as in
+    # test_degree_query_answers_pinned, and three seeded one-character
+    # mutations of each; then every class atom's degree text read alone by
+    # `parse_rational` and by `parse_kernel`.  One SHA-256 pins each result
+    # and each refusal.
+    workloads = types.ModuleType("perfbench_workloads")
+    exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"), vars(workloads))
+    rng = random.Random(29)
+    texts = []
+    for _, left, right, _ in workloads.make_degree_query(101)["queries"][:3000]:
+        for side in (left, right):
+            texts += [side, *_mutations(rng, side)]
+    digest = hashlib.sha256()
+    for text in texts:
+        _read(digest, parse_expression, text, print_expression)
+    for text in texts:
+        for degree in DEGREE_TEXT.findall(text):
+            _read(digest, parse_rational, degree)
+            _read(digest, parse_kernel, degree, KernelSpec.literal)
+    assert len(texts) == 24000
+    assert digest.hexdigest() == "539168a44baf802a6d2b37c13f199e364845ffd0b0984fea7cb7a6fea7a13bec"
 
 
 def test_eval_matches_direct_classes():

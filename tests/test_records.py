@@ -29,7 +29,7 @@ from k0av.contexts import (
     Supersingular,
 )
 from k0av.errors import ContextError, DiscriminantError, K0Error, KernelInputError
-from k0av.expr import ClassAtom, Dual, KernelSpec, Sum
+from k0av.expr import ClassAtom, Dual, KernelSpec, Sum, print_expression
 from k0av.k0 import Derivation, DerivationCheck, K0Element, QuotientRelation, derive_same_degree
 from k0av.kernels import class_in_image, kernel_class, kernel_of_matrix_endo
 from k0av.quadforms import (
@@ -210,6 +210,13 @@ def test_constructors_raise_the_same_errors(build, error):
 
 
 _M = [[2, 1], [0, 3]]  # nonsingular
+_DIGITS = sys.get_int_max_str_digits()
+_HAS_DIGIT_LIMIT = pytest.mark.skipif(not _DIGITS, reason="the interpreter sets no int-conversion limit")
+_HUGE = 10**5000  # past the default digit limit of 4,300
+
+
+def _too_long(what):
+    return f"{what} has more digits than the limit of {_DIGITS} (sys.get_int_max_str_digits())"
 
 
 # Every library error derives from K0Error (errors.py), including these
@@ -247,6 +254,18 @@ _M = [[2, 1], [0, 3]]  # nonsingular
         (lambda: matrix_isogeny_degree([[2]], 1.5), "dimension must be an integer"),
         (lambda: matrix_isogeny_degree([[2]], True), "dimension must be an integer"),
         (lambda: matrix_isogeny_degree([[2]], "1"), "dimension must be an integer"),
+        pytest.param(
+            lambda: print_expression(ClassAtom(_HUGE, Fraction(3))), _too_long("multiplicity"), marks=_HAS_DIGIT_LIMIT
+        ),
+        pytest.param(
+            lambda: print_expression(ClassAtom(1, Fraction(_HUGE, 3))), _too_long("degree"), marks=_HAS_DIGIT_LIMIT
+        ),
+        pytest.param(
+            lambda: print_expression(Sum(((_HUGE, ClassAtom(1, Fraction(3))),))),
+            _too_long("coefficient"),
+            marks=_HAS_DIGIT_LIMIT,
+        ),
+        pytest.param(lambda: KernelSpec(zp=_HUGE).literal(), _too_long("kernel field zp"), marks=_HAS_DIGIT_LIMIT),
     ],
     ids=[
         "prime_class",
@@ -279,6 +298,10 @@ _M = [[2, 1], [0, 3]]  # nonsingular
         "float_dimension",
         "bool_dimension",
         "str_dimension",
+        "print_long_multiplicity",
+        "print_long_degree",
+        "print_long_coefficient",
+        "print_long_kernel_field",
     ],
 )
 def test_library_errors_are_k0_errors(call, message):
