@@ -1,5 +1,19 @@
 """Helpers shared by the test files."""
 
+import pathlib
+import types
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    """perfbench's `name`.py as a module, compiled from its text, so no
+    bytecode is written next to it."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
+    return module
+
 
 def fundamental_discs(limit):
     """Negative fundamental discriminants d with |d| <= limit, by trial

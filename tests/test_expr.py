@@ -2,11 +2,9 @@
 
 import hashlib
 import json
-import pathlib
 import random
 import re
 import sys
-import types
 from fractions import Fraction
 
 import pytest
@@ -26,6 +24,8 @@ from k0av.expr import (
     print_expression,
 )
 from k0av.k0 import K0Element, k0_class
+
+from conftest import load_perfbench
 
 
 def test_parse_frozen():
@@ -306,16 +306,12 @@ def test_integer_literal_digit_limit():
     assert parse_expression(f"[1; {'7' * limit}]").terms[0][1].spec == int("7" * limit)
 
 
-WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
 def test_degree_query_answers_pinned():
     # The benchmark's `eval --equals` queries, read from perfbench's
     # workloads.py compiled from its text (no bytecode is written next to
     # it): the SHA-256 of each query's [x == y, x.to_json(), y.to_json()]
     # over the first 3,000 queries of seed 101 pins every answer's bytes.
-    workloads = types.ModuleType("perfbench_workloads")
-    exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"), vars(workloads))
+    workloads = load_perfbench("workloads")
     inputs = workloads.make_degree_query(101)
     contexts = [make_context(spec) for spec in inputs["contexts"]]
     digest = hashlib.sha256()
@@ -365,8 +361,7 @@ def test_parser_corpus_pinned():
     # mutations of each; then every class atom's degree text read alone by
     # `parse_rational` and by `parse_kernel`.  One SHA-256 pins each result
     # and each refusal.
-    workloads = types.ModuleType("perfbench_workloads")
-    exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"), vars(workloads))
+    workloads = load_perfbench("workloads")
     rng = random.Random(29)
     texts = []
     for _, left, right, _ in workloads.make_degree_query(101)["queries"][:3000]:

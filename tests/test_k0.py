@@ -27,6 +27,8 @@ from k0av.k0 import (
 )
 from k0av.kernels import KernelSpec, kernel_class
 
+from conftest import load_perfbench
+
 
 def lattice(level, *gens):
     """The lattice L of the subgroup L/Z^2 of (Q/Z)^2 generated by the
@@ -673,6 +675,150 @@ def test_certificate_bytes_pinned():
     assert count == 744
     assert digest.hexdigest() == CERTS_LEVEL_8_SHA256
 
+
+
+# The benchmark's certify line at seed 1: the certificates of the first
+# CERT_FLOOR_ROUNDS rounds of `make_certify(1)`, 240 pairs, in the compact
+# JSON the worker writes.  A certify run reports `cert_digest`,
+# `k0.steps_total` and `k0.cert_bytes_total` over the same texts.
+CERTIFY_SEED_1_DIGEST = "af64b3b03973944f9d6bdc8dc6b8757c9c2610cda8928be7fe43edcd106208c9"
+workloads = load_perfbench("workloads")
+
+
+@pytest.fixture(scope="module")
+def certify_seed_1():
+    inputs = workloads.make_certify(1)
+    texts = []
+    for n, (a, b, d), (a2, b2, d2) in inputs["pairs"][: inputs["floor"]]:
+        c1, c2 = TorsionSubgroup(n, ((a, b), (0, d))), TorsionSubgroup(n, ((a2, b2), (0, d2)))
+        texts.append(json.dumps(derive_same_degree(n, c1, c2).to_json(), separators=(",", ":")))
+    return inputs, texts
+
+
+def test_certify_seed_1_pinned(certify_seed_1):
+    inputs, texts = certify_seed_1
+    assert len(texts) == 240
+    assert workloads.digest(texts) == CERTIFY_SEED_1_DIGEST
+    assert sum(len(json.loads(text)["steps"]) for text in texts) == 514
+    assert sum(len(text.encode()) for text in texts) == 128_507
+    # Every certificate and every corrupted copy of it, where the worker
+    # corrupts one certificate in four.
+    checks = []
+    for i, text in enumerate(texts):
+        for kind in (None, *workloads.CORRUPTIONS):
+            cert = json.loads(text) if kind is None else workloads.corrupt(json.loads(text), kind)
+            try:
+                accepted = bool(validate_derivation(Derivation.from_json(cert)))
+            except K0Error:
+                accepted = False
+            checks.append([i, kind, accepted])
+    assert workloads.check_certify(inputs, {"certs": texts, "checks": checks}) == []
+
+
+# Values of the wrong type for an integer field of a certificate.
+NOT_INTS = (True, 1.0, "1", None, [1])
+DELETE = object()
+
+
+def _lattice_mutations(lat):
+    """(key, value) pairs, each one change to the lattice dict `lat`; a
+    callable value is applied to the field's current value."""
+    den, rows = lat["den"], lat["basis"]
+    (a, b), (z, d) = rows
+    out = [("den", v) for v in (*NOT_INTS, 0, -1, -den, DELETE)]
+    for r in range(2):
+        for c in range(2):
+            for v in NOT_INTS:
+                basis = [list(row) for row in rows]
+                basis[r][c] = v
+                out.append(("basis", basis))
+    out += [("basis", v) for v in ([], rows[:1], rows + rows[:1], "ab", 5, None, {"0": rows[0]}, DELETE)]
+    out += [
+        ("basis", lambda rows: tuple(tuple(row) for row in rows)),
+        ("basis", lambda rows: iter([iter(row) for row in rows])),
+        ("basis", lambda rows: [iter(row) for row in rows]),
+        ("basis", lambda rows: [iter([*rows[0], 0]), iter(rows[1])]),
+        ("basis", lambda rows: [iter([float(rows[0][0]), rows[0][1]]), iter(rows[1])]),
+        ("basis", [[a, b], [z, d, 0]]),
+        ("basis", [[a], [z, d]]),
+    ]
+    # Bases of full rank that are not canonical, and two that are singular.
+    out += [
+        ("basis", [[a, b + d], [z, d]]),
+        ("basis", [[-a, -b], [z, -d]]),
+        ("basis", [[z, d], [a, b]]),
+        ("basis", [[a, b], [a, b + d]]),
+        ("basis", [[a, b], [2 * a, 2 * b]]),
+        ("basis", [[0, 0], [0, 0]]),
+    ]
+    out.append(("den", 2 * den))
+    out.append(("basis", [[2 * a, 2 * b], [z, 2 * d]]))
+    return out
+
+
+def _at(cert, path):
+    for part in path:
+        cert = cert[part]
+    return cert
+
+
+def _certificate_mutations(cert, i):
+    """(path, key, value) triples, each one change to `cert`: every lattice
+    change of `_lattice_mutations` to one of its lattices, and every change
+    of its level, its degree and one step's sign and orders.  Which lattice
+    and which step turn with i and the change."""
+    steps = cert["steps"]
+    places = [("c1",), ("c2",)] + [("steps", j, name) for j in range(len(steps)) for name in ("base", "sub1", "sub2", "sum")]
+    changes = [_lattice_mutations(_at(cert, path)) for path in places]
+    out = []
+    for k in range(len(changes[0])):
+        at = (i + k) % len(places)
+        out.append((places[at], *changes[at][k]))
+    for v in (*NOT_INTS, 0, -1, lambda level: 2 * level, DELETE):
+        out.append(((), "level", v))
+    for v in (True, 1.0, "1", [1], 0, lambda degree: degree + 1, DELETE):
+        out.append(((), "degree", v))
+    step = ("steps", i % len(steps))
+    for v in (*NOT_INTS, 0, 2, lambda sign: -sign, DELETE):
+        out.append((step, "sign", v))
+    orders = _at(cert, step)["orders"]
+    for v in ("12", 5, {"0": 1}, [1], orders + [1], [orders[0] + 1, orders[1]], DELETE):
+        out.append((step, "orders", v))
+    for v in NOT_INTS:
+        out.append((step, "orders", [v, orders[1]]))
+        out.append((step, "orders", [orders[0], v]))
+    return out
+
+
+def _outcome(cert):
+    """What reading and checking `cert` gives: its failure list, or the
+    type and message of what it raised."""
+    try:
+        return ["checked", list(validate_derivation(Derivation.from_json(cert)).failures)]
+    except K0Error as exc:
+        return ["raised", type(exc).__name__, str(exc)]
+
+
+def test_certificate_read_path_pinned(certify_seed_1):
+    # One SHA-256 over the outcome of each certificate of the certify pin
+    # and of each single-field change to it: every way of reading a
+    # lattice, a step and the goals, malformed or not, stays as it is.
+    _, texts = certify_seed_1
+    digest = hashlib.sha256()
+    count = 0
+    for i, text in enumerate(texts):
+        digest.update(json.dumps(_outcome(json.loads(text))).encode())
+        for path, key, value in _certificate_mutations(json.loads(text), i):
+            cert = json.loads(text)
+            target = _at(cert, path)
+            if value is DELETE:
+                del target[key]
+            else:
+                target[key] = value(target[key]) if callable(value) else value
+            digest.update(json.dumps(_outcome(cert)).encode())
+            count += 1
+    assert count == 22_560
+    assert digest.hexdigest() == "aa478dd9108de637f51bb88409f30d3fd9b9666a3fd9a40466d078e224d1a19b"
 
 def test_derive_rejects_mismatches():
     with pytest.raises(LevelMismatchError):

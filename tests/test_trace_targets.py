@@ -7,23 +7,14 @@ still see the calls `spans.PREDICTIONS` expects."""
 
 import json
 import os
-import pathlib
 import subprocess
 import sys
-import types
 
 import pytest
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from conftest import PERFBENCH, load_perfbench
 
-
-def _load_spans():
-    module = types.ModuleType("perfbench_spans")
-    exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), vars(module))
-    return module
-
-
-spans = _load_spans()
+spans = load_perfbench("spans")
 
 
 @pytest.mark.parametrize("metric, module, path, kind", spans.TARGETS, ids=[t[0] for t in spans.TARGETS])
@@ -101,7 +92,7 @@ def _run(argv, **env):
     import k0av
 
     src = os.path.dirname(os.path.dirname(k0av.__file__))
-    path = os.pathsep.join(filter(None, (str(SPANS.parent), src, os.environ.get("PYTHONPATH"))))
+    path = os.pathsep.join(filter(None, (str(PERFBENCH), src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-B", *argv],
         capture_output=True,
@@ -143,7 +134,7 @@ def test_cli_trace_predictions_hold(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cm.json").write_text(json.dumps({"case": "cm", "disc": -20}))
     (tmp_path / "charp.json").write_text(json.dumps({"case": "char_p_end_z", "p": 5}))
-    shim = str(SPANS.parent / "cli_shim.py")
+    shim = str(PERFBENCH / "cli_shim.py")
     snaps = []
     for i, argv in enumerate(_CLI_CALLS):
         out = tmp_path / f"trace{i}.json"
