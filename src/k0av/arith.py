@@ -426,7 +426,11 @@ class FracLattice(Record):
     callers build canonical data; `make` reduces any rows, and
     `is_canonical` tests a lattice built by hand.  `from_json` keeps a
     lattice that passes `is_canonical` (every lattice `to_json` writes
-    does) as it is, and sends any other input through `make`.
+    does) as it is, and sends any other input through `make`.  The shape
+    `to_json` writes, an int `den` and a 2x2 list basis of ints, is read in
+    one step: the lists unpacked once their type is known, one chained type
+    test of the five ints, then `is_canonical`.  Any other input takes the
+    general path, with the same result or error.
     """
 
     __slots__ = _fields = ("den", "basis")
@@ -542,6 +546,19 @@ class FracLattice(Record):
 
     @staticmethod
     def from_json(data: Mapping) -> FracLattice:
+        # The shape `to_json` writes.  Each list's type is tested before it
+        # is unpacked, so no iterator is consumed on the way to the general
+        # path below.
+        try:
+            den, basis = data["den"], data["basis"]
+            row0, row1 = basis if type(basis) is list else ()
+            if type(row0) is type(row1) is list:
+                (a, b), (z, d) = row0, row1
+                if type(den) is type(a) is type(b) is type(z) is type(d) is int:
+                    lat = FracLattice(den, ((a, b), (z, d)))
+                    return lat if lat.is_canonical else FracLattice.make(den, lat.basis)
+        except (KeyError, TypeError, ValueError):
+            pass
         try:
             den = strict_int(data["den"])
             rows = [(strict_int(x), strict_int(y)) for x, y in data["basis"]]

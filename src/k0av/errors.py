@@ -17,6 +17,23 @@ def excerpt(text: str, limit: int = 40) -> str:
     return f"{text[:limit]!r}... ({len(text)} characters)"
 
 
+def int_excerpt(value: int, limit: int = 40, lead: int = 10) -> str:
+    """`value` in decimal for a message: whole up to `limit` digits, past
+    that its first `lead` digits and its digit count.  No more than
+    `limit` digits are ever converted, so the interpreter's int-conversion
+    limit cannot make it raise."""
+    size = abs(value)
+    if size < 10**limit:
+        return str(value)
+    # An estimate from the bit length, then corrected: 10**(digits-1) <= size < 10**digits.
+    digits = int(size.bit_length() * 0.30102999566398120) + 1
+    while 10 ** (digits - 1) > size:
+        digits -= 1
+    while 10**digits <= size:
+        digits += 1
+    return f"{'-' if value < 0 else ''}{size // 10 ** (digits - lead)}... ({digits} digits)"
+
+
 class SingularMatrixError(K0Error):
     """Matrix operation that requires a nonzero determinant got a singular input."""
 

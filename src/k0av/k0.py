@@ -43,10 +43,19 @@ with `FracLattice.from_json`, which keeps one already canonical (every
 lattice `to_json` writes is) and reduces any other through `make`;
 `derive_same_degree` builds with `make`, `from_subgroup` and `_scaled`,
 which reduce as `make` does.  So reading a certificate tests each lattice
-once and deriving one tests none.  Each recomputed sum D1+D2 is
-`FracLattice.__add__`, in closed form, and the telescoping sum adds each
-step's four signed lattices into one dict, keyed by (den, basis), which
-names a canonical lattice.
+once and deriving one tests none.  A lattice in the shape `to_json`
+writes, exact ints in a 2x2 list, is read in one step: its lists are
+unpacked and its five ints type-tested together before that canonical
+test.  A step's `sign` and `orders` that are exact ints skip
+`strict_int`.  Any other input takes the general path, with the same
+result or error.  `to_json` builds each step dict once.  A failure line
+shows an integer of more than 40 digits through `errors.int_excerpt`, so
+none grows with the certificate's numbers or raises past the
+int-conversion limit.
+
+Each recomputed sum D1+D2 is `FracLattice.__add__`, in closed form, and
+the telescoping sum adds each step's four signed lattices into one dict,
+keyed by (den, basis), which names a canonical lattice.
 
 Trivial intersection is decided by the index identity, not by
 intersecting.  For D1, D2 >= B the second isomorphism theorem gives
@@ -98,7 +107,7 @@ from .arith import (
     strict_int,
 )
 from .contexts import DegreeClass, IsogenyContext
-from .errors import DerivationError, LevelMismatchError
+from .errors import DerivationError, LevelMismatchError, int_excerpt
 from .kernels import KernelSpec, kernel_class
 
 
@@ -201,13 +210,19 @@ class QuotientRelation(Record):
         _set_stated_orders(self, stated_orders)
 
     def to_json(self) -> dict:
-        return {
-            "base": self.base.to_json(),
-            "sub1": self.sub1.to_json(),
-            "sub2": self.sub2.to_json(),
-            "sum": self.joint.to_json(),
-            "orders": [self.sub1.index_over(self.base), self.sub2.index_over(self.base)],
-        }
+        return self._write({})
+
+    def _write(self, out: dict) -> dict:
+        """`out` with this relation's lattices and orders added, in a
+        certificate step's key order; `Derivation.to_json` passes the
+        step's sign, so each step dict is built once."""
+        base = self.base
+        out["base"] = base.to_json()
+        out["sub1"] = self.sub1.to_json()
+        out["sub2"] = self.sub2.to_json()
+        out["sum"] = self.joint.to_json()
+        out["orders"] = [self.sub1.index_over(base), self.sub2.index_over(base)]
+        return out
 
 
 _set_base = QuotientRelation.base.__set__
@@ -257,7 +272,7 @@ class Derivation(Record):
             "degree": self.degree,
             "c1": self.c1.to_json(),
             "c2": self.c2.to_json(),
-            "steps": [dict(sign=s, **rel.to_json()) for s, rel in self.steps],
+            "steps": [rel._write({"sign": s}) for s, rel in self.steps],
         }
 
     @staticmethod
@@ -275,23 +290,24 @@ class Derivation(Record):
             if not isinstance(raw_steps, (list, tuple)):
                 raise ValueError("steps must be a list of step objects")
             steps = []
+            read = FracLattice.from_json
+            # A field whose type is already exact skips `strict_int`.
             for i, entry in enumerate(raw_steps):
-                if not isinstance(entry, Mapping):
+                if type(entry) is not dict and not isinstance(entry, Mapping):
                     raise ValueError(f"step {i} must be an object")
-                sign = strict_int(entry["sign"])
+                sign = entry["sign"]
+                if type(sign) is not int:
+                    sign = strict_int(sign)
                 orders = entry.get("orders")
                 if orders is not None:
                     if not isinstance(orders, (list, tuple)) or len(orders) != 2:
                         raise ValueError("step orders must be a pair of integers")
-                    orders = (strict_int(orders[0]), strict_int(orders[1]))
-                rel = QuotientRelation(
-                    FracLattice.from_json(entry["base"]),
-                    FracLattice.from_json(entry["sub1"]),
-                    FracLattice.from_json(entry["sub2"]),
-                    FracLattice.from_json(entry["sum"]),
-                    orders,
-                )
-                steps.append((sign, rel))
+                    o1, o2 = orders
+                    if type(o1) is not int or type(o2) is not int:
+                        o1, o2 = strict_int(o1), strict_int(o2)
+                    orders = o1, o2
+                lattices = read(entry["base"]), read(entry["sub1"]), read(entry["sub2"]), read(entry["sum"])
+                steps.append((sign, QuotientRelation(*lattices, orders)))
         except (KeyError, TypeError, ValueError) as exc:
             raise DerivationError(f"malformed certificate: {exc}") from exc
         return _trusted(level, c1, c2, tuple(steps), degree)
@@ -345,18 +361,18 @@ def validate_derivation(d: Derivation) -> DerivationCheck:
     failures: list[str] = []
     level = d.level
     if level < 1:
-        failures.append(f"level {level} is not positive")
+        failures.append(f"level {int_excerpt(level)} is not positive")
     for name, lat in (("c1", d.c1), ("c2", d.c2)):
         # (1/level)Z^2 contains [[a, b], [0, c]]/den when den divides
         # level*a, level*b and level*c; den is prime to gcd(a, b, c),
         # so exactly when den divides level.
         if level >= 1 and level % lat.den:
-            failures.append(f"{name} is not killed by the level {level}")
+            failures.append(f"{name} is not killed by the level {int_excerpt(level)}")
         if not contains_z2_times(lat.den, lat.basis):
             failures.append(f"{name} does not contain Z^2")
     for i, (sign, rel) in enumerate(d.steps):
         if sign not in (1, -1):
-            failures.append(f"step {i}: sign {sign} is not +1/-1")
+            failures.append(f"step {i}: sign {int_excerpt(sign)} is not +1/-1")
         # A sub that contains the base, and a correct stored sum, then
         # contain Z^2 too.
         if not contains_z2_times(rel.base.den, rel.base.basis):
@@ -382,7 +398,7 @@ def validate_derivation(d: Derivation) -> DerivationCheck:
         stated = rel.stated_orders
         if orders is not None and stated is not None and list(stated) != orders:
             failures.append(
-                f"step {i}: stated orders {list(stated)} are not the indices {orders} over the base"
+                f"step {i}: stated orders {_ints(stated)} are not the indices {_ints(orders)} over the base"
             )
     # The steps telescope when their signed sum less [c1] - [c2] is zero.
     signed = [(d.c1, -1), (d.c2, 1)]
@@ -400,10 +416,17 @@ def validate_derivation(d: Derivation) -> DerivationCheck:
         failures.append("goal subgroups have different orders")
     elif d.stated_degree is not None and d.stated_degree * num1 != den1:
         # The order of c1 over Z^2 is the inverse of its covolume.
+        g = gcd(den1, num1)
+        order = int_excerpt(den1 // g) + ("" if num1 == g else f"/{int_excerpt(num1 // g)}")
         failures.append(
-            f"stated degree {d.stated_degree} is not the order {Fraction(den1, num1)} of the goal subgroups"
+            f"stated degree {int_excerpt(d.stated_degree)} is not the order {order} of the goal subgroups"
         )
     return DerivationCheck(tuple(failures))
+
+
+def _ints(values) -> str:
+    """A list of integers as `str(list)` writes it, each through `int_excerpt`."""
+    return f"[{', '.join(map(int_excerpt, values))}]"
 
 
 def _scaled(lat: FracLattice, k: int) -> FracLattice:
@@ -438,10 +461,10 @@ def _link(base: FracLattice, l1: FracLattice, l2: FracLattice, c: int, primes: l
     torsion = _scaled(base, prod(walked))
     lines = (l1 & torsion, l2 & torsion)
     for p in walked:
-        u, v = next(
-            (u, v) for u, v in ((1, 0), (0, 1), (1, 1))
-            if not any(t.member((u * a, u * b + v * d), den * p) for t in lines)
-        )
+        for u, v in ((1, 0), (0, 1), (1, 1)):
+            point = u * a, u * b + v * d
+            if not (lines[0].member(point, den * p) or lines[1].member(point, den * p)):
+                break
         k = pow(mod, -1, p)
         x, y, mod = x + mod * ((u - x) * k % p), y + mod * ((v - y) * k % p), mod * p
     l3 = FracLattice.make(den * c, [(x * a, x * b + y * d)], (a * c, b * c, d * c))

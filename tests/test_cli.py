@@ -546,6 +546,50 @@ def test_check_rejects_a_sign_not_plus_or_minus_one(capsys, tmp_path):
         assert json.loads(out)["failures"] == failures
 
 
+
+def test_check_goal_order_past_the_digit_limit(capsys, tmp_path):
+    # The goals' order is 10^8000, past the 4300-digit int-conversion
+    # limit: its failure line shows it shortened, not a traceback.
+    level = 10**4000
+    cert = _goal_only(level, level, [[1, 0], [0, 1]], degree=1)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    line = "stated degree 1 is not the order 1000000000... (8001 digits) of the goal subgroups"
+    code, out, err = run(capsys, ["check", "--cert", str(path)])
+    assert (code, out, err) == (1, f"certificate INVALID:\n  {line}\n", "")
+    code, out, err = run(capsys, ["check", "--json", "--cert", str(path)])
+    assert code == 1 and err == ""
+    assert json.loads(out)["failures"] == [line]
+
+
+def test_check_failure_lines_shorten_long_integers(capsys, tmp_path):
+    # An integer of more than 40 digits is echoed as its first 10 digits
+    # and its digit count; one of 40 digits or fewer in full.
+    lat = [[1, 0], [0, 2]]
+    level = 10**4000 + 1
+    run(capsys, ["derive", "--n", "6", "--c1", "1,0,0,6", "--c2", "6,0,0,1", "--out", str(tmp_path / "good.json")])
+    good = json.loads((tmp_path / "good.json").read_text())
+    big_orders = json.loads(json.dumps(good))
+    big_orders["steps"][0]["orders"][0] = 10**4000
+    big_sign = json.loads(json.dumps(good))
+    big_sign["steps"][0]["sign"] = -(10**4000)
+    cases = [
+        (_goal_only(level, 2, lat), ["c1 is not killed by the level 1000000000... (4001 digits)",
+                                      "c2 is not killed by the level 1000000000... (4001 digits)"]),
+        (_goal_only(-level, 2, lat), ["level -1000000000... (4001 digits) is not positive"]),
+        (_goal_only(2, 2, lat, degree=10**4200), ["stated degree 1000000000... (4201 digits) is not the order 2 of the goal subgroups"]),
+        (_goal_only(2, 2, lat, degree=10**40 - 1), [f"stated degree {10**40 - 1} is not the order 2 of the goal subgroups"]),
+        (big_orders, ["step 0: stated orders [1000000000... (4001 digits), 6] are not the indices [6, 6] over the base"]),
+        (big_sign, ["step 0: sign -1000000000... (4001 digits) is not +1/-1", "steps do not telescope to [c1] - [c2]"]),
+    ]
+    path = tmp_path / "cert.json"
+    for cert, failures in cases:
+        path.write_text(json.dumps(cert))
+        code, out, _ = run(capsys, ["check", "--json", "--cert", str(path)])
+        assert code == 1
+        assert json.loads(out)["failures"] == failures
+        assert max(map(len, failures)) <= 100
+
 def test_selftest_small(capsys):
     code, out, _ = run(capsys, ["selftest", "--max-disc", "60", "--max-level", "4"])
     assert code == 0
