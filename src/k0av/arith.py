@@ -427,10 +427,8 @@ class FracLattice(Record):
     `is_canonical` tests a lattice built by hand.  `from_json` keeps a
     lattice that passes `is_canonical` (every lattice `to_json` writes
     does) as it is, and sends any other input through `make`.  The shape
-    `to_json` writes, an int `den` and a 2x2 list basis of ints, is read in
-    one step: the lists unpacked once their type is known, one chained type
-    test of the five ints, then `is_canonical`.  Any other input takes the
-    general path, with the same result or error.
+    `to_json` writes is read in one step: one type test of its five ints,
+    then `is_canonical`.
     """
 
     __slots__ = _fields = ("den", "basis")

@@ -17,13 +17,13 @@ def excerpt(text: str, limit: int = 40) -> str:
     return f"{text[:limit]!r}... ({len(text)} characters)"
 
 
-def int_excerpt(value: int, limit: int = 40, lead: int = 10) -> str:
-    """`value` in decimal for a message: whole up to `limit` digits, past
-    that its first `lead` digits and its digit count.  No more than
-    `limit` digits are ever converted, so the interpreter's int-conversion
-    limit cannot make it raise."""
+def int_excerpt(value: int) -> str:
+    """`value` in decimal for a message: whole up to 40 digits, past that
+    its first 10 digits and its digit count, as `excerpt` shortens text.
+    No more than 40 digits are ever converted, so the interpreter's
+    int-conversion limit cannot make it raise."""
     size = abs(value)
-    if size < 10**limit:
+    if size < 10**40:
         return str(value)
     # An estimate from the bit length, then corrected: 10**(digits-1) <= size < 10**digits.
     digits = int(size.bit_length() * 0.30102999566398120) + 1
@@ -31,7 +31,7 @@ def int_excerpt(value: int, limit: int = 40, lead: int = 10) -> str:
         digits -= 1
     while 10**digits <= size:
         digits += 1
-    return f"{'-' if value < 0 else ''}{size // 10 ** (digits - lead)}... ({digits} digits)"
+    return f"{'-' if value < 0 else ''}{size // 10 ** (digits - 10)}... ({digits} digits)"
 
 
 class SingularMatrixError(K0Error):

@@ -44,14 +44,9 @@ lattice `to_json` writes is) and reduces any other through `make`;
 `derive_same_degree` builds with `make`, `from_subgroup` and `_scaled`,
 which reduce as `make` does.  So reading a certificate tests each lattice
 once and deriving one tests none.  A lattice in the shape `to_json`
-writes, exact ints in a 2x2 list, is read in one step: its lists are
-unpacked and its five ints type-tested together before that canonical
-test.  A step's `sign` and `orders` that are exact ints skip
-`strict_int`.  Any other input takes the general path, with the same
-result or error.  `to_json` builds each step dict once.  A failure line
-shows an integer of more than 40 digits through `errors.int_excerpt`, so
-none grows with the certificate's numbers or raises past the
-int-conversion limit.
+writes is read in one step, one type test of its five ints before that
+canonical test; other input takes the general path, to the same result
+or error.  Failure lines show integers through `errors.int_excerpt`.
 
 Each recomputed sum D1+D2 is `FracLattice.__add__`, in closed form, and
 the telescoping sum adds each step's four signed lattices into one dict,
@@ -213,9 +208,8 @@ class QuotientRelation(Record):
         return self._write({})
 
     def _write(self, out: dict) -> dict:
-        """`out` with this relation's lattices and orders added, in a
-        certificate step's key order; `Derivation.to_json` passes the
-        step's sign, so each step dict is built once."""
+        """`out` with this step's lattices and orders added in certificate
+        order; `Derivation.to_json` passes {"sign": s}."""
         base = self.base
         out["base"] = base.to_json()
         out["sub1"] = self.sub1.to_json()
@@ -459,11 +453,11 @@ def _link(base: FracLattice, l1: FracLattice, l2: FracLattice, c: int, primes: l
     # A point (u, v)/p lies in (1/p)*base <= (1/r)*base, r the product of
     # the walked primes, so l & (1/r)*base holds it exactly when l does.
     torsion = _scaled(base, prod(walked))
-    lines = (l1 & torsion, l2 & torsion)
+    line1, line2 = l1 & torsion, l2 & torsion
     for p in walked:
         for u, v in ((1, 0), (0, 1), (1, 1)):
             point = u * a, u * b + v * d
-            if not (lines[0].member(point, den * p) or lines[1].member(point, den * p)):
+            if not (line1.member(point, den * p) or line2.member(point, den * p)):
                 break
         k = pow(mod, -1, p)
         x, y, mod = x + mod * ((u - x) * k % p), y + mod * ((v - y) * k % p), mod * p

@@ -565,6 +565,12 @@ def test_check_goal_order_past_the_digit_limit(capsys, tmp_path):
 def test_check_failure_lines_shorten_long_integers(capsys, tmp_path):
     # An integer of more than 40 digits is echoed as its first 10 digits
     # and its digit count; one of 40 digits or fewer in full.
+    from k0av.errors import int_excerpt
+
+    assert int_excerpt(-(10**40 - 1)) == str(-(10**40 - 1))
+    assert int_excerpt(10**40) == "1000000000... (41 digits)"
+    # 2^13301 = 9.9993...e4003, just below a power of ten.
+    assert int_excerpt(-(2**13301)) == "-9999362817... (4004 digits)"
     lat = [[1, 0], [0, 2]]
     level = 10**4000 + 1
     run(capsys, ["derive", "--n", "6", "--c1", "1,0,0,6", "--c2", "6,0,0,1", "--out", str(tmp_path / "good.json")])
