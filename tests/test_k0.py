@@ -27,7 +27,7 @@ from k0av.k0 import (
 )
 from k0av.kernels import KernelSpec, kernel_class
 
-from conftest import load_perfbench
+from conftest import load_perfbench, squarefree
 
 
 def lattice(level, *gens):
@@ -330,9 +330,11 @@ def test_canonical_checks_counted(monkeypatch):
 
 
 def test_one_intersection_per_lattice_per_link(monkeypatch):
-    # A link intersects each of its two lattices once with (1/r)*B, r the
-    # product of its primes: 2 calls per link, that is 1 per step, where
-    # one per prime took 10 for the single link at 2310 = 2*3*5*7*11.
+    # A link of order c intersects each of its two lattices once with
+    # (1/r)*B, r the product of its primes, only when r < c: 2 calls per
+    # link whose c is not squarefree, that is 1 per such step, and none
+    # for a squarefree c, where each lattice already lies in (1/c)*B.
+    # One call per prime took 10 for the single link at 2310 = 2*3*5*7*11.
     calls = Counter()
     meet = FracLattice.__and__
 
@@ -342,17 +344,34 @@ def test_one_intersection_per_lattice_per_link(monkeypatch):
 
     monkeypatch.setattr(FracLattice, "__and__", counted)
     pairs = [
-        (2, sub(2, (1, 0)), sub(2, (1, 0))),
-        (6, sub(6, (1, 0)), sub(6, (0, 1))),
-        (720, sub(720, (1, 0)), sub(720, (12, 0), (0, 60))),
-        (48, sub(48, (4, 0), (0, 12)), sub(48, (1, 1))),
-        (2310, sub(2310, (1, 0)), sub(2310, (0, 1))),
+        (2, sub(2, (1, 0)), sub(2, (1, 0)), 0),
+        (6, sub(6, (1, 0)), sub(6, (0, 1)), 0),
+        (720, sub(720, (1, 0)), sub(720, (12, 0), (0, 60)), 0),
+        (48, sub(48, (4, 0), (0, 12)), sub(48, (1, 1)), 0),
+        (2310, sub(2310, (1, 0)), sub(2310, (0, 1)), 0),
+        (4, sub(4, (1, 0)), sub(4, (0, 1)), 2),
+        (8, sub(8, (1, 0)), sub(8, (0, 1)), 2),
+        (12, sub(12, (1, 0)), sub(12, (0, 1)), 2),
+        (36, sub(36, (1, 0)), sub(36, (0, 1)), 2),
     ]
-    for n, c1, c2 in pairs:
+    for n, c1, c2, want in pairs:
         calls.clear()
         d = derive_same_degree(n, c1, c2)
-        assert calls["&"] == len(d.steps), n
-    assert len(d.steps) == 2 and calls["&"] == 2
+        # A link's two steps both have sub1 of order c over the base.
+        unsquarefree = [rel for _, rel in d.steps if not squarefree(rel.sub1.index_over(rel.base))]
+        assert calls["&"] == len(unsquarefree) == want, n
+
+
+def same_order_pairs(top):
+    """(order, c1, c2) for every pair of equal-order subgroups at levels
+    1..top, in oracle enumeration order."""
+    pairs = []
+    for n in range(1, top + 1):
+        by_order = {}
+        for s in oracle.exhaustive_subgroups(n):
+            by_order.setdefault(s.order, []).append(s)
+        pairs += [(order, c1, c2) for order, group in by_order.items() for c1 in group for c2 in group]
+    return pairs
 
 
 def test_derive_refuses_orders_over_the_limit():
@@ -629,12 +648,7 @@ def _omega(n):
 
 def test_derive_steps_bounded_by_omega():
     # Every same-order pair at levels <= 12 ...
-    pairs = []
-    for n in range(1, 13):
-        by_order = {}
-        for s in oracle.exhaustive_subgroups(n):
-            by_order.setdefault(s.order, []).append(s)
-        pairs += [(order, c1, c2) for order, group in by_order.items() for c1 in group for c2 in group]
+    pairs = same_order_pairs(12)
     assert len(pairs) == 2753
     # ... the cyclic pairs at 30030, 32768 and 48048, and at 32768 = 2^15 a
     # cyclic goal against one of type (2^7, 2^8): seven type-change links ...
@@ -819,6 +833,42 @@ def test_certificate_read_path_pinned(certify_seed_1):
             count += 1
     assert count == 22_560
     assert digest.hexdigest() == "aa478dd9108de637f51bb88409f30d3fd9b9666a3fd9a40466d078e224d1a19b"
+
+
+def test_link_lines_are_their_own_intersections(monkeypatch, certify_seed_1):
+    # Every link's l1, l2 lie in (1/c)*B, so l & (1/c)*B == l: the identity
+    # that lets a squarefree link (r = c) skip its intersections.  And
+    # testing l.member(point) alone, with `&` the identity at every c,
+    # picks the same l3, so the same steps.  Over every same-order pair at
+    # levels <= 12 and the first certify-tail pair at each tail level.
+    links = []
+    link = k0._link
+
+    def recorded(base, l1, l2, c, primes):
+        out = link(base, l1, l2, c, primes)
+        links.append(((base, l1, l2, c, primes), out))
+        return out
+
+    inputs, _ = certify_seed_1
+    tail = {}
+    for n, c1, c2 in inputs["pairs"]:
+        if n in workloads.CERT_TAIL_LEVELS:
+            tail.setdefault(n, (n, c1, c2))
+    assert len(tail) == len(workloads.CERT_TAIL_LEVELS)
+    pairs = same_order_pairs(12)
+    for n, (a, b, d), (a2, b2, d2) in tail.values():
+        pairs.append((n, TorsionSubgroup(n, ((a, b), (0, d))), TorsionSubgroup(n, ((a2, b2), (0, d2)))))
+    monkeypatch.setattr(k0, "_link", recorded)
+    for m, c1, c2 in pairs:
+        derive_same_degree(m, c1, c2)
+    assert any(not squarefree(args[3]) for args, _ in links)
+    for (base, l1, l2, c, _), _ in links:
+        joint = k0._scaled(base, c)
+        assert l1 & joint == l1 and l2 & joint == l2, (base, l1, l2, c)
+    monkeypatch.setattr(FracLattice, "__and__", lambda lat, other: lat)
+    for args, out in links:
+        assert link(*args) == out, args
+
 
 def test_derive_rejects_mismatches():
     with pytest.raises(LevelMismatchError):

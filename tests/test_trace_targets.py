@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from conftest import PERFBENCH, load_perfbench
+from conftest import PERFBENCH, load_perfbench, squarefree
 
 spans = load_perfbench("spans")
 
@@ -63,12 +63,7 @@ for ci, left, right, _ in workloads.make_degree_query(1)["queries"][:400]:
 # validate it, as the worker's derive and check phases do.  The first 60
 # pairs reach tail level 48 at most, so the first pair at each tail level
 # is added: its large nodes must keep certify's predictions too.
-_CERTIFY_TRACE = """
-import json
-import spans, workloads
-import k0av
-
-WORKLOAD = "certify"
+_CERTIFY_PAIRS = """
 pairs = workloads.make_certify(1)["pairs"]
 tail = {}
 for pair in pairs:
@@ -76,6 +71,14 @@ for pair in pairs:
         tail.setdefault(pair[0], pair)
 assert len(tail) == len(workloads.CERT_TAIL_LEVELS)
 pairs = pairs[:60] + list(tail.values())
+"""
+_CERTIFY_TRACE = """
+import json
+import spans, workloads
+import k0av
+
+WORKLOAD = "certify"
+""" + _CERTIFY_PAIRS + """
 tracer = spans.Tracer()
 tracer.install()
 for n, (a, b, d), (a2, b2, d2) in pairs:
@@ -112,7 +115,24 @@ def test_degree_query_trace_predictions_hold():
     assert _traced(_DEGREE_QUERY_TRACE) == {"misses": [], "missing": []}
 
 
-def test_certify_trace_predictions_hold():
+def test_certify_trace_predictions_hold(monkeypatch):
+    # Certify predicts `arith.left_kernel` calls.  On valid certificates
+    # only `k0._link`'s `&` makes them, and only in a link whose order c
+    # is not squarefree: a squarefree link's lattices are their own lines.
+    from k0av import TorsionSubgroup, derive_same_degree, k0
+
+    orders, link = [], k0._link
+
+    def recorded(base, l1, l2, c, primes):
+        orders.append(c)
+        return link(base, l1, l2, c, primes)
+
+    monkeypatch.setattr(k0, "_link", recorded)
+    scope = {"workloads": load_perfbench("workloads")}
+    exec(_CERTIFY_PAIRS, scope)
+    for n, (a, b, d), (a2, b2, d2) in scope["pairs"]:
+        derive_same_degree(n, TorsionSubgroup(n, ((a, b), (0, d))), TorsionSubgroup(n, ((a2, b2), (0, d2))))
+    assert not all(map(squarefree, orders)), "no traced certify link has a non-squarefree order, so none intersects"
     assert _traced(_CERTIFY_TRACE) == {"misses": [], "missing": []}
 
 
