@@ -343,20 +343,22 @@ def test_one_intersection_per_lattice_per_link(monkeypatch):
         return meet(a, b)
 
     monkeypatch.setattr(FracLattice, "__and__", counted)
+    # (n, c1, c2, steps, & calls)
     pairs = [
-        (2, sub(2, (1, 0)), sub(2, (1, 0)), 0),
-        (6, sub(6, (1, 0)), sub(6, (0, 1)), 0),
-        (720, sub(720, (1, 0)), sub(720, (12, 0), (0, 60)), 0),
-        (48, sub(48, (4, 0), (0, 12)), sub(48, (1, 1)), 0),
-        (2310, sub(2310, (1, 0)), sub(2310, (0, 1)), 0),
-        (4, sub(4, (1, 0)), sub(4, (0, 1)), 2),
-        (8, sub(8, (1, 0)), sub(8, (0, 1)), 2),
-        (12, sub(12, (1, 0)), sub(12, (0, 1)), 2),
-        (36, sub(36, (1, 0)), sub(36, (0, 1)), 2),
+        (2, sub(2, (1, 0)), sub(2, (1, 0)), 0, 0),
+        (6, sub(6, (1, 0)), sub(6, (0, 1)), 2, 0),
+        (720, sub(720, (1, 0)), sub(720, (12, 0), (0, 60)), 6, 0),
+        (48, sub(48, (4, 0), (0, 12)), sub(48, (1, 1)), 6, 0),
+        (2310, sub(2310, (1, 0)), sub(2310, (0, 1)), 2, 0),
+        (4, sub(4, (1, 0)), sub(4, (0, 1)), 2, 2),
+        (8, sub(8, (1, 0)), sub(8, (0, 1)), 2, 2),
+        (12, sub(12, (1, 0)), sub(12, (0, 1)), 2, 2),
+        (36, sub(36, (1, 0)), sub(36, (0, 1)), 2, 2),
     ]
-    for n, c1, c2, want in pairs:
+    for n, c1, c2, steps, want in pairs:
         calls.clear()
         d = derive_same_degree(n, c1, c2)
+        assert len(d.steps) == steps, n
         # A link's two steps both have sub1 of order c over the base.
         unsquarefree = [rel for _, rel in d.steps if not squarefree(rel.sub1.index_over(rel.base))]
         assert calls["&"] == len(unsquarefree) == want, n
