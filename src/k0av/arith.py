@@ -16,10 +16,10 @@ Conventions:
 
 Rank-2 lattice arithmetic is closed-form and lives in one place: `row_hnf`
 folds in one generator row at a time with an extended gcd, starting from
-zero or from a Hermite basis already in hand, and `left_kernel`
-reduces two columns the same way while keeping the row operations.
-FracLattice builds intersection on them, and sum, membership and
-containment in closed form.
+zero or from a Hermite basis already in hand, and `left_kernel` reduces
+two columns the same way while keeping the row operations.  FracLattice
+intersects through them; `lattice_index` (with its containment test) and
+`lattice_sum` take two lattices [[a, b], [0, d]]/den as ints (den, a, b, d).
 It is the one rank-2 lattice type: TorsionSubgroup, a finite subgroup of
 (Q/Z)^2, only validates and carries a (level, Hermite basis) pair, and
 `FracLattice.from_subgroup` turns it into the lattice it stands for.
@@ -401,34 +401,48 @@ def left_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def contains_z2_times(n: int, basis: tuple[tuple[int, int], tuple[int, int]]) -> bool:
-    """Whether n*Z^2 <= span(basis), for n >= 1 and a Hermite basis
-    [[a, b], [0, d]]: (n, 0) is (n/a)*(a, b) less a multiple of (0, d), and
-    (0, n) a multiple of (0, d).  So Z^2 <= span(basis)/n exactly when it
-    holds."""
+    """Whether n*Z^2 <= span(basis), that is Z^2 <= span(basis)/n, for n >= 1
+    and a Hermite basis [[a, b], [0, d]]: (n, 0) is (n/a)*(a, b) less a
+    multiple of (0, d), and (0, n) a multiple of (0, d)."""
     (a, b), (_, d) = basis
     return not (n % a or n % d or n // a * b % d)
+
+
+def lattice_index(den: int, a: int, b: int, d: int, bden: int, x: int, y: int, z: int) -> int:
+    """[L : B] for L = [[a, b], [0, d]]/den and B = [[x, y], [0, z]]/bden,
+    the ratio of the covolumes, or 0 unless B <= L: `member` of B's rows
+    (x, y)/bden and (0, z)/bden in L, from one read of both bases."""
+    det = bden * a * d
+    if (x * den * d) % det or ((y * a - x * b) * den) % det or (z * den * a) % det:
+        return 0
+    return x * z * den * den // (bden * det)
+
+
+def lattice_sum(den: int, a: int, b: int, e: int, oden: int, x: int, y: int, z: int) -> tuple[int, int, int, int]:
+    """(den, a, b, d) of [[a, b], [0, e]]/den + [[x, y], [0, z]]/oden: `row_hnf`'s
+    two folds of the second basis's rows into the first, over the common den."""
+    d = lcm(den, oden)
+    k, j = d // den, d // oden
+    g, u, v = xgcd(a * k, x * j)
+    e = gcd(e * k, (x * b - a * y) * k * j // g, z * j)
+    b = (u * b * k + v * y * j) % e
+    h = gcd(d, g, b, e)
+    return d // h, g // h, b // h, e // h
 
 
 class FracLattice(Record):
     """The lattice span(basis)/den in Q^2, kept canonical: `basis` is the
     Hermite basis [[a, b], [0, d]] and gcd(den, a, b, d) == 1.
 
-    With `row_hnf` and `left_kernel` this is the package's one
-    implementation of rank-2 lattice arithmetic: Hermite reduction (`make`),
-    sum, intersection (through the kernel of the stacked bases), membership
-    and containment.  A sum is the two `row_hnf` folds of the other
-    lattice's rows into this one's Hermite basis, written out in closed
-    form, so both bases must be canonical.  `index_over` checks
-    containment from one read of both bases and returns the index; a
-    certificate step's orders come from it.
+    The package's one rank-2 lattice type: Hermite reduction (`make`), sum,
+    intersection, membership and containment.  `index_over` and `+` call the
+    closed forms `lattice_index` and `lattice_sum` on both lattices' ints, as
+    `k0.validate_derivation` does, so both bases must be canonical.
 
-    The constructor stores its arguments unchecked, since the package's own
-    callers build canonical data; `make` reduces any rows, and
-    `is_canonical` tests a lattice built by hand.  `from_json` keeps a
-    lattice that passes `is_canonical` (every lattice `to_json` writes
-    does) as it is, and sends any other input through `make`.  The shape
-    `to_json` writes is read in one step: one type test of its five ints,
-    then `is_canonical`.
+    The constructor stores its arguments unchecked; `make` reduces any rows,
+    and `is_canonical` tests a lattice built by hand.  `from_json` reads the
+    shape `to_json` writes in one step, a type test of its five ints and then
+    `is_canonical`; it keeps a canonical lattice and reduces others by `make`.
     """
 
     __slots__ = _fields = ("den", "basis")
@@ -503,29 +517,19 @@ class FracLattice(Record):
         return self.member(r0, other.den) and self.member(r1, other.den)
 
     def index_over(self, base: FracLattice) -> int:
-        """[self : base], the ratio of the covolumes; DerivationError
-        unless base <= self."""
-        # `member` of base's rows (x, y)/bden and (0, z)/bden, from one
-        # read of both bases.
-        den, ((a, b), (_, d)) = self.den, self.basis
-        bden, ((x, y), (_, z)) = base.den, base.basis
-        det = bden * a * d
-        if (x * den * d) % det or ((y * a - x * b) * den) % det or (z * den * a) % det:
+        """[self : base] (`lattice_index`); DerivationError unless base <= self."""
+        (a, b), (_, d) = self.basis
+        (x, y), (_, z) = base.basis
+        index = lattice_index(self.den, a, b, d, base.den, x, y, z)
+        if not index:
             raise DerivationError("index requested over a non-sublattice")
-        return x * z * den * den // (bden * det)
+        return index
 
     def __add__(self, other: FracLattice) -> FracLattice:
-        # row_hnf's two folds of other's rows (x, y), (0, z) into self's
-        # Hermite basis (a, b), (0, e), written out, both over the common den.
-        d = lcm(self.den, other.den)
-        k, j = d // self.den, d // other.den
         (a, b), (_, e) = self.basis
         (x, y), (_, z) = other.basis
-        g, u, v = xgcd(a * k, x * j)
-        e = gcd(e * k, (x * b - a * y) * k * j // g, z * j)
-        b = (u * b * k + v * y * j) % e
-        h = gcd(d, g, b, e)
-        return FracLattice(d // h, ((g // h, b // h), (0, e // h)))
+        den, a, b, d = lattice_sum(self.den, a, b, e, other.den, x, y, z)
+        return FracLattice(den, ((a, b), (0, d)))
 
     def __and__(self, other: FracLattice) -> FracLattice:
         # c @ [mine; theirs] == 0 exactly when c[:2] @ mine == -c[2:] @ theirs

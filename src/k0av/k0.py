@@ -12,12 +12,9 @@ intersection,
 
 Everything is modelled on a rank-2 lattice: the base object is Z^2, a
 quotient is a lattice L with Z^2 <= L and [L : Z^2] finite, and a subgroup of
-the quotient at L is a finite-index overlattice.  A derivation is a signed
-list of quotient relations whose formal sum telescopes to [L1] - [L2].  The
-lattices are `arith.FracLattice`s, the one rank-2 lattice type: the two
-input subgroups arrive as `arith.TorsionSubgroup`s, a validated (level,
-Hermite basis) pair, and `derive_same_degree` turns them into lattices with
-`FracLattice.from_subgroup` before any arithmetic.
+the quotient at L is a finite-index overlattice, an `arith.FracLattice`.
+A derivation is a signed list of quotient relations whose formal sum
+telescopes to [L1] - [L2].
 
 Certificate format (JSON, stable, tag "k0-derivation/1"):
 
@@ -31,38 +28,24 @@ by the basis rows divided by d.  Validation recomputes every containment,
 intersection, join, order, and the telescoping sum; a stated step `orders`
 or top-level `degree` must match the recomputed one.  The level must be
 positive and kill c1 and c2: (1/level)Z^2 contains both.  The goals and
-every step's base must contain Z^2 (`arith.contains_z2_times`, the test
-`TorsionSubgroup` makes of its basis).  The result, a `DerivationCheck`,
-holds only the failures; it is ok, and true, when there are none.
+every step's base must contain Z^2 (`arith.contains_z2_times`).  The
+result, a `DerivationCheck`, holds only the failures.
 
-A `Derivation` holds only canonical lattices: its constructor checks each
-and names the first that is not ("c1", "step 0: base", ...), so
-`validate_derivation`, `to_json` and `degree` test none.  The package's
-two builders skip the check.  `Derivation.from_json` reads each lattice
-with `FracLattice.from_json`, which keeps one already canonical (every
-lattice `to_json` writes is) and reduces any other through `make`;
-`derive_same_degree` builds with `make`, `from_subgroup` and `_scaled`,
-which reduce as `make` does.  So reading a certificate tests each lattice
-once and deriving one tests none.  A lattice in the shape `to_json`
-writes is read in one step, one type test of its five ints before that
-canonical test; other input takes the general path, to the same result
-or error.  Failure lines show integers through `errors.int_excerpt`.
+A `Derivation` holds only canonical lattices and integers: its constructor
+names the first field that is not, and `from_json` and `derive_same_degree`,
+which build canonical lattices, skip that check.
 
-Each recomputed sum D1+D2 is `FracLattice.__add__`, in closed form, and
-the telescoping sum adds each step's four signed lattices into one dict,
-keyed by (den, basis), which names a canonical lattice.
+`validate_derivation` reads each lattice once, as its four ints (den, a, b,
+c).  A step's indices, containments and D1+D2 are `arith.lattice_index`
+and `lattice_sum` on them: the sum is never built as a lattice, and the
+telescoping sum counts each signed lattice in one dict by its ints.
 
 Trivial intersection is decided by the index identity, not by
 intersecting.  For D1, D2 >= B the second isomorphism theorem gives
 [D1+D2 : B] * [D1 & D2 : B] = [D1 : B] * [D2 : B], so D1 & D2 = B exactly
 when [D1+D2 : B] = [D1 : B] * [D2 : B].  Each index is a ratio of
-covolumes (a*c/d^2 for [[a, b], [0, c]]/d), and D1+D2 is needed for the
-relation anyway.  A step's two orders come from `FracLattice.index_over`,
-which checks containment from one read of both bases and refuses a sub
-that does not contain the base; D1+D2 contains D1, so its index is read
-unchecked.  `arith.left_kernel` still serves `&`: for the lines a link
-of non-squarefree order avoids, for the public API, and for a step whose
-containment check already failed, so its failure lines stay the same.
+covolumes (a*c/d^2 for [[a, b], [0, c]]/d).  A step whose sub does not
+contain its base has no index: only there does validation intersect.
 
 A derivation (`_derive`) is a chain of links.  A link takes a base B and
 lattices L1, L2, both cyclic of order c over B inside (1/c)*B, and picks
@@ -71,15 +54,6 @@ is neither L1's nor L2's.  One of (1, 0), (0, 1), (1, 1) in B's
 coordinates always serves, and CRT puts the primes together.  Then
 L1 & L3 = L2 & L3 = B and L1 + L3 = L2 + L3 = (1/c)*B, so
 -R(B, L1, L3) + R(B, L2, L3) = [L1] - [L2]: two steps.
-
-With r the product of the primes of c, the lattices L1 & (1/r)*B and
-L2 & (1/r)*B hold both lines at every p.  For squarefree c, r = c and
-L1, L2 <= (1/c)*B already, so the link intersects nothing; every
-type-change link (c = p) is such a link.  For other c, one intersection
-per lattice stays.  It is just as redundant, since a candidate point lies
-in (1/p)*B and L's own `member` decides the same.  It stays because the
-benchmark's certify workload predicts `arith.left_kernel` calls, and on
-valid input only this `&` makes them.
 
 Write L/Z^2 = Z/alpha x Z/beta with alpha | beta; for a canonical L >= Z^2,
 beta is L's den.  A type-change link takes L of type (alpha, beta) to
@@ -105,6 +79,8 @@ from .arith import (
     FracLattice,
     TorsionSubgroup,
     contains_z2_times,
+    lattice_index,
+    lattice_sum,
     printable_int,
     strict_int,
 )
@@ -172,20 +148,20 @@ def k0_class(
     return K0Element(n, ctx.degree_class(degree))
 
 
-def _index(lat: FracLattice, base: FracLattice) -> int:
-    """[lat : base] for base <= lat, the ratio of the covolumes; unlike
-    `FracLattice.index_over`, containment is the caller's to check."""
-    num, den = base.covolume
-    lat_num, lat_den = lat.covolume
-    return num * lat_den // (den * lat_num)
+def _strict(value, name: str) -> int:
+    """`value` if `strict_int` takes it, else a DerivationError naming the field."""
+    try:
+        return strict_int(value)
+    except TypeError:
+        raise DerivationError(f"{name} must be an integer, got {type(value).__name__}") from None
 
 
 class QuotientRelation(Record):
     """[base] + [sum] = [sub1] + [sub2] for subgroups with trivial intersection.
 
     `stated_orders` holds the orders a certificate stated for the step, if
-    any; validation compares them with the recomputed ones.  It takes no
-    part in equality or hashing.
+    any, as a pair of integers; validation compares them with the
+    recomputed ones.  It takes no part in equality or hashing.
     """
 
     __slots__ = ("base", "sub1", "sub2", "joint", "stated_orders")
@@ -205,6 +181,10 @@ class QuotientRelation(Record):
         joint: FracLattice,
         stated_orders: tuple[int, int] | None = None,
     ) -> None:
+        if stated_orders is not None:
+            if not isinstance(stated_orders, (list, tuple)) or len(stated_orders) != 2:
+                raise DerivationError("stated orders must be a pair of integers")
+            stated_orders = tuple([_strict(o, "stated orders") for o in stated_orders])
         _set_base(self, base)
         _set_sub1(self, sub1)
         _set_sub2(self, sub2)
@@ -236,10 +216,10 @@ _set_stated_orders = QuotientRelation.stated_orders.__set__
 class Derivation(Record):
     """Signed quotient relations telescoping to [L1] - [L2] = 0.
 
-    Every lattice is a canonical `FracLattice`: the constructor raises
-    DerivationError naming the first that is not.  `stated_degree` holds
-    the degree a certificate stated, if any; it takes no part in equality
-    or hashing.
+    Every lattice is a canonical `FracLattice`, and the level, each sign
+    and `stated_degree` (the degree a certificate stated, if any; it takes
+    no part in equality or hashing) are integers: the constructor raises
+    DerivationError naming the first field that is not.
     """
 
     __slots__ = ("level", "c1", "c2", "steps", "stated_degree")
@@ -259,8 +239,8 @@ class Derivation(Record):
         steps: tuple[tuple[int, QuotientRelation], ...],
         stated_degree: int | None = None,
     ) -> None:
-        _check_canonical(c1, c2, steps)
-        _store(self, level, c1, c2, steps, stated_degree)
+        _check_fields(level, c1, c2, steps, stated_degree)
+        _trusted(level, c1, c2, steps, stated_degree, self)
 
     @property
     def degree(self) -> int:
@@ -292,7 +272,6 @@ class Derivation(Record):
                 raise ValueError("steps must be a list of step objects")
             steps = []
             read = FracLattice.from_json
-            # A field whose type is already exact skips `strict_int`.
             for i, entry in enumerate(raw_steps):
                 if type(entry) is not dict and not isinstance(entry, Mapping):
                     raise ValueError(f"step {i} must be an object")
@@ -308,31 +287,43 @@ class Derivation(Record):
                         o1, o2 = strict_int(o1), strict_int(o2)
                     orders = o1, o2
                 lattices = read(entry["base"]), read(entry["sub1"]), read(entry["sub2"]), read(entry["sum"])
-                steps.append((sign, QuotientRelation(*lattices, orders)))
+                rel = QuotientRelation(*lattices)
+                _set_stated_orders(rel, orders)  # ints already: past `__init__`'s check
+                steps.append((sign, rel))
         except (KeyError, TypeError, ValueError) as exc:
             raise DerivationError(f"malformed certificate: {exc}") from exc
         return _trusted(level, c1, c2, tuple(steps), degree)
 
 
-def _store(d: Derivation, *values) -> None:
-    for name, value in zip(Derivation.__slots__, values, strict=True):
-        set_field(d, name, value)
-
-
-def _trusted(level, c1, c2, steps, stated_degree=None) -> Derivation:
+def _trusted(level, c1, c2, steps, stated_degree=None, d=None) -> Derivation:
     """A Derivation over lattices the package built canonical, skipping
-    `__init__`'s check."""
-    out = object.__new__(Derivation)
-    _store(out, level, c1, c2, steps, stated_degree)
-    return out
+    `__init__`'s check; `__init__` passes itself as d once it has checked."""
+    d = object.__new__(Derivation) if d is None else d
+    _set_level(d, level)
+    _set_c1(d, c1)
+    _set_c2(d, c2)
+    _set_steps(d, steps)
+    _set_stated_degree(d, stated_degree)
+    return d
 
 
-def _check_canonical(c1, c2, steps) -> None:
-    """Raise unless every lattice is canonical, as `FracLattice.make` and
-    `from_json` build them: validation assumes Hermite bases and a
-    positive denominator, and only a hand-built lattice can lack them."""
+_set_level = Derivation.level.__set__
+_set_c1 = Derivation.c1.__set__
+_set_c2 = Derivation.c2.__set__
+_set_steps = Derivation.steps.__set__
+_set_stated_degree = Derivation.stated_degree.__set__
+
+
+def _check_fields(level, c1, c2, steps, stated_degree) -> None:
+    """Raise unless the numbers are integers and every lattice canonical,
+    as `make` and `from_json` build them: validation assumes Hermite bases
+    and a positive den, which only a hand-built lattice can lack."""
+    _strict(level, "level")
+    if stated_degree is not None:
+        _strict(stated_degree, "stated degree")
     lattices = [c1, c2]
-    for _, rel in steps:
+    for i, (sign, rel) in enumerate(steps):
+        _strict(sign, f"step {i}: sign")
         lattices += (rel.base, rel.sub1, rel.sub2, rel.joint)
     for k, lat in enumerate(lattices):
         if not (isinstance(lat, FracLattice) and lat.is_canonical):
@@ -358,57 +349,65 @@ class DerivationCheck(Record):
 
 def validate_derivation(d: Derivation) -> DerivationCheck:
     """Recompute every step and the telescoping sum; collect all failures.
-    The lattices are canonical, as every Derivation's are."""
+    The lattices are canonical, as every Derivation's are, and each is read
+    once, as its four ints (den, a, b, d)."""
     failures: list[str] = []
     level = d.level
     if level < 1:
         failures.append(f"level {int_excerpt(level)} is not positive")
-    for name, lat in (("c1", d.c1), ("c2", d.c2)):
-        # (1/level)Z^2 contains [[a, b], [0, c]]/den when den divides
-        # level*a, level*b and level*c; den is prime to gcd(a, b, c),
-        # so exactly when den divides level.
-        if level >= 1 and level % lat.den:
+    # The steps telescope when their signed sum less [c1] - [c2] is zero, counted
+    # per lattice's ints: in `total[k] = get(k := ...)` the right side binds k first.
+    total: dict = {}
+    get = total.get
+    for name, lat, mult in (("c1", d.c1, -1), ("c2", d.c2, 1)):
+        den, basis = lat.den, lat.basis
+        # (1/level)Z^2 contains [[a, b], [0, c]]/den when den divides level*a, level*b
+        # and level*c; den is prime to gcd(a, b, c), so exactly when den divides level.
+        if level >= 1 and level % den:
             failures.append(f"{name} is not killed by the level {int_excerpt(level)}")
-        if not contains_z2_times(lat.den, lat.basis):
+        if not contains_z2_times(den, basis):
             failures.append(f"{name} does not contain Z^2")
+        (a, b), (_, e) = basis
+        total[k] = get(k := (den, a, b, e), 0) + mult
     for i, (sign, rel) in enumerate(d.steps):
         if sign not in (1, -1):
             failures.append(f"step {i}: sign {int_excerpt(sign)} is not +1/-1")
-        # A sub that contains the base, and a correct stored sum, then
-        # contain Z^2 too.
-        if not contains_z2_times(rel.base.den, rel.base.basis):
-            failures.append(f"step {i}: base does not contain Z^2")
         base, sub1, sub2 = rel.base, rel.sub1, rel.sub2
-        orders = []
-        for name, sub in (("sub1", sub1), ("sub2", sub2)):
-            try:
-                orders.append(sub.index_over(base))
-            except DerivationError:
-                failures.append(f"step {i}: {name} does not contain the base lattice")
-        joint = sub1 + sub2
-        if len(orders) == 2:
-            # The index identity of the module docstring; never the stored sum.
-            trivial = _index(joint, base) == orders[0] * orders[1]
+        bden, basis = base.den, base.basis
+        # A sub that contains the base, and a correct stored sum, contain Z^2 too.
+        if not contains_z2_times(bden, basis):
+            failures.append(f"step {i}: base does not contain Z^2")
+        (x, y), (_, z) = basis
+        den1, ((a1, b1), (_, d1)) = sub1.den, sub1.basis
+        den2, ((a2, b2), (_, d2)) = sub2.den, sub2.basis
+        jden, ((ja, jb), (_, jd)) = rel.joint.den, rel.joint.basis
+        o1 = lattice_index(den1, a1, b1, d1, bden, x, y, z)
+        if not o1:
+            failures.append(f"step {i}: sub1 does not contain the base lattice")
+        o2 = lattice_index(den2, a2, b2, d2, bden, x, y, z)
+        if not o2:
+            failures.append(f"step {i}: sub2 does not contain the base lattice")
+        stored = jden, ja, jb, jd
+        recomputed = sden, sa, _, sd = lattice_sum(den1, a1, b1, d1, den2, a2, b2, d2)
+        if o1 and o2:
+            # The index identity of the module docstring, never the stored
+            # sum: [D1+D2 : B] = o1*o2, the covolumes cross-multiplied.
+            trivial = x * z * sden * sden == o1 * o2 * bden * bden * sa * sd
         else:
-            orders = None
             trivial = (sub1 & sub2) == base
         if not trivial:
             failures.append(f"step {i}: subgroups intersect nontrivially")
-        if joint != rel.joint:
+        if recomputed != stored:
             failures.append(f"step {i}: stored sum lattice is wrong")
         stated = rel.stated_orders
-        if orders is not None and stated is not None and list(stated) != orders:
+        if o1 and o2 and stated is not None and stated != (o1, o2):
             failures.append(
-                f"step {i}: stated orders {_ints(stated)} are not the indices {_ints(orders)} over the base"
+                f"step {i}: stated orders {_ints(stated)} are not the indices {_ints((o1, o2))} over the base"
             )
-    # The steps telescope when their signed sum less [c1] - [c2] is zero.
-    signed = [(d.c1, -1), (d.c2, 1)]
-    for sign, rel in d.steps:
-        signed += ((rel.base, sign), (rel.joint, sign), (rel.sub1, -sign), (rel.sub2, -sign))
-    total: dict = {}
-    for lat, mult in signed:
-        key = lat.den, lat.basis
-        total[key] = total.get(key, 0) + mult
+        total[k] = get(k := (bden, x, y, z), 0) + sign
+        total[stored] = get(stored, 0) + sign
+        total[k] = get(k := (den1, a1, b1, d1), 0) - sign
+        total[k] = get(k := (den2, a2, b2, d2), 0) - sign
     if any(total.values()):
         failures.append("steps do not telescope to [c1] - [c2]")
     num1, den1 = d.c1.covolume
@@ -451,19 +450,15 @@ def _primes(n: int) -> list[int]:
 
 def _link(base: FracLattice, l1: FracLattice, l2: FracLattice, c: int, primes: list[int]):
     """The link -R(base, l1, l3) + R(base, l2, l3) = [l1] - [l2] of the
-    module docstring, for l1, l2 <= (1/c)*base and `primes` a list that
-    holds every prime of c.  l3 = base + (x, y)/c in base's coordinates,
-    with (x, y) = (u, v) mod p for the first (u, v) whose point (u, v)/p
-    neither line holds.  A line is l & (1/r)*base, r the product of the
-    primes of c.  For squarefree c that is l itself, and nothing is
-    intersected.  For other c the `&` is just as redundant, since l holds
-    (u, v)/p exactly when its line does, but it stays: it makes certify's
-    predicted `arith.left_kernel` calls."""
+    module docstring, for l1, l2 <= (1/c)*base and `primes` holding every
+    prime of c: l3 = base + (x, y)/c in base's coordinates, (x, y) = (u, v)
+    mod p for the first (u, v) whose point (u, v)/p neither line holds.  A
+    line is l & (1/r)*base, r the product of c's primes: l itself for
+    squarefree c.  For other c the `&` is as redundant (l holds (u, v)/p
+    exactly when its line does) but stays: certify predicts `left_kernel` calls."""
     den, ((a, b), (_, d)) = base.den, base.basis
     x, y, mod = 0, 0, 1
     walked = [p for p in primes if c % p == 0]
-    # A point (u, v)/p lies in (1/p)*base <= (1/r)*base, r the product of
-    # the walked primes, so l & (1/r)*base holds it exactly when l does.
     r = prod(walked)
     if r == c:
         line1, line2 = l1, l2

@@ -294,6 +294,40 @@ def test_constructor_names_a_non_canonical_lattice():
     assert Derivation(1, u, u, (ok,)).to_json()["degree"] == 1
 
 
+# A number field of a hand-built Derivation or QuotientRelation that is a
+# float, bool or str: `sign not in (1, -1)` let -1.0 pass, a 2.0 level
+# and degree compared equal to 2, and "2" raised a bare TypeError.
+_U = FracLattice.unit()
+_STEP = QuotientRelation(_U, _U, _U, _U)
+_NOT_INT_FIELDS = [
+    (lambda: Derivation(2.0, _U, _U, ()), "level must be an integer, got float"),
+    (lambda: Derivation("2", _U, _U, ()), "level must be an integer, got str"),
+    (lambda: Derivation(True, _U, _U, ()), "level must be an integer, got bool"),
+    (lambda: Derivation(1, _U, _U, (), 2.0), "stated degree must be an integer, got float"),
+    (lambda: Derivation(1, _U, _U, (), "1"), "stated degree must be an integer, got str"),
+    (lambda: Derivation(1, _U, _U, ((1, _STEP), (-1.0, _STEP))), "step 1: sign must be an integer, got float"),
+    (lambda: Derivation(1, _U, _U, ((True, _STEP),)), "step 0: sign must be an integer, got bool"),
+    (lambda: QuotientRelation(_U, _U, _U, _U, (1.0, 1)), "stated orders must be an integer, got float"),
+    (lambda: QuotientRelation(_U, _U, _U, _U, (1, "1")), "stated orders must be an integer, got str"),
+    (lambda: QuotientRelation(_U, _U, _U, _U, (True, 1)), "stated orders must be an integer, got bool"),
+    (lambda: QuotientRelation(_U, _U, _U, _U, (1, 1, 1)), "stated orders must be a pair of integers"),
+    (lambda: QuotientRelation(_U, _U, _U, _U, 1), "stated orders must be a pair of integers"),
+]
+
+
+@pytest.mark.parametrize("build, message", _NOT_INT_FIELDS)
+def test_constructors_refuse_non_integer_numbers(build, message):
+    with pytest.raises(DerivationError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_constructors_keep_integer_numbers():
+    rel = QuotientRelation(_U, _U, _U, _U, [1, 1])
+    assert rel.stated_orders == (1, 1)
+    d = Derivation(1, _U, _U, ((-1, rel), (1, rel)), 1)
+    assert (d.level, d.stated_degree) == (1, 1) and validate_derivation(d)
+
+
 def _count_canonical_checks(monkeypatch):
     calls = Counter()
     test = FracLattice.is_canonical.fget
@@ -306,18 +340,20 @@ def _count_canonical_checks(monkeypatch):
     return calls
 
 
+COUNTED_PAIRS = [
+    (2, sub(2, (1, 0)), sub(2, (1, 0))),
+    (6, sub(6, (1, 0)), sub(6, (0, 1))),
+    (12, sub(12, (1, 0)), sub(12, (2, 0), (0, 6))),
+    (720, sub(720, (1, 0)), sub(720, (12, 0), (0, 60))),
+    (48, sub(48, (4, 0), (0, 12)), sub(48, (1, 1))),
+]
+
+
 def test_canonical_checks_counted(monkeypatch):
     # Deriving and writing a certificate tests no lattice; reading and
     # checking one tests each lattice once, inside FracLattice.from_json.
     calls = _count_canonical_checks(monkeypatch)
-    pairs = [
-        (2, sub(2, (1, 0)), sub(2, (1, 0))),
-        (6, sub(6, (1, 0)), sub(6, (0, 1))),
-        (12, sub(12, (1, 0)), sub(12, (2, 0), (0, 6))),
-        (720, sub(720, (1, 0)), sub(720, (12, 0), (0, 60))),
-        (48, sub(48, (4, 0), (0, 12)), sub(48, (1, 1))),
-    ]
-    texts = [json.dumps(derive_same_degree(n, c1, c2).to_json()) for n, c1, c2 in pairs]
+    texts = [json.dumps(derive_same_degree(n, c1, c2).to_json()) for n, c1, c2 in COUNTED_PAIRS]
     assert calls["is_canonical"] == 0
     steps = set()
     for text in texts:
@@ -327,6 +363,33 @@ def test_canonical_checks_counted(monkeypatch):
         assert calls["is_canonical"] == 2 + 4 * len(d.steps)
         steps.add(len(d.steps))
     assert steps == {0, 2, 6}
+
+
+def test_validation_builds_no_lattice(monkeypatch):
+    # validate_derivation reads each lattice's ints and computes on them: on
+    # a certificate derived or read back it builds no FracLattice, not even
+    # the recomputed sum, and intersects nothing.
+    derived = [derive_same_degree(n, c1, c2) for n, c1, c2 in COUNTED_PAIRS]
+    read_back = [Derivation.from_json(json.loads(json.dumps(d.to_json()))) for d in derived]
+    calls = Counter()
+    build, meet = FracLattice.__init__, FracLattice.__and__
+
+    def counted_build(lat, *args):
+        calls["FracLattice"] += 1
+        build(lat, *args)
+
+    def counted_meet(a, b):
+        calls["&"] += 1
+        return meet(a, b)
+
+    monkeypatch.setattr(FracLattice, "__init__", counted_build)
+    monkeypatch.setattr(FracLattice, "__and__", counted_meet)
+    assert FracLattice.unit() + FracLattice.unit() and calls["FracLattice"] == 3  # the counter counts
+    calls.clear()
+    for d in derived + read_back:
+        assert validate_derivation(d)
+    assert sum(len(d.steps) for d in derived) == 16
+    assert calls == {}
 
 
 def test_one_intersection_per_lattice_per_link(monkeypatch):
@@ -532,6 +595,85 @@ def test_index_identity_matches_intersection_mixed_levels():
         assert _builds(base, sub1, sub2) == trivial, (base, sub1, sub2)
         seen[trivial] += 1
     assert seen[True] > 100 and seen[False] > 100
+
+
+def _reference_failures(d):
+    """validate_derivation's failure lines, recomputed with lattice objects:
+    containment and the Z^2 and level tests by `contains`, orders by
+    `index_over`, the sum by `+`, trivial intersection by `&` itself, and a
+    telescoping sum keyed by (den, basis)."""
+    failures, level, unit = [], d.level, FracLattice.unit()
+    if level < 1:
+        failures.append(f"level {level} is not positive")
+    for name, lat in (("c1", d.c1), ("c2", d.c2)):
+        if level >= 1 and not FracLattice.make(level, [(1, 0), (0, 1)]).contains(lat):
+            failures.append(f"{name} is not killed by the level {level}")
+        if not lat.contains(unit):
+            failures.append(f"{name} does not contain Z^2")
+    total = Counter({(d.c1.den, d.c1.basis): -1})
+    total[d.c2.den, d.c2.basis] += 1
+    for i, (sign, rel) in enumerate(d.steps):
+        base, sub1, sub2 = rel.base, rel.sub1, rel.sub2
+        if sign not in (1, -1):
+            failures.append(f"step {i}: sign {sign} is not +1/-1")
+        if not base.contains(unit):
+            failures.append(f"step {i}: base does not contain Z^2")
+        orders = []
+        for name, lat in (("sub1", sub1), ("sub2", sub2)):
+            if lat.contains(base):
+                orders.append(lat.index_over(base))
+            else:
+                failures.append(f"step {i}: {name} does not contain the base lattice")
+        if (sub1 & sub2) != base:
+            failures.append(f"step {i}: subgroups intersect nontrivially")
+        if sub1 + sub2 != rel.joint:
+            failures.append(f"step {i}: stored sum lattice is wrong")
+        if len(orders) == 2 and rel.stated_orders not in (None, tuple(orders)):
+            stated = list(rel.stated_orders)
+            failures.append(f"step {i}: stated orders {stated} are not the indices {orders} over the base")
+        for lat, mult in ((base, sign), (rel.joint, sign), (sub1, -sign), (sub2, -sign)):
+            total[lat.den, lat.basis] += mult
+    if any(total.values()):
+        failures.append("steps do not telescope to [c1] - [c2]")
+    order1, order2 = (Fraction(lat.den**2, lat.basis[0][0] * lat.basis[1][1]) for lat in (d.c1, d.c2))
+    if order1 != order2:
+        failures.append("goal subgroups have different orders")
+    elif d.stated_degree is not None and d.stated_degree != order1:
+        failures.append(f"stated degree {d.stated_degree} is not the order {order1} of the goal subgroups")
+    return tuple(failures)
+
+
+def test_one_step_failures_match_the_lattice_reference():
+    # Every one-step relation over the lattices of the subgroups of level
+    # <= 4, with two bases that do not contain Z^2 besides, the right and a
+    # wrong stored sum, and a random level, sign, goal pair and stated
+    # numbers: validate_derivation's failures, order included, are the
+    # reference's.
+    lats = {FracLattice.from_subgroup(s) for n in range(1, 5) for s in oracle.exhaustive_subgroups(n)}
+    lats = sorted(lats, key=lambda lat: (lat.den, lat.basis))
+    assert len(lats) == 20
+    bases = lats + [FracLattice(1, ((2, 0), (0, 1))), FracLattice(1, ((2, 1), (0, 2)))]
+    rng = random.Random(32)
+    seen = Counter()
+    for base, sub1, sub2 in itertools.product(bases, lats, lats):
+        right = sub1 + sub2
+        for joint in (right, base if base != right else FracLattice.unit()):
+            if sub1.contains(base) and sub2.contains(base):
+                o1, o2 = sub1.index_over(base), sub2.index_over(base)
+            else:
+                o1, o2 = 1, 2
+            stated = rng.choice((None, (o1, o2), (o1, o2 + 1)))
+            rel = QuotientRelation(base, sub1, sub2, joint, stated)
+            c1, c2 = rng.choice(((sub1, sub1), (sub1, base), (base, sub1), (sub1, sub2)))
+            (a, _), (_, e) = c1.basis
+            degree = rng.choice((None, c1.den**2 // (a * e), 7))  # the order of c1 over Z^2, floored
+            level, sign = rng.choice((4, 4, 12, 2, 0, -3)), rng.choice((1, -1, 1, -1, 2))
+            d = Derivation(level, c1, c2, ((sign, rel),), degree)
+            failures = validate_derivation(d).failures
+            assert failures == _reference_failures(d), d
+            seen.update(re.sub(r"-?\d+", "N", line) for line in failures)
+            seen["ok"] += not failures
+    assert len(seen) == 13 and seen["ok"] > 0, seen  # all 12 kinds of failure line, and valid relations
 
 
 def test_from_subgroup_is_make():
