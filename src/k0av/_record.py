@@ -6,9 +6,10 @@ over the compared fields computed as a dataclass computes them (the same
 class is required, and the hash is `hash` of the field tuple), so set and
 dict order is unchanged.  A subclass lists its compared fields in `_fields`
 and any trailing fields left out of comparison in `_uncompared`, and its
-own `__init__` stores each value with `set_field`.  Four types compared in
-inner loops (`FracLattice`, `QuadForm`, `DegreeClass`, `K0Element`) override
-`__eq__`/`__hash__` by hand and store through their slot descriptors.
+own `__init__` stores each value with `set_field`.  Three types compared in
+inner loops (`QuadForm`, `DegreeClass`, `K0Element`) override
+`__eq__`/`__hash__` by hand and store through their slot descriptors.  A
+lattice, `arith.FracLattice`, is no Record: it is a tuple of four ints.
 """
 
 # Stores a field past Record.__setattr__, as a frozen dataclass's __init__ did.

@@ -17,14 +17,15 @@ Conventions:
 Rank-2 lattice arithmetic is closed-form and lives in one place: `row_hnf`
 folds in one generator row at a time with an extended gcd, starting from
 zero or from a Hermite basis already in hand, and `left_kernel` reduces
-two columns the same way while keeping the row operations.  FracLattice
-intersects through them; `lattice_index` (with its containment test) and
-`lattice_sum` take two lattices [[a, b], [0, d]]/den as ints (den, a, b, d).
-It is the one rank-2 lattice type: TorsionSubgroup, a finite subgroup of
-(Q/Z)^2, only validates and carries a (level, Hermite basis) pair, and
-`FracLattice.from_subgroup` turns it into the lattice it stands for.
-`contains_z2_times` is the one test that a Hermite basis spans n*Z^2: a
-subgroup's basis at its level, and a certificate lattice's at its den.
+two columns the same way while keeping the row operations.  FracLattice,
+the one rank-2 lattice type, is the tuple (den, a, b, d) of
+[[a, b], [0, d]]/den and intersects through them; `lattice_index` (with
+its containment test) and `lattice_sum` take two lattices as their ints.
+TorsionSubgroup, a finite subgroup of (Q/Z)^2, only validates and carries
+a (level, Hermite basis) pair, and `FracLattice.from_subgroup` turns it
+into the lattice it stands for.  `contains_z2_times(n, a, b, d)` is the
+one test that a Hermite basis spans n*Z^2: a subgroup's basis at its
+level, and a certificate lattice's at its den.
 
 A float, string or bool where an integer belongs is refused with a
 K0Error: in `TorsionSubgroup`'s level and basis, `FracLattice.make`'s den
@@ -400,11 +401,10 @@ def left_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return kernel
 
 
-def contains_z2_times(n: int, basis: tuple[tuple[int, int], tuple[int, int]]) -> bool:
-    """Whether n*Z^2 <= span(basis), that is Z^2 <= span(basis)/n, for n >= 1
-    and a Hermite basis [[a, b], [0, d]]: (n, 0) is (n/a)*(a, b) less a
-    multiple of (0, d), and (0, n) a multiple of (0, d)."""
-    (a, b), (_, d) = basis
+def contains_z2_times(n: int, a: int, b: int, d: int) -> bool:
+    """Whether n*Z^2 <= span([[a, b], [0, d]]), that is Z^2 <= [[a, b], [0, d]]/n,
+    for n >= 1 and a Hermite basis: (n, 0) is (n/a)*(a, b) less a multiple
+    of (0, d), and (0, n) a multiple of (0, d)."""
     return not (n % a or n % d or n // a * b % d)
 
 
@@ -430,36 +430,28 @@ def lattice_sum(den: int, a: int, b: int, e: int, oden: int, x: int, y: int, z: 
     return d // h, g // h, b // h, e // h
 
 
-class FracLattice(Record):
-    """The lattice span(basis)/den in Q^2, kept canonical: `basis` is the
-    Hermite basis [[a, b], [0, d]] and gcd(den, a, b, d) == 1.
+class FracLattice(tuple):
+    """The lattice [[a, b], [0, d]]/den in Q^2, as the tuple (den, a, b, d)
+    of its canonical form: a Hermite basis, 0 <= b < d, and
+    gcd(den, a, b, d) == 1.  Equality and hashing are the tuple's, so a
+    lattice equals the plain tuple of its ints and is its own dict key.
 
     The package's one rank-2 lattice type: Hermite reduction (`make`), sum,
-    intersection, membership and containment.  `index_over` and `+` call the
-    closed forms `lattice_index` and `lattice_sum` on both lattices' ints, as
-    `k0.validate_derivation` does, so both bases must be canonical.
+    intersection, membership and index.  `index_over` and `+` call the
+    closed forms `lattice_index` and `lattice_sum` on both lattices' ints,
+    as `k0.validate_derivation` does, so both must be canonical.
 
-    The constructor stores its arguments unchecked; `make` reduces any rows,
-    and `is_canonical` tests a lattice built by hand.  `from_json` reads the
-    shape `to_json` writes in one step, a type test of its five ints and then
-    `is_canonical`; it keeps a canonical lattice and reduces others by `make`.
+    `FracLattice((den, a, b, d))` stores its ints unchecked; `make` reduces
+    any rows, and `is_canonical` tests a lattice built by hand.  `from_json`
+    reads the shape `to_json` writes in one step, a type test of its five
+    ints and then `is_canonical`; it keeps a canonical lattice and reduces
+    others by `make`.
     """
 
-    __slots__ = _fields = ("den", "basis")
-    den: int
-    basis: tuple[tuple[int, int], tuple[int, int]]
+    __slots__ = ()
 
-    def __init__(self, den: int, basis: tuple[tuple[int, int], tuple[int, int]]) -> None:
-        _set_den(self, den)
-        _set_basis(self, basis)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.den == other.den and self.basis == other.basis
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.den, self.basis))
+    def __repr__(self) -> str:
+        return "FracLattice(den={}, a={}, b={}, d={})".format(*self)
 
     @staticmethod
     def make(den: int, rows: Iterable[Sequence[int]], start: tuple[int, int, int] = (0, 0, 0)) -> FracLattice:
@@ -472,11 +464,11 @@ class FracLattice(Record):
             raise DerivationError("lattice denominator must be positive")
         (a, b), (_, d) = row_hnf(rows, start)
         g = gcd(den, a, b, d)
-        return FracLattice(den // g, ((a // g, b // g), (0, d // g)))
+        return FracLattice((den // g, a // g, b // g, d // g))
 
     @staticmethod
     def unit() -> FracLattice:
-        return FracLattice(1, ((1, 0), (0, 1)))
+        return FracLattice((1, 1, 0, 1))
 
     @staticmethod
     def from_subgroup(c: TorsionSubgroup) -> FracLattice:
@@ -484,67 +476,51 @@ class FracLattice(Record):
         Hermite basis, so `make` would only divide out the gcd."""
         (a, b), (_, d) = c.basis
         g = gcd(c.level, a, b, d)
-        return FracLattice(c.level // g, ((a // g, b // g), (0, d // g)))
+        return FracLattice((c.level // g, a // g, b // g, d // g))
 
     @property
     def is_canonical(self) -> bool:
-        """Whether den >= 1 and basis is an integer Hermite basis
-        [[a, b], [0, d]] with gcd(den, a, b, d) == 1, as `make` returns."""
-        den = self.den
+        """Whether these are four ints (den, a, b, d) with den >= 1, a > 0,
+        0 <= b < d and gcd(den, a, b, d) == 1, as `make` returns."""
         try:
-            (a, b), (z, d) = self.basis
-            return den >= 1 and z == 0 and a > 0 and 0 <= b < d and gcd(den, a, b, d) == 1
-        except (TypeError, ValueError):  # not a 2x2 integer basis: gcd refuses floats
+            den, a, b, d = self
+            return den >= 1 and a > 0 and 0 <= b < d and gcd(den, a, b, d) == 1
+        except (TypeError, ValueError):  # not four integers: gcd refuses floats
             return False
-
-    @property
-    def covolume(self) -> tuple[int, int]:
-        """The covolume a*d/den**2 as the integer pair (a*d, den**2), for
-        exact comparisons by cross-multiplication."""
-        return self.basis[0][0] * self.basis[1][1], self.den * self.den
 
     def member(self, vec: Sequence[int], vec_den: int) -> bool:
         """Whether vec/vec_den lies in self."""
         # den*vec/vec_den = u @ basis has the solution
         # u = den*vec @ adj(basis) / (vec_den*a*d), adj(basis) = [[d, -b], [0, a]].
-        (a, b), (_, d) = self.basis
-        v0, v1 = vec[0] * self.den, vec[1] * self.den
+        den, a, b, d = self
+        v0, v1 = vec[0] * den, vec[1] * den
         det = vec_den * a * d
         return (v0 * d) % det == 0 and (v1 * a - v0 * b) % det == 0
 
-    def contains(self, other: FracLattice) -> bool:
-        r0, r1 = other.basis
-        return self.member(r0, other.den) and self.member(r1, other.den)
-
     def index_over(self, base: FracLattice) -> int:
         """[self : base] (`lattice_index`); DerivationError unless base <= self."""
-        (a, b), (_, d) = self.basis
-        (x, y), (_, z) = base.basis
-        index = lattice_index(self.den, a, b, d, base.den, x, y, z)
+        index = lattice_index(*self, *base)
         if not index:
             raise DerivationError("index requested over a non-sublattice")
         return index
 
     def __add__(self, other: FracLattice) -> FracLattice:
-        (a, b), (_, e) = self.basis
-        (x, y), (_, z) = other.basis
-        den, a, b, d = lattice_sum(self.den, a, b, e, other.den, x, y, z)
-        return FracLattice(den, ((a, b), (0, d)))
+        return FracLattice(lattice_sum(*self, *other))
 
     def __and__(self, other: FracLattice) -> FracLattice:
         # c @ [mine; theirs] == 0 exactly when c[:2] @ mine == -c[2:] @ theirs
         # is a point of both, and c -> c[:2] @ mine is one-to-one.
-        d = lcm(self.den, other.den)
-        k, j = d // self.den, d // other.den
-        (a, b), (_, e) = self.basis
-        (x, y), (_, z) = other.basis
+        den, a, b, e = self
+        oden, x, y, z = other
+        d = lcm(den, oden)
+        k, j = d // den, d // oden
         a, b, e = a * k, b * k, e * k
         kernel = left_kernel([(a, b), (0, e), (x * j, y * j), (0, z * j)])
         return FracLattice.make(d, [(c0 * a, c0 * b + c1 * e) for c0, c1, _, _ in kernel])
 
     def to_json(self) -> dict:
-        (a, b), (z, d) = self.basis
-        return {"den": self.den, "basis": [[a, b], [z, d]]}
+        den, a, b, d = self
+        return {"den": den, "basis": [[a, b], [0, d]]}
 
     @staticmethod
     def from_json(data: Mapping) -> FracLattice:
@@ -557,8 +533,8 @@ class FracLattice(Record):
             if type(row0) is type(row1) is list:
                 (a, b), (z, d) = row0, row1
                 if type(den) is type(a) is type(b) is type(z) is type(d) is int:
-                    lat = FracLattice(den, ((a, b), (z, d)))
-                    return lat if lat.is_canonical else FracLattice.make(den, lat.basis)
+                    lat = FracLattice((den, a, b, d))
+                    return lat if z == 0 and lat.is_canonical else FracLattice.make(den, basis)
         except (KeyError, TypeError, ValueError):
             pass
         try:
@@ -566,12 +542,7 @@ class FracLattice(Record):
             rows = [(strict_int(x), strict_int(y)) for x, y in data["basis"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise DerivationError(f"malformed lattice: {exc}") from exc
-        lat = FracLattice(den, tuple(rows))
-        return lat if lat.is_canonical else FracLattice.make(den, rows)
-
-
-_set_den = FracLattice.den.__set__
-_set_basis = FracLattice.basis.__set__
+        return FracLattice.make(den, rows)
 
 
 class TorsionSubgroup(Record):
@@ -600,7 +571,7 @@ class TorsionSubgroup(Record):
             raise KernelInputError("level must be a positive integer")
         if z != 0 or a <= 0 or d <= 0 or not 0 <= b < d:
             raise KernelInputError("basis is not in Hermite form")
-        if not contains_z2_times(level, basis):
+        if not contains_z2_times(level, a, b, d):
             raise KernelInputError("basis does not contain level * Z^2")
         set_field(self, "level", level)
         set_field(self, "basis", basis)

@@ -35,10 +35,11 @@ A `Derivation` holds only canonical lattices and integers: its constructor
 names the first field that is not, and `from_json` and `derive_same_degree`,
 which build canonical lattices, skip that check.
 
-`validate_derivation` reads each lattice once, as its four ints (den, a, b,
-c).  A step's indices, containments and D1+D2 are `arith.lattice_index`
-and `lattice_sum` on them: the sum is never built as a lattice, and the
-telescoping sum counts each signed lattice in one dict by its ints.
+A lattice is the tuple of its four ints (den, a, b, c), and
+`validate_derivation` reads each once.  A step's indices, containments and
+D1+D2 are `arith.lattice_index` and `lattice_sum` on them: the sum is never
+built as a lattice, and the telescoping sum counts each signed lattice in
+one dict, keyed by the lattice itself.
 
 Trivial intersection is decided by the index identity, not by
 intersecting.  For D1, D2 >= B the second isomorphism theorem gives
@@ -244,7 +245,7 @@ class Derivation(Record):
 
     @property
     def degree(self) -> int:
-        return self.c1.index_over(FracLattice.unit())
+        return self.c1.index_over(_UNIT)
 
     def to_json(self) -> dict:
         return {
@@ -307,6 +308,7 @@ def _trusted(level, c1, c2, steps, stated_degree=None, d=None) -> Derivation:
     return d
 
 
+_UNIT = FracLattice.unit()
 _set_level = Derivation.level.__set__
 _set_c1 = Derivation.c1.__set__
 _set_c2 = Derivation.c2.__set__
@@ -355,40 +357,34 @@ def validate_derivation(d: Derivation) -> DerivationCheck:
     level = d.level
     if level < 1:
         failures.append(f"level {int_excerpt(level)} is not positive")
-    # The steps telescope when their signed sum less [c1] - [c2] is zero, counted
-    # per lattice's ints: in `total[k] = get(k := ...)` the right side binds k first.
+    # The steps telescope when their signed sum less [c1] - [c2] is zero,
+    # counted per lattice: a lattice is its own key.
     total: dict = {}
     get = total.get
     for name, lat, mult in (("c1", d.c1, -1), ("c2", d.c2, 1)):
-        den, basis = lat.den, lat.basis
+        den, a, b, e = lat
         # (1/level)Z^2 contains [[a, b], [0, c]]/den when den divides level*a, level*b
         # and level*c; den is prime to gcd(a, b, c), so exactly when den divides level.
         if level >= 1 and level % den:
             failures.append(f"{name} is not killed by the level {int_excerpt(level)}")
-        if not contains_z2_times(den, basis):
+        if not contains_z2_times(den, a, b, e):
             failures.append(f"{name} does not contain Z^2")
-        (a, b), (_, e) = basis
-        total[k] = get(k := (den, a, b, e), 0) + mult
+        total[lat] = get(lat, 0) + mult
     for i, (sign, rel) in enumerate(d.steps):
         if sign not in (1, -1):
             failures.append(f"step {i}: sign {int_excerpt(sign)} is not +1/-1")
-        base, sub1, sub2 = rel.base, rel.sub1, rel.sub2
-        bden, basis = base.den, base.basis
+        base, sub1, sub2, joint = rel.base, rel.sub1, rel.sub2, rel.joint
+        bden, x, y, z = base
         # A sub that contains the base, and a correct stored sum, contain Z^2 too.
-        if not contains_z2_times(bden, basis):
+        if not contains_z2_times(bden, x, y, z):
             failures.append(f"step {i}: base does not contain Z^2")
-        (x, y), (_, z) = basis
-        den1, ((a1, b1), (_, d1)) = sub1.den, sub1.basis
-        den2, ((a2, b2), (_, d2)) = sub2.den, sub2.basis
-        jden, ((ja, jb), (_, jd)) = rel.joint.den, rel.joint.basis
-        o1 = lattice_index(den1, a1, b1, d1, bden, x, y, z)
+        o1 = lattice_index(*sub1, bden, x, y, z)
         if not o1:
             failures.append(f"step {i}: sub1 does not contain the base lattice")
-        o2 = lattice_index(den2, a2, b2, d2, bden, x, y, z)
+        o2 = lattice_index(*sub2, bden, x, y, z)
         if not o2:
             failures.append(f"step {i}: sub2 does not contain the base lattice")
-        stored = jden, ja, jb, jd
-        recomputed = sden, sa, _, sd = lattice_sum(den1, a1, b1, d1, den2, a2, b2, d2)
+        recomputed = sden, sa, _, sd = lattice_sum(*sub1, *sub2)
         if o1 and o2:
             # The index identity of the module docstring, never the stored
             # sum: [D1+D2 : B] = o1*o2, the covolumes cross-multiplied.
@@ -397,22 +393,22 @@ def validate_derivation(d: Derivation) -> DerivationCheck:
             trivial = (sub1 & sub2) == base
         if not trivial:
             failures.append(f"step {i}: subgroups intersect nontrivially")
-        if recomputed != stored:
+        if recomputed != joint:
             failures.append(f"step {i}: stored sum lattice is wrong")
         stated = rel.stated_orders
         if o1 and o2 and stated is not None and stated != (o1, o2):
             failures.append(
                 f"step {i}: stated orders {_ints(stated)} are not the indices {_ints((o1, o2))} over the base"
             )
-        total[k] = get(k := (bden, x, y, z), 0) + sign
-        total[stored] = get(stored, 0) + sign
-        total[k] = get(k := (den1, a1, b1, d1), 0) - sign
-        total[k] = get(k := (den2, a2, b2, d2), 0) - sign
+        total[base] = get(base, 0) + sign
+        total[joint] = get(joint, 0) + sign
+        total[sub1] = get(sub1, 0) - sign
+        total[sub2] = get(sub2, 0) - sign
     if any(total.values()):
         failures.append("steps do not telescope to [c1] - [c2]")
-    num1, den1 = d.c1.covolume
-    num2, den2 = d.c2.covolume
-    if num1 * den2 != num2 * den1:
+    (c1den, a, _, e), (c2den, x, _, z) = d.c1, d.c2
+    num1, den1 = a * e, c1den * c1den
+    if num1 * c2den * c2den != x * z * den1:
         failures.append("goal subgroups have different orders")
     elif d.stated_degree is not None and d.stated_degree * num1 != den1:
         # The order of c1 over Z^2 is the inverse of its covolume.
@@ -431,9 +427,9 @@ def _ints(values) -> str:
 
 def _scaled(lat: FracLattice, k: int) -> FracLattice:
     """(1/k) * lat, reduced as `make` would."""
-    (a, b), (_, d) = lat.basis
-    g = gcd(lat.den * k, a, b, d)
-    return FracLattice(lat.den * k // g, ((a // g, b // g), (0, d // g)))
+    den, a, b, d = lat
+    g = gcd(den * k, a, b, d)
+    return FracLattice((den * k // g, a // g, b // g, d // g))
 
 
 def _primes(n: int) -> list[int]:
@@ -456,7 +452,7 @@ def _link(base: FracLattice, l1: FracLattice, l2: FracLattice, c: int, primes: l
     line is l & (1/r)*base, r the product of c's primes: l itself for
     squarefree c.  For other c the `&` is as redundant (l holds (u, v)/p
     exactly when its line does) but stays: certify predicts `left_kernel` calls."""
-    den, ((a, b), (_, d)) = base.den, base.basis
+    den, a, b, d = base
     x, y, mod = 0, 0, 1
     walked = [p for p in primes if c % p == 0]
     r = prod(walked)
@@ -483,23 +479,23 @@ def _derive(l1: FracLattice, l2: FracLattice, m: int) -> list:
     same-type link over (1/top)*Z^2 joins the two ends.  A lattice of
     order m and type (alpha, beta) has den beta, so alpha = m // den."""
     primes = _primes(m)
-    top = lcm(m // l1.den, m // l2.den)
+    top = lcm(m // l1[0], m // l2[0])
     ends, halves = [], []
     for lat in (l1, l2):
         steps = []
-        while (alpha := m // lat.den) != top:
+        while (alpha := m // lat[0]) != top:
             p = next(p for p in primes if top // alpha % p == 0)
             # base = p*lat + (1/alpha)*Z^2, next = p*lat + (1/(alpha*p))*Z^2,
-            # both over lat.den, where (1/alpha)*Z^2 is k*Z^2.
-            (a, b), (_, d) = lat.basis
-            rows, k = [(p * a, p * b), (0, p * d)], lat.den // alpha
-            nxt = FracLattice.make(lat.den, rows, (k // p, 0, k // p))
-            steps += _link(FracLattice.make(lat.den, rows, (k, 0, k)), lat, nxt, p, [p])
+            # both over den, where (1/alpha)*Z^2 is k*Z^2.
+            den, a, b, d = lat
+            rows, k = [(p * a, p * b), (0, p * d)], den // alpha
+            nxt = FracLattice.make(den, rows, (k // p, 0, k // p))
+            steps += _link(FracLattice.make(den, rows, (k, 0, k)), lat, nxt, p, [p])
             lat = nxt
         ends.append(lat)
         halves.append(steps)
     (e1, e2), (steps1, steps2) = ends, halves
-    unit = FracLattice(top, ((1, 0), (0, 1)))
+    unit = FracLattice((top, 1, 0, 1))
     middle = _link(unit, e1, e2, m // (top * top), primes) if e1 != e2 else []
     return steps1 + middle + [(-s, rel) for s, rel in reversed(steps2)]
 

@@ -35,3 +35,23 @@ def fundamental_discs(limit):
         elif d % 4 == 0 and (d // 4) % 4 in (2, 3) and squarefree(d // 4):
             out.append(d)
     return out
+
+
+def basis(lat):
+    """The Hermite basis rows ((a, b), (0, d)) of the lattice (den, a, b, d),
+    as `FracLattice.make` takes rows."""
+    _, a, b, d = lat
+    return (a, b), (0, d)
+
+
+def contains(lat, other):
+    """Whether the lattice `lat` contains `other`, by `member` of other's two
+    basis rows: a test apart from the `lattice_index` closed form."""
+    den, x, y, z = other
+    return lat.member((x, y), den) and lat.member((0, z), den)
+
+
+def covolume(lat):
+    """The covolume a*d/den**2 of (den, a, b, d) as the pair (a*d, den**2)."""
+    den, a, _, d = lat
+    return a * d, den * den

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from k0av import k0, oracle
-from k0av.arith import TorsionSubgroup
+from k0av.arith import TorsionSubgroup, lattice_index
 from k0av.contexts import CM, CharPEndZ, EndZ, OrdinaryCM, Supersingular
 from k0av.errors import ContextMismatchError, DerivationError, K0Error, KernelInputError, LevelMismatchError
 from k0av.k0 import (
@@ -27,7 +27,7 @@ from k0av.k0 import (
 )
 from k0av.kernels import KernelSpec, kernel_class
 
-from conftest import load_perfbench, squarefree
+from conftest import basis, contains, covolume, load_perfbench, squarefree
 
 
 def lattice(level, *gens):
@@ -39,9 +39,8 @@ def lattice(level, *gens):
 def sub(level, *gens):
     """The same subgroup as the TorsionSubgroup that derive_same_degree
     takes: the Hermite basis of level*L."""
-    lat = lattice(level, *gens)
-    k = level // lat.den
-    (a, b), (_, d) = lat.basis
+    den, a, b, d = lattice(level, *gens)
+    k = level // den
     return TorsionSubgroup(level, ((a * k, b * k), (0, d * k)))
 
 
@@ -145,16 +144,16 @@ def test_lattice_canonical_form():
     assert FracLattice.make(2, [[2, 0], [0, 2]]) == FracLattice.unit()
     assert FracLattice.make(4, [[2, 0], [0, 2]]) == FracLattice.make(2, [[1, 0], [0, 1]])
     lat = FracLattice.make(6, [[1, 0], [0, 1]])
-    assert lat.den == 6 and lat.basis == ((1, 0), (0, 1))
+    assert lat == (6, 1, 0, 1)
     # rows get Hermite-reduced
     assert FracLattice.make(4, [[2, 3], [0, 2]]) == FracLattice.make(4, [[2, 1], [0, 2]])
 
 
 def test_lattice_volume_and_index():
     unit = FracLattice.unit()
-    assert unit.covolume == (1, 1)
+    assert covolume(unit) == (1, 1)
     half = FracLattice.make(2, [[1, 0], [0, 1]])
-    assert half.covolume == (1, 4)
+    assert covolume(half) == (1, 4)
     assert half.index_over(unit) == 4
     cyc = FracLattice.make(6, [[1, 0], [0, 6]])
     assert cyc.index_over(unit) == 6
@@ -165,8 +164,8 @@ def test_lattice_volume_and_index():
 def test_lattice_contains_and_member():
     unit = FracLattice.unit()
     cyc = FracLattice.make(6, [[1, 0], [0, 6]])
-    assert cyc.contains(unit)
-    assert not unit.contains(cyc)
+    assert contains(cyc, unit) and lattice_index(*cyc, *unit) != 0
+    assert not contains(unit, cyc) and lattice_index(*unit, *cyc) == 0
     assert cyc.member([1, 0], 6)
     assert not cyc.member([0, 1], 6)
     assert cyc.member([5, 3], 1)
@@ -190,8 +189,8 @@ def test_lattice_sum_intersect_extend():
                 rows = [(rng.randrange(-30, 31), rng.randrange(-30, 31)) for _ in range(3)]
             lats.append(FracLattice.make(rng.choice((1, 2, 3, 4, 6, 9, 10, 12, 35)), rows))
         x, y = lats
-        d = math.lcm(x.den, y.den)
-        stacked = [[v * (d // lat.den) for v in row] for lat in (x, y) for row in lat.basis]
+        d = math.lcm(x[0], y[0])
+        stacked = [[v * (d // lat[0]) for v in row] for lat in (x, y) for row in basis(lat)]
         assert x + y == FracLattice.make(d, stacked)  # row_hnf from zero
 
 
@@ -204,9 +203,9 @@ def _span(n, gens):
 
 
 def _points(lat, n):
-    """lat/Z^2 as a subset of (Z/n)^2, for lat.den dividing n."""
-    k = n // lat.den
-    (a, b), (_, d) = lat.basis
+    """lat/Z^2 as a subset of (Z/n)^2, for lat's den dividing n."""
+    den, a, b, d = lat
+    k = n // den
     return frozenset(
         ((i * a * k) % n, (i * b * k + j * d * k) % n) for i in range(n) for j in range(n)
     )
@@ -229,21 +228,20 @@ def test_lattice_matches_torsion_subgroup_ops():
         assert l1.index_over(FracLattice.unit()) == len(p1)
         assert _points(l1 + l2, n) == _span(n, h1 + h2)
         assert _points(l1 & l2, n) == p1 & p2
-        assert l1.contains(l2) == (p2 <= p1)
-        vol = [Fraction(*lat.covolume) for lat in (l1 + l2, l1 & l2, l1, l2)]
+        assert contains(l1, l2) == (p2 <= p1)
+        vol = [Fraction(*covolume(lat)) for lat in (l1 + l2, l1 & l2, l1, l2)]
         assert vol[0] * vol[1] == vol[2] * vol[3]
 
 
 def test_validate_refuses_non_canonical_lattice():
     u = FracLattice.unit()
     bad = [
-        FracLattice(0, ((1, 0), (0, 1))),  # zero denominator: member() divided by it
-        FracLattice(1, ((0, 0), (0, 1))),
-        FracLattice(1, ((1, 0), (1, 1))),
-        FracLattice(1, ((1, 3), (0, 2))),
-        FracLattice(2, ((2, 0), (0, 2))),  # gcd(den, a, b, d) = 2
-        FracLattice(1, ((1.0, 0), (0, 1))),
-        FracLattice(1, ((1, 0),)),
+        FracLattice((0, 1, 0, 1)),  # zero denominator: member() divided by it
+        FracLattice((1, 0, 0, 1)),
+        FracLattice((1, 1, 3, 2)),
+        FracLattice((2, 2, 0, 2)),  # gcd(den, a, b, d) = 2
+        FracLattice((1, 1.0, 0, 1)),
+        FracLattice((1, 1, 0)),  # three ints
     ]
     for lat in bad:
         assert not lat.is_canonical
@@ -261,15 +259,15 @@ def test_validate_refuses_non_canonical_lattice():
 def test_to_json_names_a_non_canonical_lattice():
     u = FracLattice.unit()
     for bad in (
-        FracLattice(1, ((0, 0), (0, 1))),  # member() divides by a*d = 0
-        FracLattice(2, ((2, 0), (0, 2))),  # the arithmetic succeeds: to_json wrote it out
-        FracLattice(1, ((1, 3), (0, 2))),  # b >= d: "index requested over a non-sublattice"
+        FracLattice((1, 0, 0, 1)),  # member() divides by a*d = 0
+        FracLattice((2, 2, 0, 2)),  # the arithmetic succeeds: to_json wrote it out
+        FracLattice((1, 1, 3, 2)),  # b >= d: "index requested over a non-sublattice"
     ):
         with pytest.raises(DerivationError, match="c1 is not a canonical lattice"):
             Derivation(1, bad, u, ()).to_json()
         with pytest.raises(DerivationError, match="c1 is not a canonical lattice"):
             Derivation(1, bad, u, ()).degree
-    zero = FracLattice(1, ((0, 0), (0, 1)))
+    zero = FracLattice((1, 0, 0, 1))
     steps = ((1, QuotientRelation(u, zero, u, u)),)
     with pytest.raises(DerivationError, match="step 0: sub1 is not a canonical lattice"):
         Derivation(1, u, u, steps).to_json()
@@ -280,7 +278,7 @@ def test_constructor_names_a_non_canonical_lattice():
     # later asked of the derivation; a value that is no lattice at all is
     # named the same way.
     u = FracLattice.unit()
-    bad = FracLattice(2, ((2, 0), (0, 2)))
+    bad = FracLattice((2, 2, 0, 2))
     ok = (1, QuotientRelation(u, u, u, u))
     for c1, c2, steps, name in (
         (bad, u, (), "c1"),
@@ -292,6 +290,23 @@ def test_constructor_names_a_non_canonical_lattice():
         with pytest.raises(DerivationError, match=f"^{name} is not a canonical lattice$"):
             Derivation(1, c1, c2, steps)
     assert Derivation(1, u, u, (ok,)).to_json()["degree"] == 1
+
+
+def test_constructor_refuses_a_plain_tuple_lattice():
+    # A lattice equals the plain tuple of its ints, but a Derivation holds
+    # only FracLattices: a canonical 4-tuple in any lattice field is named.
+    u, t = FracLattice.unit(), (1, 1, 0, 1)
+    assert t == u
+    for c1, c2, rel, name in (
+        (t, u, (u, u, u, u), "c1"),
+        (u, t, (u, u, u, u), "c2"),
+        (u, u, (t, u, u, u), "step 0: base"),
+        (u, u, (u, t, u, u), "step 0: sub1"),
+        (u, u, (u, u, t, u), "step 0: sub2"),
+        (u, u, (u, u, u, t), "step 0: sum"),
+    ):
+        with pytest.raises(DerivationError, match=f"^{name} is not a canonical lattice$"):
+            Derivation(1, c1, c2, ((1, QuotientRelation(*rel)),))
 
 
 # A number field of a hand-built Derivation or QuotientRelation that is a
@@ -372,17 +387,17 @@ def test_validation_builds_no_lattice(monkeypatch):
     derived = [derive_same_degree(n, c1, c2) for n, c1, c2 in COUNTED_PAIRS]
     read_back = [Derivation.from_json(json.loads(json.dumps(d.to_json()))) for d in derived]
     calls = Counter()
-    build, meet = FracLattice.__init__, FracLattice.__and__
+    meet = FracLattice.__and__
 
-    def counted_build(lat, *args):
+    def counted_build(cls, *args):
         calls["FracLattice"] += 1
-        build(lat, *args)
+        return tuple.__new__(cls, *args)
 
     def counted_meet(a, b):
         calls["&"] += 1
         return meet(a, b)
 
-    monkeypatch.setattr(FracLattice, "__init__", counted_build)
+    monkeypatch.setattr(FracLattice, "__new__", counted_build)
     monkeypatch.setattr(FracLattice, "__and__", counted_meet)
     assert FracLattice.unit() + FracLattice.unit() and calls["FracLattice"] == 3  # the counter counts
     calls.clear()
@@ -567,7 +582,7 @@ def test_index_identity_matches_intersection_exhaustive():
     for n in range(1, 13):
         lats = [FracLattice.from_subgroup(s) for s in oracle.exhaustive_subgroups(n)]
         for base in lats:
-            over = [lat for lat in lats if lat.contains(base)]
+            over = [lat for lat in lats if contains(lat, base)]
             for sub1 in over:
                 for sub2 in over:
                     trivial = (sub1 & sub2) == base
@@ -606,21 +621,21 @@ def _reference_failures(d):
     if level < 1:
         failures.append(f"level {level} is not positive")
     for name, lat in (("c1", d.c1), ("c2", d.c2)):
-        if level >= 1 and not FracLattice.make(level, [(1, 0), (0, 1)]).contains(lat):
+        if level >= 1 and not contains(FracLattice.make(level, [(1, 0), (0, 1)]), lat):
             failures.append(f"{name} is not killed by the level {level}")
-        if not lat.contains(unit):
+        if not contains(lat, unit):
             failures.append(f"{name} does not contain Z^2")
-    total = Counter({(d.c1.den, d.c1.basis): -1})
-    total[d.c2.den, d.c2.basis] += 1
+    total = Counter({(d.c1[0], basis(d.c1)): -1})
+    total[d.c2[0], basis(d.c2)] += 1
     for i, (sign, rel) in enumerate(d.steps):
         base, sub1, sub2 = rel.base, rel.sub1, rel.sub2
         if sign not in (1, -1):
             failures.append(f"step {i}: sign {sign} is not +1/-1")
-        if not base.contains(unit):
+        if not contains(base, unit):
             failures.append(f"step {i}: base does not contain Z^2")
         orders = []
         for name, lat in (("sub1", sub1), ("sub2", sub2)):
-            if lat.contains(base):
+            if contains(lat, base):
                 orders.append(lat.index_over(base))
             else:
                 failures.append(f"step {i}: {name} does not contain the base lattice")
@@ -632,10 +647,10 @@ def _reference_failures(d):
             stated = list(rel.stated_orders)
             failures.append(f"step {i}: stated orders {stated} are not the indices {orders} over the base")
         for lat, mult in ((base, sign), (rel.joint, sign), (sub1, -sign), (sub2, -sign)):
-            total[lat.den, lat.basis] += mult
+            total[lat[0], basis(lat)] += mult
     if any(total.values()):
         failures.append("steps do not telescope to [c1] - [c2]")
-    order1, order2 = (Fraction(lat.den**2, lat.basis[0][0] * lat.basis[1][1]) for lat in (d.c1, d.c2))
+    order1, order2 = (Fraction(lat[0] ** 2, lat[1] * lat[3]) for lat in (d.c1, d.c2))
     if order1 != order2:
         failures.append("goal subgroups have different orders")
     elif d.stated_degree is not None and d.stated_degree != order1:
@@ -650,23 +665,23 @@ def test_one_step_failures_match_the_lattice_reference():
     # numbers: validate_derivation's failures, order included, are the
     # reference's.
     lats = {FracLattice.from_subgroup(s) for n in range(1, 5) for s in oracle.exhaustive_subgroups(n)}
-    lats = sorted(lats, key=lambda lat: (lat.den, lat.basis))
+    lats = sorted(lats, key=lambda lat: (lat[0], basis(lat)))
     assert len(lats) == 20
-    bases = lats + [FracLattice(1, ((2, 0), (0, 1))), FracLattice(1, ((2, 1), (0, 2)))]
+    bases = lats + [FracLattice((1, 2, 0, 1)), FracLattice((1, 2, 1, 2))]
     rng = random.Random(32)
     seen = Counter()
     for base, sub1, sub2 in itertools.product(bases, lats, lats):
         right = sub1 + sub2
         for joint in (right, base if base != right else FracLattice.unit()):
-            if sub1.contains(base) and sub2.contains(base):
+            if contains(sub1, base) and contains(sub2, base):
                 o1, o2 = sub1.index_over(base), sub2.index_over(base)
             else:
                 o1, o2 = 1, 2
             stated = rng.choice((None, (o1, o2), (o1, o2 + 1)))
             rel = QuotientRelation(base, sub1, sub2, joint, stated)
             c1, c2 = rng.choice(((sub1, sub1), (sub1, base), (base, sub1), (sub1, sub2)))
-            (a, _), (_, e) = c1.basis
-            degree = rng.choice((None, c1.den**2 // (a * e), 7))  # the order of c1 over Z^2, floored
+            den, a, _, e = c1
+            degree = rng.choice((None, den**2 // (a * e), 7))  # the order of c1 over Z^2, floored
             level, sign = rng.choice((4, 4, 12, 2, 0, -3)), rng.choice((1, -1, 1, -1, 2))
             d = Derivation(level, c1, c2, ((sign, rel),), degree)
             failures = validate_derivation(d).failures
@@ -691,7 +706,7 @@ def test_scaled_is_make():
         for s in oracle.exhaustive_subgroups(n):
             lat = FracLattice.from_subgroup(s)
             for k in (1, 2, 3, 4, 6, 35):
-                assert k0._scaled(lat, k) == FracLattice.make(lat.den * k, lat.basis), (lat, k)
+                assert k0._scaled(lat, k) == FracLattice.make(lat[0] * k, basis(lat)), (lat, k)
 
 
 # SHA-256 of the compact JSON certificate, and its step count, for the
@@ -758,7 +773,7 @@ def test_derive_order_six_cyclics():
     # every step stays inside the order-36 window: volumes between 1/36 and 1
     for _, rel in d.steps:
         for lat in (rel.base, rel.sub1, rel.sub2, rel.joint):
-            assert Fraction(1, 36) <= Fraction(*lat.covolume) <= 1
+            assert Fraction(1, 36) <= Fraction(*covolume(lat)) <= 1
 
 
 def all_subgroups_of_order(n):

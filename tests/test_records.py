@@ -66,7 +66,6 @@ def _square_classes():
 # that used to be a frozen dataclass.  Each factory builds a new instance.
 RECORDS = [
     (lambda: factor(360), ("exps",), ()),
-    (lambda: FracLattice(6, _B), ("den", "basis"), ()),
     (lambda: TorsionSubgroup(6, _B), ("level", "basis"), ()),
     (lambda: QuadForm(2, 1, 3), ("a", "b", "c"), ()),
     (lambda: ClassGroup(-20, class_group(-20).elements), ("disc", "elements"), ()),
@@ -92,7 +91,7 @@ IDS = [type(make()).__name__ for make, _, _ in RECORDS]
 
 
 def test_every_former_dataclass_is_listed():
-    assert len(set(IDS)) == len(RECORDS) == 22
+    assert len(set(IDS)) == len(RECORDS) == 21
 
 
 @pytest.mark.parametrize("make,fields,extra", RECORDS, ids=IDS)
@@ -135,7 +134,6 @@ def test_copy_and_pickle_round_trip(make, fields, extra):
 
 def test_repr_literals():
     assert repr(QuadForm(1, 1, 6)) == "QuadForm(a=1, b=1, c=6)"
-    assert repr(FracLattice.unit()) == "FracLattice(den=1, basis=((1, 0), (0, 1)))"
     assert repr(CM(-4)) == "CM(disc=-4)"
     assert repr(KernelSpec()) == "KernelSpec(zp=0, mup=0, alphap=0, coprime=1)"
     assert repr(factor(12)) == "FactoredRational(exps=((2, 2), (3, 1)))"
@@ -151,9 +149,7 @@ def test_uncompared_fields_are_ignored():
 
 
 def test_equal_numbers_of_different_types_are_unequal():
-    lat, sub = FracLattice(6, _B), TorsionSubgroup(6, _B)
-    assert hash(lat) == hash(sub)
-    assert lat != sub and sub != lat and len({lat, sub}) == 2
+    # A lattice and a TorsionSubgroup: test_lattice_is_unequal_to_other_shapes.
     cm = CM(-4)
     for other in (OrdinaryCM(-4, 5), EndZ(1), Supersingular(5), CharPEndZ(5)):
         assert cm != other and other != cm
@@ -162,6 +158,48 @@ def test_equal_numbers_of_different_types_are_unequal():
     assert K0Element(1, EndZ(1).identity()) != K0Element(1, EndZ(2).identity())
     assert KernelSpec(0, 0, 0, 1) != (0, 0, 0, 1)
     assert ClassAtom(1, Fraction(2)) != Dual(Sum(()))
+
+
+# A lattice is no Record: it is the tuple (den, a, b, d) of its canonical
+# form, and equals and hashes as that tuple.
+_LAT = (6, 1, 0, 6)
+
+
+def test_lattice_equals_and_hashes_as_its_ints():
+    x, y = FracLattice(_LAT), FracLattice.from_subgroup(TorsionSubgroup(6, _B))
+    assert x is not y and type(x) is type(y) is FracLattice
+    assert x == y == _LAT and not (x != _LAT) and _LAT == x
+    assert hash(x) == hash(y) == hash(_LAT)
+    assert len({x, y, _LAT}) == 1 and {x: 1}[_LAT] == 1
+    assert FracLattice.make(6, _B) == _LAT and FracLattice.unit() == (1, 1, 0, 1)
+
+
+def test_lattice_is_unequal_to_other_shapes():
+    lat, sub = FracLattice(_LAT), TorsionSubgroup(6, _B)
+    assert lat != sub and sub != lat and len({lat, sub}) == 2
+    assert lat != (6, _B) and lat != (6, ((1, 0), (0, 6))) and lat != [6, 1, 0, 6]
+    assert lat != FracLattice((6, 1, 0, 3))
+
+
+def test_lattice_assignment_is_refused():
+    lat = FracLattice(_LAT)
+    for name in ("den", "a", "b", "d", "basis", "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(lat, name, 0)
+    with pytest.raises(TypeError):
+        lat[0] = 2
+    assert lat == _LAT
+
+
+def test_lattice_repr_names_its_ints():
+    assert repr(FracLattice.unit()) == "FracLattice(den=1, a=1, b=0, d=1)"
+    assert repr(FracLattice(_LAT)) == "FracLattice(den=6, a=1, b=0, d=6)"
+
+
+def test_lattice_copy_and_pickle_round_trip():
+    lat = FracLattice(_LAT)
+    for y in (copy.copy(lat), copy.deepcopy(lat), pickle.loads(pickle.dumps(lat))):
+        assert y == lat and type(y) is FracLattice and y.is_canonical
 
 
 def test_quad_form_order_is_triple_order():
@@ -199,7 +237,7 @@ def test_quad_form_order_is_triple_order():
         (lambda: KernelSpec(coprime=0), KernelInputError),
         (lambda: KernelSpec(0, 0, -1, 12), KernelInputError),
         (lambda: QuadForm(1, 2), TypeError),
-        (lambda: FracLattice(1, _B, 3), TypeError),
+        (lambda: FracLattice((1, 1, 0, 6), 3), TypeError),
         (lambda: EndZ(g=1, p=2), TypeError),
         (lambda: KernelSpec(zq=1), TypeError),
     ],
@@ -343,9 +381,11 @@ def test_only_square_classes_has_a_dict():
     for info in pkgutil.iter_modules(k0av.__path__):
         importlib.import_module(f"k0av.{info.name}")
     types = set(_record_types())
-    assert {CM, OrdinaryCM, FracLattice, QuadForm, KernelSpec, Derivation} <= types
+    assert {CM, OrdinaryCM, QuadForm, KernelSpec, Derivation} <= types
     assert sorted(t.__qualname__ for t in types if t.__dictoffset__) == ["SquareClasses"]
     assert not hasattr(CM(-20), "__dict__")
+    # A lattice is a tuple, not a Record, and slotted all the same.
+    assert FracLattice not in types and not FracLattice.__dictoffset__
 
 
 # Modules whose functions perfbench's tracer rebinds at install time; they
