@@ -451,7 +451,9 @@ class FracLattice(tuple):
     __slots__ = ()
 
     def __repr__(self) -> str:
-        return "FracLattice(den={}, a={}, b={}, d={})".format(*self)
+        if len(self) != 4:  # a hand-built lattice that `is_canonical` refuses
+            return f"FracLattice({tuple(self)!r})"
+        return "FracLattice(den={!r}, a={!r}, b={!r}, d={!r})".format(*self)
 
     @staticmethod
     def make(den: int, rows: Iterable[Sequence[int]], start: tuple[int, int, int] = (0, 0, 0)) -> FracLattice:

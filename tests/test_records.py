@@ -62,8 +62,9 @@ def _square_classes():
     return SquareClasses(sq.disc, sq.squares, sq.coset_reps)
 
 
-# (factory, compared fields, fields outside comparison): one row per type
-# that used to be a frozen dataclass.  Each factory builds a new instance.
+# (factory, compared fields, fields outside comparison): one row per Record
+# type that used to be a frozen dataclass.  Each factory builds a new
+# instance.  FracLattice, now a tuple, has its own tests below.
 RECORDS = [
     (lambda: factor(360), ("exps",), ()),
     (lambda: TorsionSubgroup(6, _B), ("level", "basis"), ()),
@@ -194,6 +195,7 @@ def test_lattice_assignment_is_refused():
 def test_lattice_repr_names_its_ints():
     assert repr(FracLattice.unit()) == "FracLattice(den=1, a=1, b=0, d=1)"
     assert repr(FracLattice(_LAT)) == "FracLattice(den=6, a=1, b=0, d=6)"
+    assert repr(FracLattice((1, 1, 0))) == "FracLattice((1, 1, 0))"
 
 
 def test_lattice_copy_and_pickle_round_trip():
