@@ -20,7 +20,8 @@ zero or from a Hermite basis already in hand, and `left_kernel` reduces
 two columns the same way while keeping the row operations.  FracLattice,
 the one rank-2 lattice type, is the tuple (den, a, b, d) of
 [[a, b], [0, d]]/den and intersects through them; `lattice_index` (with
-its containment test) and `lattice_sum` take two lattices as their ints.
+its containment test) and `lattice_sum` take two lattices as their ints,
+and `lattice_is_canonical` tests one lattice's.
 TorsionSubgroup, a finite subgroup of (Q/Z)^2, only validates and carries
 a (level, Hermite basis) pair, and `FracLattice.from_subgroup` turns it
 into the lattice it stands for.  `contains_z2_times(n, a, b, d)` is the
@@ -430,6 +431,12 @@ def lattice_sum(den: int, a: int, b: int, e: int, oden: int, x: int, y: int, z: 
     return d // h, g // h, b // h, e // h
 
 
+def lattice_is_canonical(den: int, a: int, b: int, d: int) -> bool:
+    """Whether the ints (den, a, b, d) are a canonical lattice: den >= 1,
+    a > 0, 0 <= b < d and gcd(den, a, b, d) == 1, as `make` returns."""
+    return den >= 1 and a > 0 and 0 <= b < d and gcd(den, a, b, d) == 1
+
+
 class FracLattice(tuple):
     """The lattice [[a, b], [0, d]]/den in Q^2, as the tuple (den, a, b, d)
     of its canonical form: a Hermite basis, 0 <= b < d, and
@@ -444,8 +451,8 @@ class FracLattice(tuple):
     `FracLattice((den, a, b, d))` stores its ints unchecked; `make` reduces
     any rows, and `is_canonical` tests a lattice built by hand.  `from_json`
     reads the shape `to_json` writes in one step, a type test of its five
-    ints and then `is_canonical`; it keeps a canonical lattice and reduces
-    others by `make`.
+    ints and then `lattice_is_canonical` on those ints; it builds a
+    canonical lattice from them and reduces others by `make`.
     """
 
     __slots__ = ()
@@ -482,12 +489,10 @@ class FracLattice(tuple):
 
     @property
     def is_canonical(self) -> bool:
-        """Whether these are four ints (den, a, b, d) with den >= 1, a > 0,
-        0 <= b < d and gcd(den, a, b, d) == 1, as `make` returns."""
+        """Whether these are four ints that `lattice_is_canonical` takes."""
         try:
-            den, a, b, d = self
-            return den >= 1 and a > 0 and 0 <= b < d and gcd(den, a, b, d) == 1
-        except (TypeError, ValueError):  # not four integers: gcd refuses floats
+            return lattice_is_canonical(*self)
+        except TypeError:  # not four integers: gcd refuses floats
             return False
 
     def member(self, vec: Sequence[int], vec_den: int) -> bool:
@@ -535,8 +540,9 @@ class FracLattice(tuple):
             if type(row0) is type(row1) is list:
                 (a, b), (z, d) = row0, row1
                 if type(den) is type(a) is type(b) is type(z) is type(d) is int:
-                    lat = FracLattice((den, a, b, d))
-                    return lat if z == 0 and lat.is_canonical else FracLattice.make(den, basis)
+                    if z == 0 and lattice_is_canonical(den, a, b, d):
+                        return FracLattice((den, a, b, d))
+                    return FracLattice.make(den, basis)
         except (KeyError, TypeError, ValueError):
             pass
         try:

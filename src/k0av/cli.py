@@ -153,8 +153,7 @@ def _parse_hnf(text: str, level: int) -> TorsionSubgroup:
 def _cmd_derive(args) -> int:
     c1 = _parse_hnf(args.c1, args.n)
     c2 = _parse_hnf(args.c2, args.n)
-    derivation = derive_same_degree(args.n, c1, c2)
-    cert = derivation.to_json()
+    cert = derive_same_degree(args.n, c1, c2).to_json()
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -162,10 +161,11 @@ def _cmd_derive(args) -> int:
                 fh.write("\n")
         except OSError as exc:
             raise K0Error(f"cannot write certificate: {exc}") from exc
+        steps, degree = len(cert["steps"]), cert["degree"]
         _emit(
             args,
-            {"ok": True, "steps": len(derivation.steps), "degree": derivation.degree, "out": args.out},
-            f"wrote certificate ({len(derivation.steps)} steps, degree {derivation.degree}) to {args.out}",
+            {"ok": True, "steps": steps, "degree": degree, "out": args.out},
+            f"wrote certificate ({steps} steps, degree {degree}) to {args.out}",
         )
     else:
         print(json.dumps(cert, indent=2))

@@ -31,15 +31,22 @@ positive and kill c1 and c2: (1/level)Z^2 contains both.  The goals and
 every step's base must contain Z^2 (`arith.contains_z2_times`).  The
 result, a `DerivationCheck`, holds only the failures.
 
+A derivation states its numbers: `derive_same_degree` the degree it was
+given and each link's orders, `from_json` those the certificate holds.
+`to_json` writes what is stated and computes an index only where nothing
+is, so a certificate read back writes its own numbers, right or wrong,
+and validation alone judges them.
+
 A `Derivation` holds only canonical lattices and integers: its constructor
 names the first field that is not, and `from_json` and `derive_same_degree`,
-which build canonical lattices, skip that check.
+which build canonical lattices, skip that check.  `from_json` tests each
+lattice it reads once, on the ints it has just unpacked.
 
 A lattice is the tuple of its four ints (den, a, b, c), and
-`validate_derivation` reads each once.  A step's indices, containments and
-D1+D2 are `arith.lattice_index` and `lattice_sum` on them: the sum is never
-built as a lattice, and the telescoping sum counts each signed lattice in
-one dict, keyed by the lattice itself.
+`validate_derivation` unpacks each once per step.  A step's indices,
+containments and D1+D2 are `arith.lattice_index` and `lattice_sum` on
+those ints: the sum is never built as a lattice, and the telescoping sum
+counts each signed lattice in one dict, keyed by the lattice itself.
 
 Trivial intersection is decided by the index identity, not by
 intersecting.  For D1, D2 >= B the second isomorphism theorem gives
@@ -160,9 +167,12 @@ def _strict(value, name: str) -> int:
 class QuotientRelation(Record):
     """[base] + [sum] = [sub1] + [sub2] for subgroups with trivial intersection.
 
-    `stated_orders` holds the orders a certificate stated for the step, if
-    any, as a pair of integers; validation compares them with the
-    recomputed ones.  It takes no part in equality or hashing.
+    `stated_orders` holds the orders stated for the step, if any, as a pair
+    of integers: those a certificate stated, or the (c, c) of a link that
+    `derive_same_degree` built.  `to_json` writes them as stated, and
+    computes the indices over the base only when none are; validation
+    compares them with the recomputed ones.  They take no part in equality
+    or hashing.
     """
 
     __slots__ = ("base", "sub1", "sub2", "joint", "stated_orders")
@@ -186,25 +196,35 @@ class QuotientRelation(Record):
             if not isinstance(stated_orders, (list, tuple)) or len(stated_orders) != 2:
                 raise DerivationError("stated orders must be a pair of integers")
             stated_orders = tuple([_strict(o, "stated orders") for o in stated_orders])
-        _set_base(self, base)
-        _set_sub1(self, sub1)
-        _set_sub2(self, sub2)
-        _set_joint(self, joint)
-        _set_stated_orders(self, stated_orders)
+        _relation(base, sub1, sub2, joint, stated_orders, self)
 
     def to_json(self) -> dict:
         return self._write({})
 
     def _write(self, out: dict) -> dict:
         """`out` with this step's lattices and orders added in certificate
-        order; `Derivation.to_json` passes {"sign": s}."""
-        base = self.base
+        order; `Derivation.to_json` passes {"sign": s}.  The orders are the
+        stated ones, else the indices over the base."""
+        base, sub1, sub2, orders = self.base, self.sub1, self.sub2, self.stated_orders
         out["base"] = base.to_json()
-        out["sub1"] = self.sub1.to_json()
-        out["sub2"] = self.sub2.to_json()
+        out["sub1"] = sub1.to_json()
+        out["sub2"] = sub2.to_json()
         out["sum"] = self.joint.to_json()
-        out["orders"] = [self.sub1.index_over(base), self.sub2.index_over(base)]
+        out["orders"] = [sub1.index_over(base), sub2.index_over(base)] if orders is None else list(orders)
         return out
+
+
+def _relation(base, sub1, sub2, joint, stated_orders, rel=None) -> QuotientRelation:
+    """A QuotientRelation whose stated orders are None or a pair of ints,
+    skipping `__init__`'s check; `__init__` passes itself as rel once it
+    has checked."""
+    rel = object.__new__(QuotientRelation) if rel is None else rel
+    _set_base(rel, base)
+    _set_sub1(rel, sub1)
+    _set_sub2(rel, sub2)
+    _set_joint(rel, joint)
+    _set_stated_orders(rel, stated_orders)
+    return rel
 
 
 _set_base = QuotientRelation.base.__set__
@@ -218,9 +238,11 @@ class Derivation(Record):
     """Signed quotient relations telescoping to [L1] - [L2] = 0.
 
     Every lattice is a canonical `FracLattice`, and the level, each sign
-    and `stated_degree` (the degree a certificate stated, if any; it takes
-    no part in equality or hashing) are integers: the constructor raises
-    DerivationError naming the first field that is not.
+    and `stated_degree` are integers: the constructor raises
+    DerivationError naming the first field that is not.  `stated_degree`
+    is the degree stated, if any: a certificate's, or the n that
+    `derive_same_degree` was given.  It takes no part in equality or
+    hashing.
     """
 
     __slots__ = ("level", "c1", "c2", "steps", "stated_degree")
@@ -248,10 +270,15 @@ class Derivation(Record):
         return self.c1.index_over(_UNIT)
 
     def to_json(self) -> dict:
+        """The certificate, with the degree and each step's orders as
+        stated, and computed only where none is: read back, a certificate
+        writes the numbers it stated, right or wrong, and only
+        `validate_derivation` judges them."""
+        degree = self.stated_degree
         return {
             "format": "k0-derivation/1",
             "level": self.level,
-            "degree": self.degree,
+            "degree": self.degree if degree is None else degree,
             "c1": self.c1.to_json(),
             "c2": self.c2.to_json(),
             "steps": [rel._write({"sign": s}) for s, rel in self.steps],
@@ -287,10 +314,9 @@ class Derivation(Record):
                     if type(o1) is not int or type(o2) is not int:
                         o1, o2 = strict_int(o1), strict_int(o2)
                     orders = o1, o2
+                # The orders are ints already: past `__init__`'s check.
                 lattices = read(entry["base"]), read(entry["sub1"]), read(entry["sub2"]), read(entry["sum"])
-                rel = QuotientRelation(*lattices)
-                _set_stated_orders(rel, orders)  # ints already: past `__init__`'s check
-                steps.append((sign, rel))
+                steps.append((sign, _relation(*lattices, orders)))
         except (KeyError, TypeError, ValueError) as exc:
             raise DerivationError(f"malformed certificate: {exc}") from exc
         return _trusted(level, c1, c2, tuple(steps), degree)
@@ -375,16 +401,18 @@ def validate_derivation(d: Derivation) -> DerivationCheck:
             failures.append(f"step {i}: sign {int_excerpt(sign)} is not +1/-1")
         base, sub1, sub2, joint = rel.base, rel.sub1, rel.sub2, rel.joint
         bden, x, y, z = base
+        den1, a1, b1, d1 = sub1
+        den2, a2, b2, d2 = sub2
         # A sub that contains the base, and a correct stored sum, contain Z^2 too.
         if not contains_z2_times(bden, x, y, z):
             failures.append(f"step {i}: base does not contain Z^2")
-        o1 = lattice_index(*sub1, bden, x, y, z)
+        o1 = lattice_index(den1, a1, b1, d1, bden, x, y, z)
         if not o1:
             failures.append(f"step {i}: sub1 does not contain the base lattice")
-        o2 = lattice_index(*sub2, bden, x, y, z)
+        o2 = lattice_index(den2, a2, b2, d2, bden, x, y, z)
         if not o2:
             failures.append(f"step {i}: sub2 does not contain the base lattice")
-        recomputed = sden, sa, _, sd = lattice_sum(*sub1, *sub2)
+        recomputed = sden, sa, _, sd = lattice_sum(den1, a1, b1, d1, den2, a2, b2, d2)
         if o1 and o2:
             # The index identity of the module docstring, never the stored
             # sum: [D1+D2 : B] = o1*o2, the covolumes cross-multiplied.
@@ -407,13 +435,13 @@ def validate_derivation(d: Derivation) -> DerivationCheck:
     if any(total.values()):
         failures.append("steps do not telescope to [c1] - [c2]")
     (c1den, a, _, e), (c2den, x, _, z) = d.c1, d.c2
-    num1, den1 = a * e, c1den * c1den
-    if num1 * c2den * c2den != x * z * den1:
+    num, den = a * e, c1den * c1den
+    if num * c2den * c2den != x * z * den:
         failures.append("goal subgroups have different orders")
-    elif d.stated_degree is not None and d.stated_degree * num1 != den1:
+    elif d.stated_degree is not None and d.stated_degree * num != den:
         # The order of c1 over Z^2 is the inverse of its covolume.
-        g = gcd(den1, num1)
-        order = int_excerpt(den1 // g) + ("" if num1 == g else f"/{int_excerpt(num1 // g)}")
+        g = gcd(den, num)
+        order = int_excerpt(den // g) + ("" if num == g else f"/{int_excerpt(num // g)}")
         failures.append(
             f"stated degree {int_excerpt(d.stated_degree)} is not the order {order} of the goal subgroups"
         )
@@ -470,7 +498,8 @@ def _link(base: FracLattice, l1: FracLattice, l2: FracLattice, c: int, primes: l
         x, y, mod = x + mod * ((u - x) * k % p), y + mod * ((v - y) * k % p), mod * p
     l3 = FracLattice.make(den * c, [(x * a, x * b + y * d)], (a * c, b * c, d * c))
     joint = _scaled(base, c)  # l1 + l3 = l2 + l3: both meet l3 in base alone
-    return [(-1, QuotientRelation(base, l1, l3, joint)), (1, QuotientRelation(base, l2, l3, joint))]
+    orders = c, c  # l1, l2 and l3 are each cyclic of order c over base
+    return [(-1, _relation(base, l1, l3, joint, orders)), (1, _relation(base, l2, l3, joint, orders))]
 
 
 def _derive(l1: FracLattice, l2: FracLattice, m: int) -> list:
@@ -513,20 +542,23 @@ def derive_same_degree(n: int, c1: TorsionSubgroup, c2: TorsionSubgroup) -> Deri
 
     The subgroups must have equal level and order n, at most
     MAX_DERIVE_ORDER.  The certificate is a chain of two-step links, at
-    most Omega(n) + 2 steps, and validates by recomputation alone.
+    most Omega(n) + 2 steps, and validates by recomputation alone.  It
+    states n as its degree and (c, c) as a link of order c's orders, and
+    the self-check validates those numbers with the rest.
     """
     if c1.level != c2.level:
         raise LevelMismatchError("subgroup levels differ")
-    if c1.order != c2.order:
-        raise DerivationError(f"subgroup orders differ: {c1.order} != {c2.order}")
-    if c1.order != n:
-        raise DerivationError(f"claimed degree {n} != subgroup order {c1.order}")
+    order1, order2 = c1.order, c2.order
+    if order1 != order2:
+        raise DerivationError(f"subgroup orders differ: {order1} != {order2}")
+    if order1 != n:
+        raise DerivationError(f"claimed degree {n} != subgroup order {order1}")
     if n > MAX_DERIVE_ORDER:
         raise DerivationError(f"subgroup order {n} is over the limit of {MAX_DERIVE_ORDER} for a derivation")
     lat1 = FracLattice.from_subgroup(c1)
     lat2 = FracLattice.from_subgroup(c2)
     steps = tuple(_derive(lat1, lat2, n))
-    derivation = _trusted(c1.level, lat1, lat2, steps)
+    derivation = _trusted(c1.level, lat1, lat2, steps, n)
     check = validate_derivation(derivation)
     if not check:
         raise DerivationError("internal: derivation failed validation: " + "; ".join(check.failures))

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from k0av import k0, oracle
+from k0av import arith, k0, oracle
 from k0av.arith import TorsionSubgroup, lattice_index
 from k0av.contexts import CM, CharPEndZ, EndZ, OrdinaryCM, Supersingular
 from k0av.errors import ContextMismatchError, DerivationError, K0Error, KernelInputError, LevelMismatchError
@@ -344,14 +344,17 @@ def test_constructors_keep_integer_numbers():
 
 
 def _count_canonical_checks(monkeypatch):
+    # `arith.lattice_is_canonical` is the one canonical test: the
+    # `is_canonical` property calls it, and `FracLattice.from_json` calls it
+    # on the ints it has just unpacked.
     calls = Counter()
-    test = FracLattice.is_canonical.fget
+    test = arith.lattice_is_canonical
 
-    def counted(lat):
+    def counted(*ints):
         calls["is_canonical"] += 1
-        return test(lat)
+        return test(*ints)
 
-    monkeypatch.setattr(FracLattice, "is_canonical", property(counted))
+    monkeypatch.setattr(arith, "lattice_is_canonical", counted)
     return calls
 
 
@@ -378,6 +381,76 @@ def test_canonical_checks_counted(monkeypatch):
         assert calls["is_canonical"] == 2 + 4 * len(d.steps)
         steps.add(len(d.steps))
     assert steps == {0, 2, 6}
+    # The counter counts the property too: a hand-built Derivation tests
+    # each lattice through `is_canonical`.
+    calls.clear()
+    d = Derivation(d.level, d.c1, d.c2, d.steps)
+    assert calls["is_canonical"] == 2 + 4 * len(d.steps)
+
+
+def _count_index_calls(monkeypatch):
+    # k0 calls `lattice_index` by the name it imported, `index_over` by the
+    # arith module's.
+    calls = Counter()
+
+    def counted(*ints):
+        calls["lattice_index"] += 1
+        return lattice_index(*ints)
+
+    monkeypatch.setattr(arith, "lattice_index", counted)
+    monkeypatch.setattr(k0, "lattice_index", counted)
+    return calls
+
+
+def test_write_path_computes_no_index_twice(monkeypatch):
+    # derive_same_degree states its degree and each link's orders, and its
+    # self-check computes each step's two indices once; to_json writes the
+    # stated numbers and computes none.
+    calls = _count_index_calls(monkeypatch)
+    for n, c1, c2 in COUNTED_PAIRS:
+        calls.clear()
+        d = derive_same_degree(n, c1, c2)
+        assert calls["lattice_index"] == 2 * len(d.steps)
+        calls.clear()
+        cert = d.to_json()
+        assert calls == {}
+        # The stated numbers are the computed ones.
+        assert cert["degree"] == d.degree == n
+        assert [step["orders"] for step in cert["steps"]] == [
+            [rel.sub1.index_over(rel.base), rel.sub2.index_over(rel.base)] for _, rel in d.steps
+        ]
+
+
+@pytest.mark.parametrize(
+    "target, wrap, failure",
+    [
+        (
+            "_relation",
+            lambda f: lambda *args: f(*args[:4], (1, 1)),
+            "step 0: stated orders [1, 1] are not the indices [6, 6]",
+        ),
+        ("_trusted", lambda f: lambda *args: f(*args[:4], 7), "stated degree 7 is not the order 6"),
+    ],
+    ids=["step_orders", "degree"],
+)
+def test_derive_self_check_judges_stated_numbers(monkeypatch, target, wrap, failure):
+    # A link that stated a wrong order, or a wrong stated degree, fails the
+    # derive self-check instead of reaching the certificate.
+    monkeypatch.setattr(k0, target, wrap(getattr(k0, target)))
+    with pytest.raises(DerivationError, match="^internal: derivation failed validation: " + re.escape(failure)):
+        derive_same_degree(6, sub(6, (1, 0)), sub(6, (0, 1)))
+
+
+def test_hand_built_derivation_computes_what_is_not_stated(monkeypatch):
+    # A hand-built derivation states nothing: to_json computes the degree
+    # and each step's two indices.
+    d = derive_same_degree(12, sub(12, (1, 0)), sub(12, (2, 0), (0, 6)))
+    steps = tuple((s, QuotientRelation(r.base, r.sub1, r.sub2, r.joint)) for s, r in d.steps)
+    bare = Derivation(d.level, d.c1, d.c2, steps)
+    assert bare.stated_degree is None and all(rel.stated_orders is None for _, rel in bare.steps)
+    calls = _count_index_calls(monkeypatch)
+    assert bare.to_json() == d.to_json()
+    assert calls["lattice_index"] == 1 + 2 * len(d.steps)
 
 
 def test_validation_builds_no_lattice(monkeypatch):
@@ -886,6 +959,34 @@ def test_certify_seed_1_pinned(certify_seed_1):
                 accepted = False
             checks.append([i, kind, accepted])
     assert workloads.check_certify(inputs, {"certs": texts, "checks": checks}) == []
+
+
+def test_certify_seed_1_round_trips(certify_seed_1):
+    # A certificate read back writes the bytes it was read from.
+    _, texts = certify_seed_1
+    for text in texts:
+        assert json.dumps(Derivation.from_json(json.loads(text)).to_json(), separators=(",", ":")) == text
+
+
+@pytest.mark.parametrize(
+    "edit, failure",
+    [
+        (
+            lambda cert: cert["steps"][1].update(orders=[2, 5]),
+            "step 1: stated orders [2, 5] are not the indices [6, 6] over the base",
+        ),
+        (lambda cert: cert.update(degree=7), "stated degree 7 is not the order 6 of the goal subgroups"),
+    ],
+    ids=["step_orders", "degree"],
+)
+def test_wrong_stated_number_is_written_back(edit, failure):
+    # to_json writes the numbers a certificate stated, right or wrong;
+    # validation alone judges them.
+    cert = derive_same_degree(6, sub(6, (1, 0)), sub(6, (0, 1))).to_json()
+    edit(cert)
+    d = Derivation.from_json(json.loads(json.dumps(cert)))
+    assert d.to_json() == cert
+    assert validate_derivation(d).failures == (failure,)
 
 
 # Values of the wrong type for an integer field of a certificate.
