@@ -6,7 +6,9 @@ Factoring takes one gcd of n with the product of the primes below 1024,
 divides out the primes that gcd names (walking up to its square root), and
 calls a cofactor below 1031^2 (1031 is the least prime past 1024) prime
 without a test.  A larger cofactor is tested and, when composite, split by
-Pollard-Brent rho within a step budget.
+Pollard-Brent rho within a step budget.  `exponent_table` turns a positive
+int or Fraction into its sorted (prime, exponent) table, which a
+`FactoredRational` wraps and a degree class reads directly.
 
 Conventions:
   * all arithmetic is arbitrary-precision; exactness is preferred over speed
@@ -191,6 +193,22 @@ def _factor_int(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(exps)
 
 
+def exponent_table(q: Fraction | int) -> tuple[tuple[int, int], ...]:
+    """The sorted (prime, exponent) table of a positive int or Fraction:
+    the numerator's exponents, and the denominator's negated.  It looks up
+    `_factor_int` once for the numerator and once for a denominator past 1."""
+    try:
+        num, den = q.numerator, q.denominator
+    except AttributeError:
+        raise KernelInputError(f"can only factor an int or a Fraction, got {type(q).__name__}") from None
+    if den == 1:
+        return _factor_int(num)
+    if num <= 0:
+        raise _refuse_non_positive(q)
+    # num and den are coprime, so their tables share no prime.
+    return tuple(sorted(_factor_int(num) + tuple([(p, -e) for p, e in _factor_int(den)])))
+
+
 class FactoredRational(Record):
     """A positive rational stored as a sparse map prime -> nonzero exponent."""
 
@@ -214,17 +232,7 @@ class FactoredRational(Record):
     def from_fraction(q: Fraction | int | FactoredRational) -> FactoredRational:
         if isinstance(q, FactoredRational):
             return q
-        try:
-            num, den = q.numerator, q.denominator
-        except AttributeError:
-            raise KernelInputError(f"can only factor an int or a Fraction, got {type(q).__name__}") from None
-        if den == 1:
-            return FactoredRational.from_int(num)
-        if num <= 0:
-            raise _refuse_non_positive(q)
-        # num and den are coprime, so their tables share no prime.
-        exps = _factor_int(num) + tuple([(p, -e) for p, e in _factor_int(den)])
-        return _trusted(tuple(sorted(exps)))
+        return _trusted(exponent_table(q))
 
     @staticmethod
     def _from_map(m: Mapping[int, int]) -> FactoredRational:

@@ -50,7 +50,7 @@ from functools import lru_cache
 from math import gcd
 
 from ._record import Record, set_field
-from .arith import FactoredRational, is_prime, printable_int
+from .arith import FactoredRational, exponent_table, is_prime, printable_int
 from .errors import ContextError, ContextMismatchError, KernelInputError
 from .quadforms import (
     QuadForm,
@@ -115,18 +115,22 @@ class DegreeClass(Record):
         _set_ctx(self, ctx)
         _set_data(self, data)
 
+    # Classes of one query share their context object, so identity is
+    # tested before Record equality.
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self.ctx == other.ctx and self.data == other.data
+            ctx = self.ctx
+            return (ctx is other.ctx or ctx == other.ctx) and self.data == other.data
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.ctx, self.data))
 
     def __mul__(self, other: DegreeClass) -> DegreeClass:
-        if self.ctx != other.ctx:
+        ctx = self.ctx
+        if ctx is not other.ctx and ctx != other.ctx:
             raise ContextMismatchError("degree classes from different contexts")
-        return DegreeClass(self.ctx, self.ctx._mul(self.data, other.data))
+        return DegreeClass(ctx, ctx._mul(self.data, other.data))
 
     def inverse(self) -> DegreeClass:
         return DegreeClass(self.ctx, self.ctx._pow(self.data, -1))
@@ -158,7 +162,8 @@ class IsogenyContext(Record):
     record whose `__init__` takes its fields by name and stores them
     through this class's, and defines the rest of the interface: its group
     law on class data (`_identity`, `_mul`, and `_pow` for any integer k),
-    `_degree_data` unless `_reads_primes` is false, `_class_order` (None
+    `_degree_data` unless `_reads_primes` is false (it takes the degree's
+    sorted (prime, exponent) table, `arith.exponent_table`), `_class_order` (None
     when infinite), `_describe_class`, `_class_json` (the class's JSON
     fields after `case`), `structure` and `describe`."""
 
@@ -180,15 +185,22 @@ class IsogenyContext(Record):
         return DegreeClass(self, self._identity)
 
     def degree_class(self, q: DegreeLike) -> DegreeClass:
-        """Canonical class of a positive rational isogeny degree."""
-        try:
-            if not isinstance(q, FactoredRational) and q.numerator <= 0:
-                raise KernelInputError(f"degree must be a positive rational, got {q}")
-        except AttributeError:  # no numerator: neither an int nor a Fraction
-            raise KernelInputError(f"degree must be a positive rational, got {type(q).__name__}") from None
+        """Canonical class of a positive rational isogeny degree: an int (not
+        a bool), a Fraction, or a FactoredRational, read through its table."""
+        if isinstance(q, FactoredRational):
+            table = q.exps
+        else:
+            try:
+                if q.numerator <= 0:
+                    raise KernelInputError(f"degree must be a positive rational, got {q}")
+            except AttributeError:  # no numerator: neither an int nor a Fraction
+                raise KernelInputError(f"degree must be a positive rational, got {type(q).__name__}") from None
+            if q.__class__ is bool:
+                raise KernelInputError("degree must be a positive rational, got bool")
+            table = None
         if not self._reads_primes:
             return self.identity()
-        return DegreeClass(self, self._degree_data(FactoredRational.from_fraction(q)))
+        return DegreeClass(self, self._degree_data(exponent_table(q) if table is None else table))
 
     def to_json(self) -> dict:
         """The context file's object: `case`, then `_fields` in order."""
@@ -212,9 +224,9 @@ class EndZ(IsogenyContext):
     def modulus(self) -> int:
         return 2 * self.g
 
-    def _degree_data(self, q: FactoredRational) -> tuple:
+    def _degree_data(self, exps: tuple) -> tuple:
         m = self.modulus
-        return tuple((p, e % m) for p, e in q.exps if e % m)
+        return tuple([(p, e % m) for p, e in exps if e % m])
 
     def _mul(self, x: tuple, y: tuple) -> tuple:
         m = self.modulus
@@ -302,10 +314,10 @@ class _WithClassGroup(IsogenyContext):
         """Whether q is a norm from the CM field (i.e. a trivial degree class)."""
         return self.degree_class(q).is_identity
 
-    def _degree_data(self, q: FactoredRational) -> tuple:
+    def _degree_data(self, exps: tuple) -> tuple:
         mask = 0
         inert = []
-        for p, e in q.exps:
+        for p, e in exps:
             if e % 2 == 0:  # p^e is a norm: its class is a square, its inert parity even
                 continue
             m = _prime_mask(p % -self.disc, self.disc)
@@ -444,10 +456,10 @@ class CharPEndZ(IsogenyContext):
         if not is_prime(p):
             raise ContextError(f"{p} is not prime")
 
-    def _degree_data(self, q: FactoredRational) -> tuple:
-        if q.exponent(self.p) != 0:
+    def _degree_data(self, exps: tuple) -> tuple:
+        if any(r == self.p for r, _ in exps):
             raise KernelInputError("use kernel input for p-part")
-        return (0, tuple(p for p, e in q.exps if e % 2))
+        return (0, tuple([r for r, e in exps if e % 2]))
 
     def _mul(self, x: tuple, y: tuple) -> tuple:
         return (x[0] + y[0], _odd_primes_product(x[1], y[1]))

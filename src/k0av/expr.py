@@ -226,15 +226,19 @@ def print_expression(node: Node) -> str:
 
 
 def eval_expression(ctx: IsogenyContext, node: Node) -> K0Element:
-    """Evaluate to canonical form; dual distributes over sums."""
-    if isinstance(node, Sum):
-        if not node.terms:
-            return K0Element(0, ctx.identity())
-        (coef, atom), *rest = node.terms
-        acc = eval_expression(ctx, atom).scale(coef)
-        for coef, atom in rest:
-            acc = acc + eval_expression(ctx, atom).scale(coef)
-        return acc
-    if isinstance(node, Dual):
+    """Evaluate to canonical form; dual distributes over sums.  The node's
+    exact class picks its rule, a class atom's first, since most nodes are
+    atoms; a sum adds its terms in order, scaling only a coefficient other
+    than 1, and an empty one is the zero class."""
+    cls = node.__class__
+    if cls is ClassAtom:
+        return k0_class(ctx, node.n, node.spec)
+    if cls is Dual:
         return eval_expression(ctx, node.inner).dual()
-    return k0_class(ctx, node.n, node.spec)
+    acc = None
+    for coef, atom in node.terms:
+        x = eval_expression(ctx, atom)
+        if coef != 1:
+            x = x.scale(coef)
+        acc = x if acc is None else acc + x
+    return K0Element(0, ctx.identity()) if acc is None else acc

@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from itertools import islice
 
 from ._record import Record, set_field
-from .arith import FactoredRational, det, int_digit_limit, printable_int
+from .arith import FactoredRational, _factor_int, det, int_digit_limit, printable_int
 from .contexts import CharPEndZ, DegreeClass, IsogenyContext, Supersingular
 from .errors import ContextMismatchError, KernelInputError, ParseError, SingularMatrixError, excerpt
 
@@ -99,7 +99,7 @@ def kernel_class(ctx: IsogenyContext, k: KernelSpec) -> DegreeClass:
         return ctx.identity()
     if k.alphap > 0:
         raise KernelInputError("ordinary curve has no alpha_p constituents")
-    odd = tuple(q for q, e in FactoredRational.from_int(k.coprime).exps if e % 2)
+    odd = tuple([q for q, e in _factor_int(k.coprime) if e % 2])
     return DegreeClass(ctx, (k.deg_p, odd))
 
 

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k0av import oracle
 from k0av.arith import FactoredRational
@@ -536,6 +538,63 @@ def test_degree_class_rejects_nonpositive():
         for q in (0, -3, Fraction(-1, 2)):
             with pytest.raises(KernelInputError, match="positive"):
                 ctx.degree_class(q)
+
+
+# `degree_class`'s refusals, the same in every kind; each message but the
+# bool's was taken before a bool was refused.
+_DEGREE_REFUSALS = (
+    (0, "degree must be a positive rational, got 0"),
+    (-3, "degree must be a positive rational, got -3"),
+    (Fraction(-1, 2), "degree must be a positive rational, got -1/2"),
+    (1.5, "degree must be a positive rational, got float"),
+    ("3", "degree must be a positive rational, got str"),
+    (None, "degree must be a positive rational, got NoneType"),
+    (False, "degree must be a positive rational, got False"),
+    (True, "degree must be a positive rational, got bool"),
+)
+
+
+@pytest.mark.parametrize("case", sorted(_CONTEXTS))
+def test_degree_class_refusals_pinned(case):
+    ctx = _CONTEXTS[case](**_KIND_FIELDS[case])
+    for q, message in _DEGREE_REFUSALS:
+        with pytest.raises(KernelInputError) as info:
+            ctx.degree_class(q)
+        assert str(info.value) == message, (case, q)
+
+
+def test_char_p_degree_class_refuses_the_p_part():
+    ctx = CharPEndZ(5)
+    for q in (5, 10, Fraction(1, 5), Fraction(3, 25), FactoredRational.from_fraction(Fraction(2, 125))):
+        with pytest.raises(KernelInputError) as info:
+            ctx.degree_class(q)
+        assert str(info.value) == "use kernel input for p-part", q
+
+
+def test_supersingular_answers_a_large_degree_without_factoring():
+    from k0av.arith import _factor_int
+
+    ctx = Supersingular(101)
+    before = _factor_int.cache_info()
+    assert ctx.degree_class(7**40 * 11) == ctx.identity()
+    after = _factor_int.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+@given(st.integers(1, 10**12), st.integers(1, 10**12))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_degree_class_reads_a_factored_rational_as_its_fraction(a, b):
+    q = Fraction(a, b)
+    factored = FactoredRational.from_fraction(q)
+    for case in sorted(_CONTEXTS):
+        ctx = _CONTEXTS[case](**_KIND_FIELDS[case])
+        try:
+            want = ctx.degree_class(q)
+        except KernelInputError as exc:  # char_p_end_z, for a degree with a p-part
+            with pytest.raises(KernelInputError, match=f"^{exc}$"):
+                ctx.degree_class(factored)
+        else:
+            assert ctx.degree_class(factored) == want, (case, q)
 
 
 def test_principal_form_checks_the_discriminant_once():

@@ -378,6 +378,33 @@ def test_parser_corpus_pinned():
     assert digest.hexdigest() == "539168a44baf802a6d2b37c13f199e364845ffd0b0984fea7cb7a6fea7a13bec"
 
 
+def test_degree_query_evaluation_builds_no_factored_rational(monkeypatch):
+    # The first 400 benchmark queries of seed 1, with the contexts' lazy
+    # data built first, as the benchmark builds it.  A degree class reads
+    # the exponent table, so no FactoredRational is built, and `_factor_int`
+    # is looked up as often as when each rational atom built one (one
+    # lookup per numerator, one per denominator past 1, and those of
+    # `_prime_mask`'s misses): 1,292 times, counted before that change.
+    from k0av import arith
+    from k0av.contexts import _prime_mask
+
+    inputs = load_perfbench("workloads").make_degree_query(1)
+    _prime_mask.cache_clear()
+    contexts = [make_context(spec) for spec in inputs["contexts"]]
+    for ctx in contexts:
+        ctx.structure()
+    built = []
+    trusted = arith._trusted
+    monkeypatch.setattr(arith, "_trusted", lambda exps: built.append(exps) or trusted(exps))
+    monkeypatch.setattr(arith.FactoredRational, "__init__", lambda self, exps: built.append(exps))
+    arith._factor_int.cache_clear()
+    for ci, left, right, _ in inputs["queries"][:400]:
+        eval_expression(contexts[ci], parse_expression(left)) == eval_expression(contexts[ci], parse_expression(right))
+    info = arith._factor_int.cache_info()
+    assert built == []
+    assert info.hits + info.misses == 1292
+
+
 def test_eval_matches_direct_classes():
     ctx = CM(-23)
     node = parse_expression("2*[1; 3] + dual([2; 5])")

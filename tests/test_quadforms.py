@@ -274,7 +274,7 @@ def forms(draw):
 
 
 @given(forms())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 def test_reduce_recovers_class_representative(pair):
     messy, reduced = pair
     assert reduce_form(messy) == reduced
