@@ -398,10 +398,11 @@ def test_supersingular_trivial():
 def test_supersingular_degree_class_factors_nothing():
     from k0av.arith import _factor_int
 
-    ctx = Supersingular(5)
+    ctx, large = Supersingular(5), Supersingular(101)
     before = _factor_int.cache_info()
     for q in (1000000000100000000002379, Fraction(12, 1000000000100000000002379), FactoredRational.one()):
         assert ctx.degree_class(q) == ctx.identity()
+    assert large.degree_class(7**40 * 11) == large.identity()
     after = _factor_int.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
@@ -413,10 +414,9 @@ def test_char_p_distances():
     assert cls.order() == 2
     assert ctx.degree_class(Fraction(3, 7)).data == (0, (3, 7))
     assert ctx.degree_class(9).is_identity
-    with pytest.raises(KernelInputError, match="use kernel input for p-part"):
-        ctx.degree_class(10)
-    with pytest.raises(KernelInputError):
-        ctx.degree_class(Fraction(1, 5))
+    for q in (10, 5, Fraction(1, 5), Fraction(3, 25), FactoredRational.from_fraction(Fraction(2, 125))):
+        with pytest.raises(KernelInputError, match="^use kernel input for p-part$"):
+            ctx.degree_class(q)
 
 
 def test_char_p_structure_and_duality():
@@ -561,24 +561,6 @@ def test_degree_class_refusals_pinned(case):
         with pytest.raises(KernelInputError) as info:
             ctx.degree_class(q)
         assert str(info.value) == message, (case, q)
-
-
-def test_char_p_degree_class_refuses_the_p_part():
-    ctx = CharPEndZ(5)
-    for q in (5, 10, Fraction(1, 5), Fraction(3, 25), FactoredRational.from_fraction(Fraction(2, 125))):
-        with pytest.raises(KernelInputError) as info:
-            ctx.degree_class(q)
-        assert str(info.value) == "use kernel input for p-part", q
-
-
-def test_supersingular_answers_a_large_degree_without_factoring():
-    from k0av.arith import _factor_int
-
-    ctx = Supersingular(101)
-    before = _factor_int.cache_info()
-    assert ctx.degree_class(7**40 * 11) == ctx.identity()
-    after = _factor_int.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 @given(st.integers(1, 10**12), st.integers(1, 10**12))
