@@ -6,9 +6,10 @@ Factoring takes one gcd of n with the product of the primes below 1024,
 divides out the primes that gcd names (walking up to its square root), and
 calls a cofactor below 1031^2 (1031 is the least prime past 1024) prime
 without a test.  A larger cofactor is tested and, when composite, split by
-Pollard-Brent rho within a step budget.  `exponent_table` turns a positive
-int or Fraction into its sorted (prime, exponent) table, which a
-`FactoredRational` wraps and a degree class reads directly.
+Pollard-Brent rho within a step budget.  `exponent_table` is the one
+reader of a degree: it turns a positive int or Fraction into its sorted
+(prime, exponent) table, and gives a `FactoredRational`'s own table.  A
+`FactoredRational` is such a table, checked, with no arithmetic.
 
 Conventions:
   * all arithmetic is arbitrary-precision; exactness is preferred over speed
@@ -31,8 +32,9 @@ one test that a Hermite basis spans n*Z^2: a subgroup's basis at its
 level, and a certificate lattice's at its den.
 
 A float, string or bool where an integer belongs is refused with a
-K0Error: in `TorsionSubgroup`'s level and basis, `FracLattice.make`'s den
-and `matrix_isogeny_degree`'s g.
+K0Error: in `TorsionSubgroup`'s level and basis, `FracLattice.make`'s den,
+`matrix_isogeny_degree`'s g, `factor`, `exponent_table` and a
+`FactoredRational`'s table.
 """
 
 from __future__ import annotations
@@ -193,14 +195,19 @@ def _factor_int(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(exps)
 
 
-def exponent_table(q: Fraction | int) -> tuple[tuple[int, int], ...]:
+def exponent_table(q: Fraction | int | FactoredRational) -> tuple[tuple[int, int], ...]:
     """The sorted (prime, exponent) table of a positive int or Fraction:
     the numerator's exponents, and the denominator's negated.  It looks up
-    `_factor_int` once for the numerator and once for a denominator past 1."""
+    `_factor_int` once for the numerator and once for a denominator past 1.
+    A FactoredRational gives its own table; a bool is refused."""
+    if isinstance(q, FactoredRational):
+        return q.exps
     try:
         num, den = q.numerator, q.denominator
     except AttributeError:
         raise KernelInputError(f"can only factor an int or a Fraction, got {type(q).__name__}") from None
+    if q.__class__ is bool:
+        raise KernelInputError("can only factor an int or a Fraction, got bool")
     if den == 1:
         return _factor_int(num)
     if num <= 0:
@@ -210,56 +217,28 @@ def exponent_table(q: Fraction | int) -> tuple[tuple[int, int], ...]:
 
 
 class FactoredRational(Record):
-    """A positive rational stored as a sparse map prime -> nonzero exponent."""
+    """A positive rational as its sorted table of (prime, nonzero exponent)
+    pairs: what `factor` and `matrix_isogeny_degree` return, and what
+    `degree_class` and `kernels.class_in_image` take beside an int or a
+    Fraction, reading it through `exponent_table`.  It has no arithmetic.
+    The constructor checks a hand-built table: pairs of ints, primes by
+    `is_prime` and strictly ascending, and no zero exponent."""
 
     __slots__ = _fields = ("exps",)
     exps: tuple[tuple[int, int], ...]
 
-    def __init__(self, exps: tuple[tuple[int, int], ...]) -> None:
-        if list(exps) != sorted(exps) or any(e == 0 for _, e in exps):
+    def __init__(self, exps: Iterable[tuple[int, int]]) -> None:
+        try:
+            exps = tuple([(p, e) for p, e in exps])
+        except (TypeError, ValueError):
+            raise KernelInputError("exponent table must be (prime, exponent) pairs") from None
+        if any(type(p) is not int or type(e) is not int for p, e in exps):
+            raise KernelInputError("exponent table entries must be integers")
+        if any(e == 0 for _, e in exps) or any(p >= q for (p, _), (q, _) in zip(exps, exps[1:])):
             raise KernelInputError("exponent table must be sorted with nonzero exponents")
+        if not all(is_prime(p) for p, _ in exps):
+            raise KernelInputError("exponent table must list primes")
         _set_exps(self, exps)
-
-    @staticmethod
-    def one() -> FactoredRational:
-        return _trusted(())
-
-    @staticmethod
-    def from_int(n: int) -> FactoredRational:
-        return _trusted(_factor_int(n))
-
-    @staticmethod
-    def from_fraction(q: Fraction | int | FactoredRational) -> FactoredRational:
-        if isinstance(q, FactoredRational):
-            return q
-        return _trusted(exponent_table(q))
-
-    @staticmethod
-    def _from_map(m: Mapping[int, int]) -> FactoredRational:
-        return _trusted(tuple(sorted((p, e) for p, e in m.items() if e != 0)))
-
-    def exponent(self, p: int) -> int:
-        for q, e in self.exps:
-            if q == p:
-                return e
-        return 0
-
-    def __mul__(self, other: FactoredRational) -> FactoredRational:
-        m = dict(self.exps)
-        for p, e in other.exps:
-            m[p] = m.get(p, 0) + e
-        return FactoredRational._from_map(m)
-
-    def __pow__(self, k: int) -> FactoredRational:
-        if k == 0:
-            return FactoredRational.one()
-        return _trusted(tuple([(p, e * k) for p, e in self.exps]))
-
-    def inverse(self) -> FactoredRational:
-        return self ** -1
-
-    def __truediv__(self, other: FactoredRational) -> FactoredRational:
-        return self * other.inverse()
 
     def as_fraction(self) -> Fraction:
         out = Fraction(1)
@@ -277,8 +256,8 @@ _set_exps = FactoredRational.exps.__set__
 
 
 def _trusted(exps: tuple[tuple[int, int], ...]) -> FactoredRational:
-    """A FactoredRational over a table the package built sorted and without
-    zero exponents, skipping `__init__`'s check."""
+    """A FactoredRational over a table the package built, skipping
+    `__init__`'s check."""
     out = object.__new__(FactoredRational)
     _set_exps(out, exps)
     return out
@@ -288,7 +267,7 @@ def factor(n: int) -> FactoredRational:
     """Factor a positive integer; any other raises KernelInputError."""
     if type(n) is not int:
         raise KernelInputError(f"can only factor an int, got {type(n).__name__}")
-    return FactoredRational.from_int(n)
+    return _trusted(_factor_int(n))
 
 
 def det(rows: Sequence[Sequence[int]]) -> int:
@@ -348,7 +327,7 @@ def matrix_isogeny_degree(rows: Sequence[Sequence[int]], g: int) -> FactoredRati
     d = det(rows)
     if d == 0:
         raise SingularMatrixError("singular matrix")
-    return factor(abs(d)) ** (2 * g)
+    return _trusted(tuple([(p, e * 2 * g) for p, e in _factor_int(abs(d))]))
 
 
 def row_hnf(

@@ -186,10 +186,9 @@ class IsogenyContext(Record):
 
     def degree_class(self, q: DegreeLike) -> DegreeClass:
         """Canonical class of a positive rational isogeny degree: an int (not
-        a bool), a Fraction, or a FactoredRational, read through its table."""
-        if isinstance(q, FactoredRational):
-            table = q.exps
-        else:
+        a bool), a Fraction, or a FactoredRational, each read through
+        `exponent_table`."""
+        if not isinstance(q, FactoredRational):  # a FactoredRational is checked when built
             try:
                 if q.numerator <= 0:
                     raise KernelInputError(f"degree must be a positive rational, got {q}")
@@ -197,10 +196,9 @@ class IsogenyContext(Record):
                 raise KernelInputError(f"degree must be a positive rational, got {type(q).__name__}") from None
             if q.__class__ is bool:
                 raise KernelInputError("degree must be a positive rational, got bool")
-            table = None
         if not self._reads_primes:
             return self.identity()
-        return DegreeClass(self, self._degree_data(exponent_table(q) if table is None else table))
+        return DegreeClass(self, self._degree_data(exponent_table(q)))
 
     def to_json(self) -> dict:
         """The context file's object: `case`, then `_fields` in order."""

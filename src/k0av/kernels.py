@@ -18,8 +18,8 @@ from collections.abc import Sequence
 from itertools import islice
 
 from ._record import Record, set_field
-from .arith import FactoredRational, _factor_int, det, int_digit_limit, printable_int
-from .contexts import CharPEndZ, DegreeClass, IsogenyContext, Supersingular
+from .arith import _factor_int, det, exponent_table, int_digit_limit, printable_int
+from .contexts import CharPEndZ, DegreeClass, DegreeLike, IsogenyContext, Supersingular
 from .errors import ContextMismatchError, KernelInputError, ParseError, SingularMatrixError, excerpt
 
 
@@ -103,11 +103,12 @@ def kernel_class(ctx: IsogenyContext, k: KernelSpec) -> DegreeClass:
     return DegreeClass(ctx, (k.deg_p, odd))
 
 
-def class_in_image(p: int, a: int, q: FactoredRational | int) -> bool:
+def class_in_image(p: int, a: int, q: DegreeLike) -> bool:
     """Whether the pair (a, q) in Z x (positive rationals mod squares) is the
-    invariant of some kernel: exactly when ord_p(q) is even."""
-    q = FactoredRational.from_fraction(q)
-    return q.exponent(p) % 2 == 0
+    invariant of some kernel: exactly when ord_p(q) is even.  q is a positive
+    int (not a bool), Fraction or FactoredRational, read through
+    `exponent_table`."""
+    return all(e % 2 == 0 for r, e in exponent_table(q) if r == p)
 
 
 def int_literal(digits: str, pos: int) -> int:

@@ -19,6 +19,7 @@ from k0av.arith import (
     TorsionSubgroup,
     count_subgroups,
     det,
+    exponent_table,
     factor,
     is_prime,
     left_kernel,
@@ -150,13 +151,13 @@ def test_no_primality_test_below_the_square_of_the_next_prime(monkeypatch):
 
 
 def test_factoring_refuses_non_positive_input_with_a_library_error():
-    for fn in (factor, FactoredRational.from_int, FactoredRational.from_fraction, arith._factor_int):
+    for fn in (factor, exponent_table, arith._factor_int):
         for n in (0, -1, -12):
             with pytest.raises(KernelInputError, match=f"positive numbers, got {n}$"):
                 fn(n)
     for q in (Fraction(-3, 4), Fraction(0), Fraction(-5)):
         with pytest.raises(KernelInputError, match=f"got {q}$"):
-            FactoredRational.from_fraction(q)
+            exponent_table(q)
     if arith.int_digit_limit():  # a value too long to print names the limit
         with pytest.raises(K0Error, match="limit"):
             factor(-(10 ** (arith.int_digit_limit() + 1)))
@@ -285,18 +286,19 @@ def test_jacobi_and_kronecker_match_euler_criterion():
                 assert jacobi(a, n) == want, (a, n)
 
 
-def test_factored_rational_group_law():
-    two = FactoredRational.from_int(2)
-    assert (two * two.inverse()).exps == ()
-    a = FactoredRational.from_fraction(Fraction(12))
-    b = FactoredRational.from_int(3)
-    assert dict((a * b).exps) == {2: 2, 3: 2}
-    assert dict(FactoredRational.from_int(125).inverse().exps) == {5: -3}
-
-
 def test_factored_rational_fraction_round_trip():
     for q in (Fraction(3, 4), Fraction(1), Fraction(100, 7), Fraction(9, 25)):
-        assert FactoredRational.from_fraction(q).as_fraction() == q
+        assert FactoredRational(exponent_table(q)).as_fraction() == q
+
+
+def _merged(*tables):
+    """The table of the product of the rationals these tables stand for,
+    merged prime by prime."""
+    exps = {}
+    for table in tables:
+        for p, e in table:
+            exps[p] = exps.get(p, 0) + e
+    return tuple(sorted((p, e) for p, e in exps.items() if e))
 
 
 @given(
@@ -304,27 +306,27 @@ def test_factored_rational_fraction_round_trip():
     st.fractions(min_value=Fraction(1, 1000), max_value=1000),
 )
 @settings(max_examples=200, deadline=None)
-def test_factored_rational_homomorphism(q1, q2):
-    a = FactoredRational.from_fraction(q1)
-    b = FactoredRational.from_fraction(q2)
-    assert (a * b).as_fraction() == q1 * q2
-    assert (a / b).as_fraction() == q1 / q2
-    assert (a**3).as_fraction() == q1**3
+def test_exponent_table_homomorphism(q1, q2):
+    a = exponent_table(q1)
+    b = exponent_table(q2)
+    assert FactoredRational(_merged(a, b)).as_fraction() == q1 * q2
+    assert FactoredRational(_merged(a, [(p, -e) for p, e in b])).as_fraction() == q1 / q2
+    assert FactoredRational(_merged(a, a, a)).as_fraction() == q1**3
 
 
 @given(st.integers(1, 10**12), st.integers(1, 10**12))
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-def test_from_fraction_is_numerator_over_denominator(a, b):
+def test_exponent_table_is_numerator_over_denominator(a, b):
     q = Fraction(a, b)
-    expected = FactoredRational.from_int(q.numerator) * FactoredRational.from_int(q.denominator).inverse()
-    got = FactoredRational.from_fraction(q)
-    assert got == expected
-    assert got.exps == FactoredRational(got.exps).exps  # a table the checked constructor accepts
+    num, den = arith._factor_int(q.numerator), arith._factor_int(q.denominator)
+    got = exponent_table(q)
+    assert dict(got) == {**dict(num), **{p: -e for p, e in den}}
+    assert got == FactoredRational(got).exps  # sorted, over primes, no zero exponent
 
 
 def test_matrix_isogeny_degree_frozen():
     assert matrix_isogeny_degree([[5]], 1).as_fraction() == 25
-    assert matrix_isogeny_degree([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2) == FactoredRational.one()
+    assert matrix_isogeny_degree([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2) == FactoredRational(())
     assert matrix_isogeny_degree([[1, 1], [0, 3]], 1).as_fraction() == 9
 
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from k0av.arith import FactoredRational, det
+from k0av.arith import det, factor
 from k0av.contexts import CM, CharPEndZ, EndZ, Supersingular
 from k0av.errors import ContextMismatchError, KernelInputError, ParseError, SingularMatrixError
 from k0av.expr import parse_expression, parse_kernel
@@ -171,7 +171,7 @@ def test_kernel_class_additivity_and_duality():
 def test_class_in_image_frozen():
     assert class_in_image(5, 5, 6)
     assert not class_in_image(5, 0, 5)
-    assert class_in_image(5, -3, FactoredRational.from_int(25 * 7))
+    assert class_in_image(5, -3, factor(25 * 7))
     assert class_in_image(5, 0, 1)
 
 

@@ -18,7 +18,15 @@ import pytest
 
 import k0av
 from k0av._record import Record
-from k0av.arith import FactoredRational, FracLattice, TorsionSubgroup, det, factor, matrix_isogeny_degree
+from k0av.arith import (
+    FactoredRational,
+    FracLattice,
+    TorsionSubgroup,
+    det,
+    exponent_table,
+    factor,
+    matrix_isogeny_degree,
+)
 from k0av.contexts import (
     CM,
     CharPEndZ,
@@ -64,9 +72,11 @@ def _square_classes():
 
 # (factory, compared fields, fields outside comparison): one row per Record
 # type that used to be a frozen dataclass.  Each factory builds a new
-# instance.  FracLattice, now a tuple, has its own tests below.
+# instance.  FracLattice, now a tuple, has its own tests below.  The
+# FactoredRational is built from lists, which its constructor stores as the
+# tuple that factor(360) holds.
 RECORDS = [
-    (lambda: factor(360), ("exps",), ()),
+    (lambda: FactoredRational([[2, 3], [3, 2], [5, 1]]), ("exps",), ()),
     (lambda: TorsionSubgroup(6, _B), ("level", "basis"), ()),
     (lambda: QuadForm(2, 1, 3), ("a", "b", "c"), ()),
     (lambda: ClassGroup(-20, class_group(-20).elements), ("disc", "elements"), ()),
@@ -276,6 +286,18 @@ def _too_long(what):
         (lambda: kernel_of_matrix_endo(_M, EndZ(1)), "kernel input requires a characteristic-p context"),
         (lambda: EndZ(1).degree_class(1.5), "degree must be a positive rational, got float"),
         (lambda: class_in_image(5, 0, 1.5), "can only factor an int or a Fraction, got float"),
+        (lambda: class_in_image(5, 0, True), "can only factor an int or a Fraction, got bool"),
+        (lambda: exponent_table(True), "can only factor an int or a Fraction, got bool"),
+        (lambda: FactoredRational(5), "exponent table must be (prime, exponent) pairs"),
+        (lambda: FactoredRational(((2, 1, 0),)), "exponent table must be (prime, exponent) pairs"),
+        (lambda: FactoredRational(((2.0, 1),)), "exponent table entries must be integers"),
+        (lambda: FactoredRational((("a", 1),)), "exponent table entries must be integers"),
+        (lambda: FactoredRational(((True, 1),)), "exponent table entries must be integers"),
+        (lambda: FactoredRational(((2, 1.5),)), "exponent table entries must be integers"),
+        (lambda: FactoredRational(((2, 1), (2, 1))), "exponent table must be sorted with nonzero exponents"),
+        (lambda: FactoredRational(((2, 0),)), "exponent table must be sorted with nonzero exponents"),
+        (lambda: FactoredRational(((4, 1),)), "exponent table must list primes"),
+        (lambda: FactoredRational(((-3, 1),)), "exponent table must list primes"),
         (lambda: factor(2.0), "can only factor an int, got float"),
         (lambda: KernelSpec(zp=1.5), "kernel fields must be integers"),
         (lambda: KernelSpec(coprime=12.0), "kernel fields must be integers"),
@@ -320,6 +342,18 @@ def _too_long(what):
         "matrix_kernel_in_end_z",
         "float_degree",
         "float_in_image",
+        "bool_in_image",
+        "bool_exponent_table",
+        "int_table",
+        "triple_table_entry",
+        "float_table_prime",
+        "str_table_prime",
+        "bool_table_prime",
+        "float_table_exponent",
+        "repeated_table_prime",
+        "zero_table_exponent",
+        "composite_table_prime",
+        "negative_table_prime",
         "float_factor",
         "float_kernel_count",
         "float_kernel_coprime",
