@@ -6,10 +6,10 @@ Factoring takes one gcd of n with the product of the primes below 1024,
 divides out the primes that gcd names (walking up to its square root), and
 calls a cofactor below 1031^2 (1031 is the least prime past 1024) prime
 without a test.  A larger cofactor is tested and, when composite, split by
-Pollard-Brent rho within a step budget.  `exponent_table` is the one
-reader of a degree: it turns a positive int or Fraction into its sorted
-(prime, exponent) table, and gives a `FactoredRational`'s own table.  A
-`FactoredRational` is such a table, checked, with no arithmetic.
+Pollard-Brent rho within a step budget.  `check_degree` is the one check
+of a degree and `exponent_table` its one reader, to a sorted (prime,
+exponent) table.  A `FactoredRational` is such a table, checked, with no
+arithmetic.
 
 Conventions:
   * all arithmetic is arbitrary-precision; exactness is preferred over speed
@@ -33,8 +33,8 @@ level, and a certificate lattice's at its den.
 
 A float, string or bool where an integer belongs is refused with a
 K0Error: in `TorsionSubgroup`'s level and basis, `FracLattice.make`'s den,
-`matrix_isogeny_degree`'s g, `factor`, `exponent_table` and a
-`FactoredRational`'s table.
+`matrix_isogeny_degree`'s g, `factor`, a degree and a `FactoredRational`'s
+table.  A refusal names an integer by `errors.int_excerpt`, whatever its size.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from math import gcd, isqrt, lcm, prod
 
 from ._primality import is_prime
 from ._record import Record, set_field
-from .errors import ContextError, DerivationError, K0Error, KernelInputError, SingularMatrixError
+from .errors import ContextError, DerivationError, K0Error, KernelInputError, SingularMatrixError, int_excerpt
 
 # Python 3.10 before 3.10.7 has no int-conversion limit.
 int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -152,21 +152,13 @@ def _rho_exponents(n: int) -> list[tuple[int, int]]:
     return [(p, primes.count(p)) for p in sorted(set(primes))]
 
 
-def _refuse_non_positive(value: int | Fraction) -> KernelInputError:
-    """The error for factoring a non-positive `value`, which it names."""
-    shown = printable_int(value.numerator, "the number to factor")
-    if value.denominator != 1:
-        shown = f"{shown}/{printable_int(value.denominator, 'the number to factor')}"
-    return KernelInputError(f"can only factor positive numbers, got {shown}")
-
-
 # Sized by reuse: over 18,000 degree queries the hit ratio is 0.62 at
 # 32,768 entries (about 11 MB when full) and 0.49 at 1,024; most hits lost
 # are small integers seen long before, which the walk below redoes cheaply.
 @lru_cache(maxsize=1 << 10)
 def _factor_int(n: int) -> tuple[tuple[int, int], ...]:
     if n <= 0:
-        raise _refuse_non_positive(n)
+        raise KernelInputError(f"can only factor positive numbers, got {int_excerpt(n)}")
     exps: list[tuple[int, int]] = []
     # g is the squarefree product of the trial primes that divide n; walk
     # them in ascending order, dividing each out of n and g, until g is
@@ -193,27 +185,6 @@ def _factor_int(n: int) -> tuple[tuple[int, int], ...]:
     elif n > 1:
         exps.append((n, 1))
     return tuple(exps)
-
-
-def exponent_table(q: Fraction | int | FactoredRational) -> tuple[tuple[int, int], ...]:
-    """The sorted (prime, exponent) table of a positive int or Fraction:
-    the numerator's exponents, and the denominator's negated.  It looks up
-    `_factor_int` once for the numerator and once for a denominator past 1.
-    A FactoredRational gives its own table; a bool is refused."""
-    if isinstance(q, FactoredRational):
-        return q.exps
-    try:
-        num, den = q.numerator, q.denominator
-    except AttributeError:
-        raise KernelInputError(f"can only factor an int or a Fraction, got {type(q).__name__}") from None
-    if q.__class__ is bool:
-        raise KernelInputError("can only factor an int or a Fraction, got bool")
-    if den == 1:
-        return _factor_int(num)
-    if num <= 0:
-        raise _refuse_non_positive(q)
-    # num and den are coprime, so their tables share no prime.
-    return tuple(sorted(_factor_int(num) + tuple([(p, -e) for p, e in _factor_int(den)])))
 
 
 class FactoredRational(Record):
@@ -261,6 +232,39 @@ def _trusted(exps: tuple[tuple[int, int], ...]) -> FactoredRational:
     out = object.__new__(FactoredRational)
     _set_exps(out, exps)
     return out
+
+
+DegreeLike = FactoredRational | Fraction | int
+
+
+def check_degree(q: DegreeLike) -> tuple[int, int] | None:
+    """(numerator, denominator) of a positive int or Fraction, and None for
+    a FactoredRational, checked when built.  Any other q, a bool included,
+    is refused, naming its type or its value (by `int_excerpt`)."""
+    try:
+        num, den = q.numerator, q.denominator
+    except AttributeError:  # neither an int nor a Fraction
+        if isinstance(q, FactoredRational):
+            return None
+        raise KernelInputError(f"degree must be a positive rational, got {type(q).__name__}") from None
+    if num > 0 and q.__class__ is not bool:
+        return num, den
+    shown = "bool" if q.__class__ is bool else int_excerpt(num) + ("" if den == 1 else f"/{int_excerpt(den)}")
+    raise KernelInputError(f"degree must be a positive rational, got {shown}")
+
+
+def exponent_table(q: DegreeLike) -> tuple[tuple[int, int], ...]:
+    """The sorted (prime, exponent) table of a degree `check_degree` takes:
+    the numerator's exponents and the denominator's negated, one `_factor_int`
+    lookup each (none for a den of 1), or a FactoredRational's own table."""
+    parts = check_degree(q)
+    if parts is None:
+        return q.exps
+    num, den = parts
+    if den == 1:
+        return _factor_int(num)
+    # num and den are coprime, so their tables share no prime.
+    return tuple(sorted(_factor_int(num) + tuple([(p, -e) for p, e in _factor_int(den)])))
 
 
 def factor(n: int) -> FactoredRational:

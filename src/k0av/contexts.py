@@ -45,13 +45,12 @@ built in Python meets the same check of its fields as one read from a file.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 from ._record import Record, set_field
-from .arith import FactoredRational, exponent_table, is_prime, printable_int
-from .errors import ContextError, ContextMismatchError, KernelInputError
+from .arith import DegreeLike, check_degree, exponent_table, is_prime, printable_int
+from .errors import ContextError, ContextMismatchError, KernelInputError, int_excerpt
 from .quadforms import (
     QuadForm,
     SquareClasses,
@@ -61,9 +60,6 @@ from .quadforms import (
     prime_class,
     square_classes,
 )
-
-DegreeLike = FactoredRational | Fraction | int
-
 
 class GroupStructure(Record):
     """Z^free_rank (+) the `factors`, each a triple (modulus, count, label):
@@ -186,17 +182,10 @@ class IsogenyContext(Record):
 
     def degree_class(self, q: DegreeLike) -> DegreeClass:
         """Canonical class of a positive rational isogeny degree: an int (not
-        a bool), a Fraction, or a FactoredRational, each read through
-        `exponent_table`."""
-        if not isinstance(q, FactoredRational):  # a FactoredRational is checked when built
-            try:
-                if q.numerator <= 0:
-                    raise KernelInputError(f"degree must be a positive rational, got {q}")
-            except AttributeError:  # no numerator: neither an int nor a Fraction
-                raise KernelInputError(f"degree must be a positive rational, got {type(q).__name__}") from None
-            if q.__class__ is bool:
-                raise KernelInputError("degree must be a positive rational, got bool")
+        a bool), a Fraction, or a FactoredRational, read through
+        `exponent_table`; a kind that reads no prime runs `check_degree` alone."""
         if not self._reads_primes:
+            check_degree(q)
             return self.identity()
         return DegreeClass(self, self._degree_data(exponent_table(q)))
 
@@ -388,10 +377,10 @@ class OrdinaryCM(_WithClassGroup):
         super().__init__(disc, p)
         _check_discriminant(disc)
         if not is_prime(p):
-            raise ContextError(f"{p} is not prime")
+            raise ContextError(f"{int_excerpt(p)} is not prime")
         if kronecker(disc, p) != 1:
             raise ContextError(
-                f"prime {p} does not split in discriminant {disc}; "
+                f"prime {int_excerpt(p)} does not split in discriminant {int_excerpt(disc)}; "
                 "not an ordinary reduction"
             )
 
@@ -414,7 +403,7 @@ class Supersingular(IsogenyContext):
     def __init__(self, p: int) -> None:
         super().__init__(p)
         if not is_prime(p):
-            raise ContextError(f"{p} is not prime")
+            raise ContextError(f"{int_excerpt(p)} is not prime")
 
     def _mul(self, x: tuple, y: tuple) -> tuple:
         return ()
@@ -452,7 +441,7 @@ class CharPEndZ(IsogenyContext):
     def __init__(self, p: int) -> None:
         super().__init__(p)
         if not is_prime(p):
-            raise ContextError(f"{p} is not prime")
+            raise ContextError(f"{int_excerpt(p)} is not prime")
 
     def _degree_data(self, exps: tuple) -> tuple:
         if any(r == self.p for r, _ in exps):

@@ -78,12 +78,11 @@ trial division.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from math import gcd, lcm, prod
 
 from ._record import Record, set_field
 from .arith import (
-    FactoredRational,
+    DegreeLike,
     FracLattice,
     TorsionSubgroup,
     contains_z2_times,
@@ -145,9 +144,7 @@ _set_n = K0Element.n.__set__
 _set_deg = K0Element.deg.__set__
 
 
-def k0_class(
-    ctx: IsogenyContext, n: int, degree: FactoredRational | Fraction | int | KernelSpec
-) -> K0Element:
+def k0_class(ctx: IsogenyContext, n: int, degree: DegreeLike | KernelSpec) -> K0Element:
     """Class of n copies of an object at isogeny distance `degree` from the
     base object.  A `KernelSpec` goes to `kernel_class`, which alone decides
     which contexts take a kernel."""
@@ -550,11 +547,13 @@ def derive_same_degree(n: int, c1: TorsionSubgroup, c2: TorsionSubgroup) -> Deri
         raise LevelMismatchError("subgroup levels differ")
     order1, order2 = c1.order, c2.order
     if order1 != order2:
-        raise DerivationError(f"subgroup orders differ: {order1} != {order2}")
+        raise DerivationError(f"subgroup orders differ: {int_excerpt(order1)} != {int_excerpt(order2)}")
     if order1 != n:
-        raise DerivationError(f"claimed degree {n} != subgroup order {order1}")
+        raise DerivationError(f"claimed degree {int_excerpt(n)} != subgroup order {int_excerpt(order1)}")
     if n > MAX_DERIVE_ORDER:
-        raise DerivationError(f"subgroup order {n} is over the limit of {MAX_DERIVE_ORDER} for a derivation")
+        raise DerivationError(
+            f"subgroup order {int_excerpt(n)} is over the limit of {MAX_DERIVE_ORDER} for a derivation"
+        )
     lat1 = FracLattice.from_subgroup(c1)
     lat2 = FracLattice.from_subgroup(c2)
     steps = tuple(_derive(lat1, lat2, n))

@@ -18,8 +18,8 @@ from collections.abc import Sequence
 from itertools import islice
 
 from ._record import Record, set_field
-from .arith import _factor_int, det, exponent_table, int_digit_limit, printable_int
-from .contexts import CharPEndZ, DegreeClass, DegreeLike, IsogenyContext, Supersingular
+from .arith import DegreeLike, _factor_int, det, exponent_table, int_digit_limit, printable_int
+from .contexts import CharPEndZ, DegreeClass, IsogenyContext, Supersingular
 from .errors import ContextMismatchError, KernelInputError, ParseError, SingularMatrixError, excerpt
 
 
@@ -107,7 +107,7 @@ def class_in_image(p: int, a: int, q: DegreeLike) -> bool:
     """Whether the pair (a, q) in Z x (positive rationals mod squares) is the
     invariant of some kernel: exactly when ord_p(q) is even.  q is a positive
     int (not a bool), Fraction or FactoredRational, read through
-    `exponent_table`."""
+    `exponent_table`, which refuses any other q as `degree_class` does."""
     return all(e % 2 == 0 for r, e in exponent_table(q) if r == p)
 
 

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache, total_ordering
 from . import _backend
 from ._record import Record, set_field
 from .arith import _factor_int, is_prime
-from .errors import DiscriminantError, KernelInputError
+from .errors import DiscriminantError, KernelInputError, int_excerpt
 
 kronecker = _backend.kronecker
 
@@ -123,9 +123,9 @@ def is_fundamental_discriminant(d: int) -> bool:
 
 def _check_discriminant(d: int) -> None:
     if d >= 0 or d % 4 not in (0, 1):
-        raise DiscriminantError(f"{d} is not a negative quadratic discriminant")
+        raise DiscriminantError(f"{int_excerpt(d)} is not a negative quadratic discriminant")
     if not is_fundamental_discriminant(d):
-        raise DiscriminantError(f"discriminant {d}: non-maximal order unsupported")
+        raise DiscriminantError(f"discriminant {int_excerpt(d)}: non-maximal order unsupported")
 
 
 class ClassGroup(Record):
@@ -151,7 +151,9 @@ class ClassGroup(Record):
 @lru_cache(maxsize=DISC_CACHE_SIZE)
 def class_group(d: int) -> ClassGroup:
     if d < -MAX_CLASS_GROUP_DISC:
-        raise DiscriminantError(f"discriminant {d}: |d| is over the class-group limit of {MAX_CLASS_GROUP_DISC}")
+        raise DiscriminantError(
+            f"discriminant {int_excerpt(d)}: |d| is over the class-group limit of {MAX_CLASS_GROUP_DISC}"
+        )
     _check_discriminant(d)
     forms = tuple(QuadForm(*t) for t in _backend.reduced_forms_disc(d))
     return ClassGroup(d, forms)
@@ -275,7 +277,7 @@ def prime_class(ell: int, d: int) -> PrimeClass:
     """Class of a prime ideal above ell in the maximal order of disc d."""
     _check_discriminant(d)
     if not is_prime(ell):
-        raise KernelInputError(f"{ell} is not prime")
+        raise KernelInputError(f"{int_excerpt(ell)} is not prime")
     symbol = kronecker(d, ell)
     if symbol == -1:
         return PrimeClass("inert", None)

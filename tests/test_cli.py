@@ -782,6 +782,13 @@ _REFUSED = [
         "limit of",
         id="derive-order-2^44",
     ),
+    # the subgroup order, 10^8000, is named by its excerpt in the refusal
+    pytest.param(
+        ["derive", "--n", "1" + "0" * 4000, "--c1", "1,0,0,1", "--c2", "1,0,0,1"],
+        None,
+        "error: claimed degree 1000000000... (4001 digits) != subgroup order 1000000000... (8001 digits)",
+        id="derive-long-order",
+    ),
     # class groups are enumerated in time linear in |d|
     pytest.param(["classgroup", "--disc", "-100000000003"], None, _DISC_LIMIT, id="classgroup-big-disc"),
     pytest.param(["structure", "--ctx", "{file}"], _BIG_CM, _DISC_LIMIT, id="structure-big-disc"),

@@ -20,6 +20,7 @@ from k0av.contexts import (
     make_context,
 )
 from k0av.errors import ContextError, ContextMismatchError, KernelInputError
+from k0av.kernels import class_in_image
 from k0av.quadforms import is_fundamental_discriminant, prime_class, square_classes
 
 from conftest import fundamental_discs
@@ -540,8 +541,9 @@ def test_degree_class_rejects_nonpositive():
                 ctx.degree_class(q)
 
 
-# `degree_class`'s refusals, the same in every kind; each message but the
-# bool's was taken before a bool was refused.
+# The refusals of a bad degree: one text each from `degree_class` in every
+# kind, `exponent_table` and `class_in_image`.  A long value is named by
+# `int_excerpt`, whatever the interpreter's int-conversion limit.
 _DEGREE_REFUSALS = (
     (0, "degree must be a positive rational, got 0"),
     (-3, "degree must be a positive rational, got -3"),
@@ -549,18 +551,22 @@ _DEGREE_REFUSALS = (
     (1.5, "degree must be a positive rational, got float"),
     ("3", "degree must be a positive rational, got str"),
     (None, "degree must be a positive rational, got NoneType"),
-    (False, "degree must be a positive rational, got False"),
+    (False, "degree must be a positive rational, got bool"),
     (True, "degree must be a positive rational, got bool"),
+    (-(10**5000), "degree must be a positive rational, got -1000000000... (5001 digits)"),
+    (Fraction(-(10**5000), 3), "degree must be a positive rational, got -1000000000... (5001 digits)/3"),
 )
 
 
 @pytest.mark.parametrize("case", sorted(_CONTEXTS))
 def test_degree_class_refusals_pinned(case):
     ctx = _CONTEXTS[case](**_KIND_FIELDS[case])
+    readers = (ctx.degree_class, exponent_table, lambda q: class_in_image(5, 0, q))
     for q, message in _DEGREE_REFUSALS:
-        with pytest.raises(KernelInputError) as info:
-            ctx.degree_class(q)
-        assert str(info.value) == message, (case, q)
+        for read in readers:
+            with pytest.raises(KernelInputError) as info:
+                read(q)
+            assert str(info.value) == message, (case, q, read)
 
 
 @given(st.integers(1, 10**12), st.integers(1, 10**12))

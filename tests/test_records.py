@@ -38,9 +38,10 @@ from k0av.contexts import (
 )
 from k0av.errors import ContextError, DiscriminantError, K0Error, KernelInputError
 from k0av.expr import ClassAtom, Dual, KernelSpec, Sum, print_expression
-from k0av.k0 import Derivation, DerivationCheck, K0Element, QuotientRelation, derive_same_degree
+from k0av.k0 import MAX_DERIVE_ORDER, Derivation, DerivationCheck, K0Element, QuotientRelation, derive_same_degree
 from k0av.kernels import class_in_image, kernel_class, kernel_of_matrix_endo
 from k0av.quadforms import (
+    MAX_CLASS_GROUP_DISC,
     ClassGroup,
     PrimeClass,
     QuadForm,
@@ -263,6 +264,7 @@ _M = [[2, 1], [0, 3]]  # nonsingular
 _DIGITS = sys.get_int_max_str_digits()
 _HAS_DIGIT_LIMIT = pytest.mark.skipif(not _DIGITS, reason="the interpreter sets no int-conversion limit")
 _HUGE = 10**5000  # past the default digit limit of 4,300
+_HUGE_SHOWN = "1000000000... (5001 digits)"  # its `int_excerpt`
 
 
 def _too_long(what):
@@ -285,9 +287,9 @@ def _too_long(what):
         (lambda: kernel_of_matrix_endo(_M, CM(-20)), "kernel input requires a characteristic-p context"),
         (lambda: kernel_of_matrix_endo(_M, EndZ(1)), "kernel input requires a characteristic-p context"),
         (lambda: EndZ(1).degree_class(1.5), "degree must be a positive rational, got float"),
-        (lambda: class_in_image(5, 0, 1.5), "can only factor an int or a Fraction, got float"),
-        (lambda: class_in_image(5, 0, True), "can only factor an int or a Fraction, got bool"),
-        (lambda: exponent_table(True), "can only factor an int or a Fraction, got bool"),
+        (lambda: class_in_image(5, 0, 1.5), "degree must be a positive rational, got float"),
+        (lambda: class_in_image(5, 0, True), "degree must be a positive rational, got bool"),
+        (lambda: exponent_table(True), "degree must be a positive rational, got bool"),
         (lambda: FactoredRational(5), "exponent table must be (prime, exponent) pairs"),
         (lambda: FactoredRational(((2, 1, 0),)), "exponent table must be (prime, exponent) pairs"),
         (lambda: FactoredRational(((2.0, 1),)), "exponent table entries must be integers"),
@@ -316,6 +318,27 @@ def _too_long(what):
         (lambda: matrix_isogeny_degree([[2]], 1.5), "dimension must be an integer"),
         (lambda: matrix_isogeny_degree([[2]], True), "dimension must be an integer"),
         (lambda: matrix_isogeny_degree([[2]], "1"), "dimension must be an integer"),
+        # Refusals name a long integer through `int_excerpt`, limit or none.
+        (lambda: Supersingular(_HUGE), f"{_HUGE_SHOWN} is not prime"),
+        (lambda: CharPEndZ(_HUGE), f"{_HUGE_SHOWN} is not prime"),
+        (lambda: OrdinaryCM(-20, _HUGE), f"{_HUGE_SHOWN} is not prime"),
+        (lambda: CM(_HUGE), f"{_HUGE_SHOWN} is not a negative quadratic discriminant"),
+        (lambda: prime_class(_HUGE, -20), f"{_HUGE_SHOWN} is not prime"),
+        (
+            lambda: class_group(-_HUGE),
+            f"discriminant -{_HUGE_SHOWN}: |d| is over the class-group limit of {MAX_CLASS_GROUP_DISC}",
+        ),
+        (lambda: factor(-_HUGE), f"can only factor positive numbers, got -{_HUGE_SHOWN}"),
+        (
+            lambda: derive_same_degree(_HUGE, *[TorsionSubgroup(_HUGE, ((1, 0), (0, _HUGE)))] * 2),
+            f"subgroup order {_HUGE_SHOWN} is over the limit of {MAX_DERIVE_ORDER} for a derivation",
+        ),
+        (
+            lambda: derive_same_degree(
+                _HUGE, TorsionSubgroup(_HUGE, ((1, 0), (0, _HUGE))), TorsionSubgroup(_HUGE, ((1, 0), (0, 1)))
+            ),
+            f"subgroup orders differ: {_HUGE_SHOWN} != 1000000000... (10001 digits)",
+        ),
         pytest.param(
             lambda: print_expression(ClassAtom(_HUGE, Fraction(3))), _too_long("multiplicity"), marks=_HAS_DIGIT_LIMIT
         ),
@@ -372,6 +395,15 @@ def _too_long(what):
         "float_dimension",
         "bool_dimension",
         "str_dimension",
+        "long_supersingular_p",
+        "long_char_p_end_z_p",
+        "long_ordinary_cm_p",
+        "long_cm_disc",
+        "long_prime_class_prime",
+        "long_class_group_disc",
+        "long_factor",
+        "long_derive_order",
+        "long_derive_orders_differ",
         "print_long_multiplicity",
         "print_long_degree",
         "print_long_coefficient",
